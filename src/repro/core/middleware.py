@@ -14,10 +14,12 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from repro.core.transports.adaptive import AdaptiveTransport
 from repro.core.transports.base import OutputResult, Transport
 from repro.core.transports.history import HistoryAwareAdaptiveTransport
-from repro.core.transports.mpiio import MpiIoTransport
-from repro.core.transports.posix import PosixTransport
-from repro.core.transports.splitfiles import SplitFilesTransport
-from repro.core.transports.stagger import StaggerTransport
+from repro.core.transports.static import (
+    MpiIoTransport,
+    PosixTransport,
+    SplitFilesTransport,
+    StaggerTransport,
+)
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -1,11 +1,14 @@
-"""IO transports: POSIX, MPI-IO baseline, Adaptive IO, Stagger."""
+"""IO transports: Adaptive IO and the static methods it is measured against."""
 
 from repro.core.transports.base import OutputResult, Transport, WriterTiming
-from repro.core.transports.posix import PosixTransport
-from repro.core.transports.mpiio import MpiIoTransport
+from repro.core.transports.static import (
+    MpiIoTransport,
+    PosixTransport,
+    SplitFilesTransport,
+    StaggerTransport,
+    StaticTransport,
+)
 from repro.core.transports.adaptive import AdaptiveTransport
-from repro.core.transports.stagger import StaggerTransport
-from repro.core.transports.splitfiles import SplitFilesTransport
 from repro.core.transports.history import (
     HistoryAwareAdaptiveTransport,
     PerformanceHistory,
@@ -20,6 +23,7 @@ __all__ = [
     "PosixTransport",
     "SplitFilesTransport",
     "StaggerTransport",
+    "StaticTransport",
     "Transport",
     "WriterTiming",
 ]

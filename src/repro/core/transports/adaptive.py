@@ -444,7 +444,7 @@ class AdaptiveTransport(Transport):
             return self._launch_faulted(machine, app, output_name)
         env = machine.env
         fs = machine.fs
-        self._watch_fabric(machine)
+        fabric_snap = self._watch_fabric(machine)
         n_ranks = machine.n_ranks
         tenant = getattr(machine, "tenant", -1)
         n_groups = self.n_osts_used or min(machine.n_osts, n_ranks)
@@ -1108,7 +1108,7 @@ class AdaptiveTransport(Transport):
                     "busy_bounces": float(stats["busy_bounces"]),
                 },
             )
-            return self._finish(machine, result)
+            return self._finish(machine, result, fabric_snap)
 
         return TransportRun(done=done, collect=collect)
 
@@ -1147,7 +1147,7 @@ class AdaptiveTransport(Transport):
         """
         env = machine.env
         fs = machine.fs
-        self._watch_fabric(machine)
+        fabric_snap = self._watch_fabric(machine)
         faults = machine.faults
         policy = faults.policy
         n_ranks = machine.n_ranks
@@ -2060,7 +2060,7 @@ class AdaptiveTransport(Transport):
                 and len(durable_ranks) == n_ranks
             )
             if ok:
-                return self._finish(machine, result)
+                return self._finish(machine, result, fabric_snap)
             if traced:
                 tracer.close_open_spans()
             reasons = []

@@ -19,19 +19,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.index import GlobalIndex
-from repro.errors import (
-    FileNotFoundInNamespace,
-    OstFailedError,
-    TransportError,
-    WriteTimeout,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import AppKernel
     from repro.machines.base import Machine
 
 __all__ = [
-    "StaticFaultHarness",
     "Transport",
     "TransportRun",
     "OutputResult",
@@ -134,189 +127,6 @@ class OutputResult:
             )
 
 
-class StaticFaultHarness:
-    """Fail-fast fault bookkeeping for the static transports.
-
-    The static IO methods have no retry or failover story — the
-    paper's whole point is that they cannot react to storage-target
-    trouble.  Under an installed fault plan they get *defined*
-    behaviour instead of a hang or a silent lie: every write carries
-    the policy's per-attempt timeout, a failed write records the
-    writer and moves on (no retry), the writer join is bounded by the
-    run-timeout backstop, and an unclean run raises
-    :class:`~repro.errors.TransportError` with durable/lost byte
-    accounting and the partial result attached.
-
-    With no plan installed (``machine.faults`` is None) every helper
-    collapses to the fault-free code path — same simulation events,
-    bit-identical results.
-    """
-
-    def __init__(self, machine: "Machine"):
-        self.machine = machine
-        self.faults = machine.faults
-        # Tenant id for QoS flow tagging; a plain Machine has none and
-        # stays untagged, a TenantView stamps its tenant on every write.
-        self.tenant = getattr(machine, "tenant", -1)
-        self.write_failures: List[Tuple[int, str]] = []
-        self.flush_failures: List[str] = []
-        self.timed_out = False
-
-    @property
-    def active(self) -> bool:
-        return self.faults is not None
-
-    @property
-    def write_timeout(self) -> Optional[float]:
-        return self.faults.policy.write_timeout if self.active else None
-
-    def arm(self, procs_by_rank: Dict[int, object]) -> None:
-        """Start the plan clock and expose rank procs to rank crashes."""
-        if not self.active:
-            return
-        self.faults.arm()
-        for rank, proc in procs_by_rank.items():
-            self.faults.register(rank, proc)
-
-    def guarded_write(self, fs, f, *, node, offset, nbytes, writer,
-                      pid: str, tid: str, blocks=None):
-        """Generator: one write attempt; returns True iff it landed.
-
-        Failures (target fail-stopped, or hung past the policy
-        timeout) are recorded and traced, never raised — the caller's
-        process must survive so the join accounts for it.  ``blocks``
-        (``(offset, nbytes, checksum)`` triples) registers the write's
-        variable blocks with the storage layer for later scrubbing.
-        """
-        env = self.machine.env
-        try:
-            yield from fs.write(
-                f, node=node, offset=offset, nbytes=nbytes, writer=writer,
-                timeout=self.write_timeout, blocks=blocks,
-                tenant=self.tenant,
-            )
-        except (OstFailedError, WriteTimeout) as exc:
-            self.write_failures.append((writer, str(exc)))
-            tr = env.tracer
-            if tr is not None and tr.enabled:
-                tr.instant(
-                    "write.abort", cat="fault", pid=pid, tid=tid,
-                    args={"reason": str(exc)},
-                )
-            return False
-        return True
-
-    def join(self, procs: List[object]):
-        """Generator: wait for the writer procs.
-
-        Fault-free: plain ``all_of`` (unchanged event structure).
-        Faulted: settle-all bounded by the run-timeout backstop, so a
-        stalled protocol (e.g. a rank crashed before a barrier filled)
-        still terminates with accounting instead of deadlocking.
-        """
-        env = self.machine.env
-        if not self.active:
-            yield env.all_of(procs)
-            return
-        from repro.sim.events import AllSettled
-
-        deadline = env.timeout(self.faults.policy.run_timeout)
-        yield env.any_of([AllSettled(env, procs), deadline])
-        if deadline.processed and any(p.is_alive for p in procs):
-            self.timed_out = True
-            for p in procs:
-                if p.is_alive:
-                    p.kill("run timeout backstop")
-
-    def guarded_flush(self, fs, f):
-        """Generator: flush with the policy timeout; failures recorded."""
-        if not self.active:
-            yield from fs.flush(f)
-            return
-        try:
-            yield from fs.flush(f, timeout=self.faults.policy.flush_timeout)
-        except (OstFailedError, WriteTimeout) as exc:
-            self.flush_failures.append(str(exc))
-
-    def bytes_corrupt(self, result: OutputResult) -> float:
-        """Bytes of the output's stored blocks now corrupt or torn.
-
-        The static methods have no verify/rewrite loop, so whatever
-        the fault plan rotted stays rotten — it lands in the error
-        accounting instead.
-        """
-        fs = self.machine.fs
-        total = 0.0
-        for path in result.files:
-            try:
-                f = fs.lookup(path)
-            except FileNotFoundInNamespace:
-                continue
-            for blk in f.stored_blocks():
-                if blk.corrupt or blk.torn:
-                    total += blk.nbytes
-        return total
-
-    def finalize(self, transport: "Transport",
-                 result: OutputResult) -> OutputResult:
-        """Clean run → validated result; unclean → TransportError."""
-        n_ranks = self.machine.n_ranks
-        corrupt = self.bytes_corrupt(result) if self.active else 0.0
-        clean = (
-            not self.timed_out
-            and not self.write_failures
-            and not self.flush_failures
-            and len(result.per_writer) == n_ranks
-            and corrupt == 0.0
-        )
-        if self.active:
-            # A write acknowledged into a target's cache is only as
-            # durable as the cache: bytes a fail-stop destroyed before
-            # they drained are subtracted from the completed writes.
-            cache_lost = float(self.machine.pool.bytes_lost.sum())
-            bytes_durable = max(
-                0.0,
-                float(sum(w.nbytes for w in result.per_writer))
-                - cache_lost,
-            )
-            bytes_lost = result.total_bytes - bytes_durable
-            result.extra["bytes_durable"] = bytes_durable
-            result.extra["bytes_lost"] = bytes_lost
-            result.extra["bytes_corrupt"] = corrupt
-            result.extra.update(self.faults.summary())
-        if clean:
-            return transport._finish(self.machine, result)
-        env = self.machine.env
-        if env.tracer is not None and env.tracer.enabled:
-            env.tracer.close_open_spans()
-        reasons = []
-        if self.timed_out:
-            reasons.append(
-                f"run timeout ({self.faults.policy.run_timeout:g}s) hit"
-            )
-        if self.write_failures:
-            reasons.append(f"{len(self.write_failures)} write failure(s)")
-        if self.flush_failures:
-            reasons.append(f"{len(self.flush_failures)} flush failure(s)")
-        if self.faults is not None and self.faults.crashed_ranks:
-            reasons.append(
-                f"{len(self.faults.crashed_ranks)} rank(s) crashed"
-            )
-        missing = n_ranks - len(result.per_writer)
-        if missing > 0:
-            reasons.append(f"{missing} writer(s) did not complete")
-        if corrupt > 0.0:
-            reasons.append(f"{corrupt:.0f} B of stored output corrupt/torn")
-        raise TransportError(
-            f"{result.transport} output did not complete cleanly: "
-            + "; ".join(reasons),
-            bytes_durable=result.extra.get("bytes_durable", 0.0),
-            bytes_lost=result.extra.get("bytes_lost", result.total_bytes),
-            partial=result,
-            bytes_corrupt=corrupt,
-        )
-
-
 @dataclass
 class TransportRun:
     """A launched-but-not-collected output operation.
@@ -372,7 +182,7 @@ class Transport(abc.ABC):
         machine.env.run(until=handle.done)
         return handle.collect()
 
-    def _watch_fabric(self, machine: "Machine") -> None:
+    def _watch_fabric(self, machine: "Machine") -> Tuple[int, int, int, int]:
         """Snapshot the fabric's churn counters at run start.
 
         :meth:`_finish` turns the snapshot into per-run deltas in
@@ -381,30 +191,36 @@ class Transport(abc.ABC):
         path / same-instant coalescing absorbed.  Group releases (N
         writers opening streams at one simulated instant) show up here
         as a large ``fabric_coalesced`` with a tiny ``fabric_reallocs``.
+        The snapshot belongs to one launch: the caller keeps it and
+        hands it back to :meth:`_finish`, so overlapping launches of
+        one instance each report their own deltas.
         """
         fab = machine.fs.fabric
-        self._fabric_snap = (
-            machine,
+        return (
             fab.settle_count,
             fab.realloc_count,
             fab.incremental_count,
             fab.coalesced_count,
         )
 
-    def _finish(self, machine: "Machine", result: OutputResult) -> OutputResult:
-        snap = getattr(self, "_fabric_snap", None)
-        if snap is not None and snap[0] is machine:
-            self._fabric_snap = None
+    def _finish(
+        self,
+        machine: "Machine",
+        result: OutputResult,
+        fabric_snap: Optional[Tuple[int, int, int, int]] = None,
+    ) -> OutputResult:
+        if fabric_snap is not None:
             fab = machine.fs.fabric
-            result.extra["fabric_settles"] = float(fab.settle_count - snap[1])
+            settles, reallocs, incremental, coalesced = fabric_snap
+            result.extra["fabric_settles"] = float(fab.settle_count - settles)
             result.extra["fabric_reallocs"] = float(
-                fab.realloc_count - snap[2]
+                fab.realloc_count - reallocs
             )
             result.extra["fabric_incremental"] = float(
-                fab.incremental_count - snap[3]
+                fab.incremental_count - incremental
             )
             result.extra["fabric_coalesced"] = float(
-                fab.coalesced_count - snap[4]
+                fab.coalesced_count - coalesced
             )
         result.validate()
         # One-way recording into the telemetry registry: the registry

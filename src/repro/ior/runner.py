@@ -11,8 +11,7 @@ from typing import TYPE_CHECKING
 
 from repro.apps.base import AppKernel, Variable
 from repro.core.transports.base import OutputResult
-from repro.core.transports.mpiio import MpiIoTransport
-from repro.core.transports.posix import PosixTransport
+from repro.core.transports.static import MpiIoTransport, PosixTransport
 from repro.ior.config import IorConfig
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -40,7 +40,6 @@ from repro.errors import (
     WriteTimeout,
 )
 from repro.faults import (
-    CORRUPTION_KINDS,
     FaultEvent,
     FaultPlan,
     RetryPolicy,
@@ -273,25 +272,6 @@ def fsck_run(args) -> Dict:
     plan = _compose_plan(args, base)
 
     machine = spec.build(n_ranks=args.n_ranks, seed=args.seed, faults=plan)
-    if (
-        args.transport == "stagger"
-        and machine.faults is not None
-        and plan.events
-    ):
-        # Stagger predates the fault harness and never arms the
-        # injector itself.  Corruption events act on stored state and
-        # need no writer cooperation, so fsck arms the clock here;
-        # anything else (fail-stop, hangs, ...) has no defined stagger
-        # semantics and the plan is refused rather than half-run.
-        if all(ev.kind in CORRUPTION_KINDS for ev in plan.events):
-            machine.faults.arm()
-        else:
-            print(
-                "fsck: stagger supports only corruption fault kinds "
-                f"({', '.join(CORRUPTION_KINDS)}); refusing plan",
-                file=sys.stderr,
-            )
-            return {"error": "stagger supports only corruption faults"}
     completed = True
     failure = None
     try:
@@ -417,8 +397,6 @@ def _strict_failures(out: Dict) -> List[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = fsck_run(args)
-    if "error" in out:
-        return 2
     print(_render(out))
     if args.json:
         with open(args.json, "w") as fh:

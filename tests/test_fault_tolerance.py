@@ -18,6 +18,7 @@ from repro.core.transports import (
     MpiIoTransport,
     PosixTransport,
     SplitFilesTransport,
+    StaggerTransport,
 )
 from repro.errors import TransportError
 from repro.faults import FaultEvent, FaultPlan, two_ost_failure_plan
@@ -52,6 +53,7 @@ def baseline_write_time(transport_name: str) -> float:
         "mpiio": lambda: MpiIoTransport(build_index=False),
         "posix": lambda: PosixTransport(build_index=False),
         "splitfiles": lambda: SplitFilesTransport(build_index=False),
+        "stagger": lambda: StaggerTransport(build_index=False),
     }[transport_name]()
     m = spec().build(n_ranks=N_RANKS, seed=0)
     return transport.run(m, app(), output_name="ft").write_time
@@ -144,6 +146,7 @@ STATIC_TRANSPORTS = {
     "mpiio": lambda: MpiIoTransport(build_index=False),
     "posix": lambda: PosixTransport(build_index=False),
     "splitfiles": lambda: SplitFilesTransport(build_index=False),
+    "stagger": lambda: StaggerTransport(build_index=False),
 }
 
 
@@ -202,3 +205,56 @@ class TestStaticFailFast:
         a, b = one(), one()
         assert a.bytes_durable == b.bytes_durable
         assert a.partial.per_writer == b.partial.per_writer
+
+
+class TestStaggerLanes:
+    """A stagger lane plays its whole group in rank order, so the lane
+    rule shows: the first failed write, or a crash of any member, ends
+    the group and its later members are accounted as lost."""
+
+    def healthy(self):
+        m = spec().build(n_ranks=N_RANKS, seed=0)
+        res = StaggerTransport(build_index=False).run(
+            m, app(), output_name="ft"
+        )
+        return {w.rank: w for w in res.per_writer}
+
+    def run(self, plan):
+        m = spec().build(n_ranks=N_RANKS, seed=0, faults=plan)
+        with pytest.raises(TransportError) as excinfo:
+            StaggerTransport(build_index=False).run(
+                m, app(), output_name="ft"
+            )
+        exc = excinfo.value
+        missing = set(range(N_RANKS)) - {
+            w.rank for w in exc.partial.per_writer
+        }
+        return exc, missing
+
+    def test_crash_loses_rest_of_group(self):
+        # Rank 4 leads group 1 (ranks 4-7); kill it while it writes.
+        w = self.healthy()[4]
+        plan = FaultPlan(
+            events=(FaultEvent(time=0.5 * (w.start + w.end),
+                               kind="crash_rank", target=4),)
+        ).with_policy(run_timeout=120.0)
+        exc, missing = self.run(plan)
+        assert missing == {4, 5, 6, 7}
+        assert exc.bytes_durable == pytest.approx(
+            TOTAL_BYTES - 4 * PER_PROC_BYTES
+        )
+        assert "1 rank(s) crashed" in str(exc)
+
+    def test_failstop_stops_lane_at_first_failed_write(self):
+        # Groups 0 and 1 sit on OSTs 0 and 1; fail both while each
+        # group's second member writes.
+        w = self.healthy()[1]
+        plan = two_ost_failure_plan(
+            osts=(0, 1), at=0.5 * (w.start + w.end)
+        ).with_policy(run_timeout=120.0)
+        exc, missing = self.run(plan)
+        assert missing == {1, 2, 3, 5, 6, 7}
+        assert "2 write failure(s)" in str(exc)
+        assert exc.bytes_durable + exc.bytes_lost == pytest.approx(
+            TOTAL_BYTES
+        )

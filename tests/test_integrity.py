@@ -415,14 +415,28 @@ class TestFsckCli:
         ])
         assert rc == 0
 
-    def test_stagger_refuses_non_corruption_plan(self, tmp_path):
+    def test_stagger_failstop_reported_like_mpiio(self, tmp_path):
+        """Stagger arms its own injector: a fail-stop mid-write is a
+        reported, incomplete run, exactly as for MPI-IO."""
+        import json
+
         from repro.tools.fsck import main
 
         plan = tmp_path / "plan.json"
         FaultPlan(events=(
-            FaultEvent(time=1.0, kind="ost_fail", target=0),
+            FaultEvent(time=0.01, kind="ost_fail", target=0),
         )).save_json(str(plan))
-        rc = main(self.ARGS + [
-            "--transport", "stagger", "--faults", str(plan),
-        ])
-        assert rc == 2
+        for transport in ("stagger", "mpiio"):
+            report = tmp_path / f"{transport}.json"
+            rc = main(self.ARGS + [
+                "--transport", transport, "--faults", str(plan),
+                "--json", str(report),
+            ])
+            assert rc == 0
+            out = json.loads(report.read_text())
+            assert out["completed"] is False
+            assert out["transport_error"].startswith(
+                f"{transport} output did not complete cleanly: "
+            )
+            assert "write failure(s)" in out["transport_error"]
+            assert out["injected"]["n_injected"] == 1.0

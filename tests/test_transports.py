@@ -91,6 +91,34 @@ class TestAllTransportsContract:
         assert (m.pool.cache_level <= stable + 1.0).all()
 
 
+FABRIC_KEYS = ("fabric_settles", "fabric_reallocs", "fabric_incremental",
+               "fabric_coalesced")
+
+
+class TestOverlappingLaunches:
+    """Instances are stateless: one transport launched on two machines
+    before either is collected reports each run's own fabric deltas."""
+
+    @pytest.mark.parametrize(
+        "make", [MpiIoTransport, AdaptiveTransport], ids=["mpiio", "adaptive"]
+    )
+    def test_fabric_deltas_per_launch(self, make):
+        app = tiny_app()
+        solo = [
+            make().run(small_machine(seed=s), app, output_name="t")
+            for s in (0, 1)
+        ]
+        transport = make()
+        machines = [small_machine(seed=s) for s in (0, 1)]
+        handles = [transport.launch(m, app, output_name="t")
+                   for m in machines]
+        for m, h in zip(machines, handles):
+            m.env.run(until=h.done)
+        for res, ref in zip([h.collect() for h in handles], solo):
+            for key in FABRIC_KEYS:
+                assert res.extra[key] == ref.extra[key]
+
+
 class TestPosixTransport:
     def test_file_per_process(self):
         m = small_machine()
