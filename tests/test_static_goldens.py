@@ -98,6 +98,9 @@ def _result_doc(machine, res) -> dict:
         }
     local = {}
     for path in res.files:
+        if not machine.fs.exists(path):  # a run cut before the create
+            local[path] = "missing"
+            continue
         payload = machine.fs.lookup(path).payloads.get(("local_index", path))
         local[path] = None if payload is None else len(payload[1])
     return {
@@ -124,9 +127,18 @@ def _run(preset: str, *, faults=None, noise=False, tracer=None) -> dict:
     )
     if noise:
         install_production_noise(machine, live=True)
+    return _run_doc(machine, PRESETS[preset](), faults)[0]
+
+
+def _run_doc(machine, transport, faults) -> tuple:
+    """Run ``transport`` on ``machine``; return ``(doc, result)``.
+
+    A raised :class:`TransportError` is pinned under ``"error"`` and its
+    partial result stands in for the result.
+    """
     doc = {}
     try:
-        res = PRESETS[preset]().run(machine, _app(), output_name="golden")
+        res = transport.run(machine, _app(), output_name="golden")
     except TransportError as exc:
         doc["error"] = {
             "message": str(exc),
@@ -140,7 +152,7 @@ def _run(preset: str, *, faults=None, noise=False, tracer=None) -> dict:
     doc["events_scheduled"] = machine.env.events_scheduled
     if faults is not None:
         doc["plan"] = faults.to_dict()
-    return doc
+    return doc, res
 
 
 @functools.lru_cache(maxsize=None)
