@@ -24,11 +24,11 @@ declined busy within the instant it was made — so ``messages_sent``
 is checked for direction, not equality, and busy-declines are not
 part of the pinned steering stream.
 
-Faulted runs take the pre-existing ``_run_faulted`` path in both modes
-(the ``batched`` flag only selects the fault-free fast path), so their
-equivalence is trivially structural — one test pins that, plus the
-satellite guarantee that a completed faulted run leaves no live
-heartbeat/monitor wake-ups in the calendar.
+A fault plan selects the fault-hardened mode of the same single
+``launch`` whatever the ``batched`` flag says, so faulted equivalence
+is structural — one test pins that, plus the guarantee that a
+completed faulted run leaves no live heartbeat/monitor wake-ups in the
+calendar.
 """
 
 import numpy as np
@@ -191,9 +191,9 @@ def degrade_plan():
 
 class TestFaultedPath:
     def test_faulted_runs_identical_across_modes(self):
-        """With a fault plan both modes route through ``_run_faulted``
-        — the batched fast path only covers fault-free runs — so the
-        results are structurally the same code's output."""
+        """With a fault plan ``launch`` takes the fault-hardened mode
+        for either ``batched`` value — the cohorts only cover
+        fault-free runs — so the results are the same roles' output."""
         _, res_b = run_one(True, faults=degrade_plan())
         _, res_r = run_one(False, faults=degrade_plan())
         assert_equivalent(res_b, res_r)

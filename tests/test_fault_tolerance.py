@@ -191,6 +191,26 @@ class TestStaticFailFast:
         # Terminated by the per-write timeout, far before the backstop.
         assert m.env.now < 120.0
 
+    def test_dead_shared_file_listed_but_not_indexed(self):
+        """Split file 0 (ranks 0-15) stripes over OSTs 0-3; all four
+        fail before its first write lands.  The partial result still
+        lists the created file, the global index leaves it out, and
+        exactly its bytes are lost."""
+        plan = FaultPlan(events=tuple(
+            FaultEvent(time=1e-6, kind="ost_fail", target=o)
+            for o in range(4)
+        )).with_policy(run_timeout=120.0)
+        m = spec().build(n_ranks=N_RANKS, seed=0, faults=plan)
+        with pytest.raises(TransportError) as excinfo:
+            SplitFilesTransport().run(m, app(), output_name="o")
+        exc = excinfo.value
+        partial = exc.partial
+        assert "/o.part0.bp" in partial.files
+        assert "/o.part0.bp" not in partial.index.files
+        assert len(partial.index.files) == len(partial.files) - 1
+        assert exc.bytes_lost == pytest.approx(16 * PER_PROC_BYTES)
+        assert {w.rank for w in partial.per_writer} == set(range(16, 64))
+
     @pytest.mark.parametrize("name", sorted(STATIC_TRANSPORTS))
     def test_static_deterministic_under_faults(self, name):
         at = 0.4 * baseline_write_time(name)
