@@ -41,23 +41,23 @@ class GroupMap:
                 f"n_groups {self.n_groups} > n_ranks {self.n_ranks}: "
                 "every group needs at least one writer"
             )
-
-    def _bounds(self) -> np.ndarray:
         base, extra = divmod(self.n_ranks, self.n_groups)
         sizes = np.full(self.n_groups, base, dtype=np.int64)
         sizes[:extra] += 1
-        return np.concatenate([[0], np.cumsum(sizes)])
+        # Frozen dataclass: the derived bounds are set once, here.
+        object.__setattr__(
+            self, "_bounds", np.concatenate([[0], np.cumsum(sizes)])
+        )
 
     def group_of(self, rank: int) -> int:
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"rank {rank} out of range")
-        bounds = self._bounds()
-        return int(np.searchsorted(bounds, rank, side="right") - 1)
+        return int(np.searchsorted(self._bounds, rank, side="right") - 1)
 
     def ranks_in(self, group: int) -> List[int]:
         if not 0 <= group < self.n_groups:
             raise ValueError(f"group {group} out of range")
-        bounds = self._bounds()
+        bounds = self._bounds
         return list(range(int(bounds[group]), int(bounds[group + 1])))
 
     def sub_coordinator_of(self, group: int) -> int:

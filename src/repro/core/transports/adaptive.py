@@ -521,7 +521,10 @@ class AdaptiveTransport(Transport):
         sc_rank = [groups.sub_coordinator_of(g) for g in range(n_groups)]
         sc_tag = [TAG_SC] * n_groups
         coord = groups.coordinator
-        group_of = [groups.group_of(r) for r in range(n_ranks)]
+        group_of = [0] * n_ranks
+        for g in range(n_groups):
+            for r in groups.ranks_in(g):
+                group_of[r] = g
 
         files: Dict[int, object] = {}  # group -> current incarnation
         files_at: Dict[tuple, object] = {}  # (group, epoch) -> SimFile

@@ -92,14 +92,22 @@ class MarkovLoadModel:
         if not np.allclose(P.sum(axis=1), 1.0):
             raise ValueError("transition matrix rows must sum to 1")
         self.P = P
+        self._stationary: Optional[np.ndarray] = None
 
     # -- stationary analysis ----------------------------------------------
     def stationary_distribution(self) -> np.ndarray:
         """Long-run fraction of *time* spent in each state.
 
         Combines the embedded jump chain's stationary vector with the
-        mean dwell times (time-weighted, not jump-weighted).
+        mean dwell times (time-weighted, not jump-weighted).  Computed
+        once per model; every chain start reads the same vector.
         """
+        if self._stationary is None:
+            self._stationary = self._solve_stationary()
+            self._stationary.flags.writeable = False
+        return self._stationary
+
+    def _solve_stationary(self) -> np.ndarray:
         n = len(self.states)
         if n == 1:
             return np.ones(1)

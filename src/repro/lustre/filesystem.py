@@ -437,7 +437,7 @@ class FileSystem:
         """Cancel whichever of *fids* are still in flight; bytes undelivered."""
         undelivered = 0.0
         for fid in fids:
-            if fid in self.fabric._records:
+            if fid in self.fabric._slot_of:
                 undelivered += self.fabric.cancel_flow(fid)
         return undelivered
 

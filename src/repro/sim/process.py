@@ -71,7 +71,7 @@ class Process(Event):
         init = Event(env)
         init._ok = True
         init._value = None
-        init.add_callback(self._resume)
+        init.add_callback(self._start)
         env._schedule(init)
 
     @property
@@ -135,6 +135,11 @@ class Process(Event):
         self.env._live.discard(self)
 
     # -- kernel resume paths --------------------------------------------
+    def _start(self, _init: Event) -> None:
+        if self.triggered:  # killed before its first step
+            return
+        self._step()
+
     def _resume_with_interrupt(self, kick: Event) -> None:
         self._step(throw=kick._value)
 

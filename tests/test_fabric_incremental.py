@@ -112,7 +112,7 @@ def _churn(seed: int, n_ops: int, cap_src_val: float) -> FlowNetwork:
         elif op < 0.80:
             victim = int(rng.integers(n_sinks))
             net.fail_sink(victim)
-            live = [f for f in live if f in net._records]
+            live = [f for f in live if f in net._slot_of]
         elif op < 0.93:
             # Brownout / recovery: capacity change at one sink.
             sink = int(rng.integers(n_sinks))
@@ -121,7 +121,7 @@ def _churn(seed: int, n_ops: int, cap_src_val: float) -> FlowNetwork:
         else:
             # Let time pass so flows complete inside _settle.
             env.run(until=env.now + float(rng.uniform(1e-4, 50.0)))
-            live = [f for f in live if f in net._records]
+            live = [f for f in live if f in net._slot_of]
         net.invalidate()
         _assert_alloc_matches_batch(net)
     return net
@@ -215,7 +215,7 @@ def _twin_churn(seed: int, n_ops: int, tag_tenants: bool) -> list:
             net.cancel_flow(live.pop(int(rng.integers(len(live)))))
         else:
             env.run(until=env.now + float(rng.uniform(1e-4, 5.0)))
-            live = [f for f in live if f in net._records]
+            live = [f for f in live if f in net._slot_of]
         net.invalidate()
         act = np.nonzero(net._active)[0]
         trajectory.append((env.now, net._rate[act].tolist()))

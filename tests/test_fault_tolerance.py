@@ -129,6 +129,29 @@ class TestAdaptiveRecovery:
         )
         assert exc.bytes_lost == pytest.approx(PER_PROC_BYTES)
 
+    def test_sc_crash_before_first_step_is_defined(self):
+        """A sub-coordinator killed at t=0, before its process first
+        runs, never creates its sub-file.  The run must end with an
+        adoption or a TransportError whose byte accounting covers every
+        byte -- never with a kernel error from the killed process."""
+        plan = FaultPlan(
+            events=(FaultEvent(time=0.0, kind="crash_rank", target=4),)
+        ).with_policy(heartbeat_interval=0.1, sc_timeout=0.5,
+                      run_timeout=5.0)
+        try:
+            m, res = run_adaptive(plan)
+        except TransportError as exc:
+            assert exc.partial is not None
+            assert exc.bytes_durable + exc.bytes_lost == pytest.approx(
+                TOTAL_BYTES
+            )
+            assert exc.bytes_lost >= PER_PROC_BYTES
+        else:
+            assert res.extra["sc_adoptions"] >= 1.0
+            assert res.extra["bytes_durable"] + res.extra[
+                "bytes_lost"
+            ] == pytest.approx(TOTAL_BYTES)
+
     def test_same_seed_same_plan_is_deterministic(self):
         at = 0.4 * baseline_write_time("adaptive")
         plan = two_ost_failure_plan(osts=(0, 1), at=at).with_policy(

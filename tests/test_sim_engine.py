@@ -181,6 +181,20 @@ class TestInterrupt:
         assert p.triggered and not p.ok
         assert isinstance(p._value, ProcessKilled)
 
+    def test_kill_before_first_step(self, env):
+        ran = []
+
+        def body(env):
+            ran.append(True)
+            yield env.timeout(1)
+
+        p = env.process(body(env))
+        p.kill("early")  # its bootstrap resume is still on the calendar
+        env.run()
+        assert ran == []
+        assert p.triggered and not p.ok
+        assert isinstance(p._value, ProcessKilled)
+
 
 class TestSchedulerDeterminism:
     def test_fifo_among_simultaneous_events(self, env):
