@@ -185,3 +185,124 @@ class TestOstPoolDynamics:
         s = pool.summary()
         assert s["n_osts"] == 2
         assert s["mean_load_mult"] == pytest.approx(1.0)
+
+
+class _ScratchPool(OstPool):
+    """The pool's formulas evaluated from scratch on every call: full
+    curve evaluations over all sinks, no memo, and the transition time
+    as the minimum over a full-size vector."""
+
+    def _scratch_rates(self, counts):
+        cfg = self.config
+        n = np.maximum(counts, 1)
+        drain = (cfg.drain_peak * cfg.drain_curve(n)
+                 * self.load_mult * self.fault_mult)
+        ingest = (cfg.ingest_peak * cfg.ingest_curve(n)
+                  * self.ingest_mult * self._ingest_gate)
+        return drain, ingest
+
+    def advance(self, dt, inflow, now):
+        if dt <= 0:
+            return
+        drain, _ = self._scratch_rates(self._last_counts)
+        absorbed = inflow * dt
+        self.bytes_absorbed += absorbed
+        before = self.cache_level.copy()
+        self.cache_level += absorbed - drain * dt
+        np.clip(self.cache_level, 0.0, self.config.cache_capacity,
+                out=self.cache_level)
+        self.bytes_drained += absorbed + before - self.cache_level
+
+    def capacities(self, counts, now):
+        self._last_counts = np.array(counts)
+        cap = self.config.cache_capacity
+        self._full |= self.cache_level >= cap - 1.0
+        self._full &= self.cache_level > self.config.hysteresis * cap + 1.0
+        drain, ingest = self._scratch_rates(counts)
+        return np.where(self._full, np.minimum(drain, ingest), ingest)
+
+    def next_transition(self, inflow, counts, now):
+        cap = self.config.cache_capacity
+        drain, _ = self._scratch_rates(counts)
+        net = inflow - drain
+        t = np.full(self.n_sinks, np.inf)
+        filling = ~self._full & (net > 0)
+        t[filling] = (cap - self.cache_level[filling]) / net[filling]
+        emptying = self._full & (net < 0)
+        target = self.config.hysteresis * cap
+        t[emptying] = (self.cache_level[emptying] - target) / -net[emptying]
+        return max(float(t.min()), 0.0)
+
+
+class TestCachedPoolEquivalence:
+    N = 24
+
+    def _pools(self):
+        cfg = OstPoolConfig(n_osts=self.N, cache_capacity=64.0 * 2**20)
+        return OstPool(cfg), _ScratchPool(cfg)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cached_pool_matches_scratch_evaluation(self, seed):
+        """Random count changes (a few sinks: the scalar patch; many:
+        the vectorized one), multiplier pushes, fault transitions and
+        cache fill/drain cycles: capacities, transition times and cache
+        state agree with ``==`` at every step."""
+        rng = np.random.default_rng(seed)
+        pool, ref = self._pools()
+        counts = np.zeros(self.N, dtype=np.int64)
+        snapshot = counts.copy()
+        now = 0.0
+        n_full = []
+        for step in range(300):
+            op = rng.random()
+            if op < 0.45:
+                k = int(rng.choice([1, 2, 3, self.N // 2, self.N]))
+                idx = rng.choice(self.N, size=k, replace=False)
+                counts[idx] = rng.integers(0, 300, size=k)
+                if rng.random() < 0.7:  # the fabric: a read-only snapshot
+                    snapshot = counts.copy()
+                    snapshot.flags.writeable = False
+                else:  # a caller mutating one writeable array in place
+                    if not snapshot.flags.writeable:
+                        snapshot = counts.copy()
+                    snapshot[:] = counts
+            elif op < 0.6:
+                mult = rng.uniform(0.1, 1.0, self.N)
+                osts = (None if rng.random() < 0.5
+                        else rng.choice(self.N, size=3, replace=False))
+                m = mult if osts is None else mult[:3]
+                ingest = None if rng.random() < 0.5 else np.sqrt(m)
+                for p in (pool, ref):
+                    p.set_load_multiplier(m, osts=osts, ingest_mult=ingest)
+            elif op < 0.7:
+                ost = int(rng.integers(0, self.N))
+                kind = rng.choice(["fail", "hang", "brownout", "recover"])
+                for p in (pool, ref):
+                    if kind == "fail":
+                        p.fail_ost(ost)
+                    elif kind == "hang":
+                        p.hang_ost(ost)
+                    elif kind == "brownout":
+                        p.brownout_ost(ost, 0.3)
+                    else:
+                        p.recover_ost(ost)
+            caps = pool.capacities(snapshot, now)
+            assert np.array_equal(caps, ref.capacities(snapshot, now))
+            assert np.array_equal(pool.is_full(), ref.is_full())
+            n_full.append(int(pool.is_full().sum()))
+            inflow = caps * rng.uniform(0.5, 1.0, self.N) * (snapshot > 0)
+            t = pool.next_transition(inflow, snapshot, now)
+            assert t == ref.next_transition(inflow, snapshot, now)
+            dt = t if (rng.random() < 0.3 and t < 10.0) else float(
+                rng.exponential(0.2))
+            now += dt
+            pool.advance(dt, inflow, now)
+            ref.advance(dt, inflow, now)
+            for name in ("cache_level", "bytes_absorbed", "bytes_drained"):
+                assert np.array_equal(getattr(pool, name),
+                                      getattr(ref, name)), (step, name)
+            assert np.array_equal(pool.drain_rates(),
+                                  ref._scratch_rates(ref._last_counts)[0])
+        # The run must have filled caches and drained them back out.
+        assert max(n_full) > 0
+        assert any(b < a for a, b in zip(n_full, n_full[1:]))
