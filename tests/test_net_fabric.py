@@ -1,5 +1,7 @@
 """Unit tests for the max-min fair flow network."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,15 @@ class TestFlowNetwork:
         assert counts.tolist() == [1, 1]
         inflow = net.sink_inflow()
         assert inflow.sum() == pytest.approx(100.0)
+
+    def test_infinite_sink_settles_without_warnings(self):
+        # An uncapped flow on an infinite-capacity sink is frozen at its
+        # infinite cap; the waterfill's inf - inf there must stay quiet.
+        env = Environment()
+        net = FlowNetwork(env, np.full(1, 100.0), UniformSinkPool(2, np.inf))
+        out = {}
+        env.process(_run_flow(env, net, 0, 1, 500.0, out, "f"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env.run()
+        assert out["f"].duration == pytest.approx(5.0)
