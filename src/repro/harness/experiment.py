@@ -130,19 +130,20 @@ def run_samples(
 def trace_to(path: str, tracer=None):
     """Trace every machine built inside the block; export on exit.
 
-    Installs a :class:`~repro.trace.Tracer` as the process-wide active
-    tracer (every :meth:`MachineSpec.build` picks it up) and writes the
+    Adds a :class:`~repro.trace.Tracer` to the active instrumentation
+    session (every :meth:`MachineSpec.build` picks it up) and writes the
     Chrome trace-event JSON to *path* when the block finishes — even on
     error, so a crashed experiment still leaves an inspectable trace.
 
     >>> with trace_to("trace.json"):         # doctest: +SKIP
     ...     fig6.run("smoke")
     """
-    from repro.trace import Tracer, chrome, tracing
+    from repro.session import instrumented
+    from repro.trace import Tracer, chrome
 
     t = tracer if tracer is not None else Tracer()
     try:
-        with tracing(t):
+        with instrumented(tracer=t):
             yield t
     finally:
         chrome.export(t.events, path)
@@ -179,10 +180,10 @@ def checkpoint_to(state_dir: str):
 def metrics_to(path: str, registry=None):
     """Collect telemetry from every machine built inside the block.
 
-    The registry twin of :func:`trace_to`: installs a
-    :class:`~repro.telemetry.MetricsRegistry` as the process-wide
-    active registry (every :meth:`MachineSpec.build` attaches it, and
-    :mod:`repro.harness.parallel` ships worker snapshots back into it)
+    The registry twin of :func:`trace_to`: adds a
+    :class:`~repro.telemetry.MetricsRegistry` to the active
+    instrumentation session (every :meth:`MachineSpec.build` attaches
+    it, and sweep jobs' snapshots are absorbed back into it)
     and writes the JSON snapshot to *path* when the block finishes —
     even on error.  Collection is non-perturbing: results are
     bit-identical with or without it.
@@ -190,11 +191,12 @@ def metrics_to(path: str, registry=None):
     >>> with metrics_to("metrics.json"):     # doctest: +SKIP
     ...     fig6.run("smoke")
     """
-    from repro.telemetry import MetricsRegistry, collecting
+    from repro.session import instrumented
+    from repro.telemetry import MetricsRegistry
 
     reg = registry if registry is not None else MetricsRegistry()
     try:
-        with collecting(reg):
+        with instrumented(registry=reg):
             yield reg
     finally:
         with open(path, "w") as fh:

@@ -34,13 +34,15 @@ scheduler so every completed cell survives a crash.  ``REPRO_JOB_TIMEOUT``
 (seconds) and ``REPRO_JOB_RETRIES`` tune the per-job wall-clock budget
 and the retry cap for crashed/hung workers.
 
-Tracing and telemetry work as before: when a process-wide tracer or
-metrics registry is active, each job runs under fresh instrumentation
-and the parent absorbs the buffers in submission order
-(:meth:`repro.trace.Tracer.absorb` /
-:meth:`repro.telemetry.MetricsRegistry.absorb`).  Instrumentation
-buffers are journaled alongside results, so a resumed traced sweep is
-traced like an uninterrupted one.
+Tracing and telemetry go through the instrumentation session
+(:mod:`repro.session`): while one is active, every job — in a worker,
+inline in the scheduler, or on the plain serial path — runs under
+:func:`repro.session.isolate`, and the parent absorbs each job's
+``(events, snapshot)`` in submission order.  Serial, pooled and resumed
+sweeps therefore record the same trace and the same metrics (bar the
+scheduler's own ``sched.*`` counters).  Instrumentation buffers are
+journaled alongside results, so a resumed traced sweep is traced like
+an uninterrupted one.
 
 Functions submitted to the pool must be picklable (module-level
 functions or :func:`functools.partial` over them — not closures).  A
@@ -109,6 +111,21 @@ def _env_int(name: str) -> Optional[int]:
         ) from None
 
 
+def _serial(fn: Callable[[T], U], items: List[T]) -> List[U]:
+    """In-process map; each job isolated while a session is active."""
+    from repro.session import active_session, isolate
+
+    session = active_session()
+    if session is None:
+        return [fn(x) for x in items]
+    out = []
+    for x in items:
+        result, events, snapshot = isolate(fn, x)
+        session.absorb(events, snapshot)
+        out.append(result)
+    return out
+
+
 def parallel_map(
     fn: Callable[[T], U],
     items: Sequence[T],
@@ -120,9 +137,10 @@ def parallel_map(
     Order-stable: result *i* corresponds to ``items[i]`` no matter
     which worker finished first (or died and had its job adopted).
     With ``jobs == 1`` (the default when ``REPRO_JOBS`` is unset) and
-    no active journal, no scheduler is created and this *is* the list
-    comprehension.  A non-picklable *fn* (closure, lambda, bound
-    local) triggers a plain serial fallback with a ``RuntimeWarning``.
+    no active journal, no scheduler is created and, with no
+    instrumentation session active, this *is* the list comprehension.
+    A non-picklable *fn* (closure, lambda, bound local) triggers a
+    plain serial fallback with a ``RuntimeWarning``.
 
     *label* names the sweep cell in journals, progress output, and
     failure messages (falling back to the function's qualified name).
@@ -133,7 +151,7 @@ def parallel_map(
     items = list(items)
     state_dir = get_active_state_dir()
     if state_dir is None and (n_jobs <= 1 or len(items) <= 1):
-        return [fn(x) for x in items]
+        return _serial(fn, items)
 
     try:
         pickle.dumps(fn)
@@ -146,7 +164,7 @@ def parallel_map(
             RuntimeWarning,
             stacklevel=2,
         )
-        return [fn(x) for x in items]
+        return _serial(fn, items)
 
     from repro.service.job import describe_fn, make_job
     from repro.service.journal import journal_in

@@ -78,9 +78,10 @@ class MachineSpec:
         file system but not the job's compute nodes.
 
         ``tracer`` attaches an observability tracer; when omitted the
-        process-wide active tracer (``repro.trace.tracing``) is used if
-        one is installed, so harnesses can trace whole sweeps without
-        threading the tracer through every call site.
+        active instrumentation session's tracer
+        (``repro.session.instrumented``) is used if it has one, so
+        harnesses can trace whole sweeps without threading the tracer
+        through every call site.
 
         ``faults`` installs a fault plan; when omitted the process-wide
         active plan (``repro.faults.with_faults``) or a plan file named
@@ -89,8 +90,7 @@ class MachineSpec:
 
         ``metrics`` attaches a telemetry registry (and a non-perturbing
         settle-hook monitor feeding it); like ``tracer`` it falls back
-        to the process-wide active registry
-        (``repro.telemetry.collecting``) when omitted.
+        to the active session's registry when omitted.
 
         ``qos`` stores a multi-tenant bandwidth-contract config on the
         machine (``machine.qos``); when omitted the process-wide active
@@ -150,20 +150,16 @@ class MachineSpec:
             service_node_base=topology.n_nodes,
             n_service_nodes=extra_service_nodes,
         )
-        if tracer is None:
-            from repro.trace import get_active_tracer
+        from repro.session import active_session
 
-            tracer = get_active_tracer()
-        if tracer is None:
-            tracer = env.tracer
+        session = active_session()
+        if session is not None:
+            tracer = tracer if tracer is not None else session.tracer
+            metrics = metrics if metrics is not None else session.registry
+        tracer = tracer if tracer is not None else env.tracer
+        metrics = metrics if metrics is not None else env.metrics
         if tracer is not None:
             machine.attach_tracer(tracer)
-        if metrics is None:
-            from repro.telemetry import get_active_registry
-
-            metrics = get_active_registry()
-        if metrics is None:
-            metrics = env.metrics
         if metrics is not None:
             machine.attach_metrics(metrics)
         from repro.faults import FaultInjector, resolve_fault_plan

@@ -8,12 +8,9 @@ from repro.metrics.stats import (
 )
 from repro.metrics.histogram import Histogram, text_histogram
 from repro.metrics.timeline import WriterTimeline
-from repro.metrics.recorder import LoadRecorder, LoadSample
 
 __all__ = [
     "Histogram",
-    "LoadRecorder",
-    "LoadSample",
     "SampleStats",
     "WriterTimeline",
     "coefficient_of_variation",

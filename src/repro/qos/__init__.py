@@ -63,7 +63,8 @@ def with_qos(config: QosConfig) -> Iterator[QosConfig]:
 
     Machines built inside the block (without an explicit ``qos``
     argument) pick it up, the same way ``with_faults`` and
-    ``collecting`` work for fault plans and telemetry.
+    ``repro.session.instrumented`` work for fault plans and
+    instrumentation.
     """
     global _active_qos
     prev = _active_qos

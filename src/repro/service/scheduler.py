@@ -33,10 +33,14 @@ same way — and fails the batch immediately with a
 and a ready-to-paste reproduction one-liner.  Pass
 ``retry_errors=True`` for workloads where exceptions are transient.
 
-Scheduler counters land in the active telemetry registry when one is
-collecting: ``sched.jobs_done``, ``sched.jobs_restored``,
-``sched.retries``, ``sched.adoptions``, ``sched.timeouts``,
-``sched.respawns``, ``sched.checkpoint_bytes``, ``sched.queue_depth``.
+Every job runs under :func:`repro.session.isolate` — inline and in
+the worker shards alike — and the batch's ``(events, snapshot)`` pairs
+are absorbed into the active instrumentation session in submission
+order once the batch winds down.  Scheduler counters land in the
+session's registry when it has one: ``sched.jobs_done``,
+``sched.jobs_restored``, ``sched.retries``, ``sched.adoptions``,
+``sched.timeouts``, ``sched.respawns``, ``sched.checkpoint_bytes``,
+``sched.queue_depth``.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.errors import ConfigurationError, JobFailure
 from repro.service.job import JobSpec, repro_command
 from repro.service.journal import Journal, decode_result, encode_result
+from repro.session import Session, activate, active_session, isolate
 
 __all__ = [
     "Scheduler",
@@ -64,8 +69,8 @@ __all__ = [
 ]
 
 # Process-wide progress hook (the serve daemon installs one so nested
-# run_samples batches report into its status file).  Mirrors the
-# active-tracer pattern: consulted at scheduler construction.
+# run_samples batches report into its status file); consulted at
+# scheduler construction.
 _progress_hook: Optional[Callable[["SchedulerStats"], None]] = None
 
 
@@ -105,91 +110,54 @@ class SchedulerStats:
         self.serial_fallback = self.serial_fallback or other.serial_fallback
 
 
-def _execute(fn: Callable, arg: Any, want_trace: bool, want_metrics: bool):
-    """Run one job under isolated instrumentation.
-
-    Returns ``(result, events, metrics)``: the tracer's event buffer
-    and a registry snapshot when that instrumentation is requested,
-    else ``None``.  Always overrides any inherited process-wide tracer
-    or registry (a fork-started worker may carry the parent's, whose
-    recordings would land in a lost copy).
-    """
-    from repro.telemetry import MetricsRegistry, collecting
-    from repro.telemetry.registry import set_active_registry
-    from repro.trace import Tracer, tracing
-    from repro.trace.tracer import set_active_tracer
-
-    if want_metrics:
-        reg = MetricsRegistry()
-        ctx = collecting(reg)
-    else:
-        reg = None
-        set_active_registry(None)
-        ctx = None
-    if want_trace:
-        t = Tracer()
-        with tracing(t):
-            if ctx is not None:
-                with ctx:
-                    result = fn(arg)
-            else:
-                result = fn(arg)
-        return result, t.events, reg.snapshot() if reg else None
-    set_active_tracer(None)
-    if ctx is not None:
-        with ctx:
-            result = fn(arg)
-    else:
-        result = fn(arg)
-    return result, None, reg.snapshot() if reg else None
-
-
-def _worker_main(conn, want_trace: bool, want_metrics: bool) -> None:
+def _worker_main(conn, session: Optional[Session]) -> None:
     """Shard main loop: recv ``(job_id, fn, arg)``, send the outcome.
 
-    SIGINT is ignored so a ctrl-C lands in the parent only — the
-    parent shuts shards down (or a later resume re-adopts the work).
+    *session* is the parent's session as empty instruments (None when
+    the parent has none); it replaces whatever a fork-started worker
+    inherited, whose recordings would land in a lost copy.  SIGINT is
+    ignored so a ctrl-C lands in the parent only — the parent shuts
+    shards down (or a later resume re-adopts the work).
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        if msg is None:
-            return
-        job_id, fn, arg = msg
-        try:
-            result, events, metrics = _execute(
-                fn, arg, want_trace, want_metrics
-            )
-        except BaseException as exc:
+    with activate(session):
+        while True:
             try:
-                exc_bytes: Optional[bytes] = pickle.dumps(exc)
-            except Exception:
-                exc_bytes = None
-            payload = (
-                "err", job_id, f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(), exc_bytes,
-            )
-            try:
-                conn.send(payload)
-            except Exception:
+                msg = conn.recv()
+            except (EOFError, OSError):
                 return
-            continue
-        try:
-            conn.send(("ok", job_id, result, events, metrics))
-        except Exception as exc:
-            try:
-                conn.send((
-                    "err", job_id,
-                    f"result of {job_id} is not sendable: {exc}", "", None,
-                ))
-            except Exception:
+            if msg is None:
                 return
+            job_id, fn, arg = msg
+            try:
+                result, events, metrics = isolate(fn, arg)
+            except BaseException as exc:
+                try:
+                    exc_bytes: Optional[bytes] = pickle.dumps(exc)
+                except Exception:
+                    exc_bytes = None
+                payload = (
+                    "err", job_id, f"{type(exc).__name__}: {exc}",
+                    traceback.format_exc(), exc_bytes,
+                )
+                try:
+                    conn.send(payload)
+                except Exception:
+                    return
+                continue
+            try:
+                conn.send(("ok", job_id, result, events, metrics))
+            except Exception as exc:
+                try:
+                    conn.send((
+                        "err", job_id,
+                        f"result of {job_id} is not sendable: {exc}", "", None,
+                    ))
+                except Exception:
+                    return
 
 
 class _Shard:
@@ -267,9 +235,8 @@ class Scheduler:
 
     # -- telemetry ---------------------------------------------------------
     def _bind_metrics(self) -> None:
-        from repro.telemetry.registry import get_active_registry
-
-        reg = get_active_registry()
+        session = active_session()
+        reg = session.registry if session is not None else None
         if reg is None or not reg.enabled:
             self._m = {}
             return
@@ -310,14 +277,9 @@ class Scheduler:
         adopted = self._adopted_jobs.get(spec.job_id, 0)
         if adopted:
             rec["adopted"] = adopted
-        if events is not None:
-            rec["events"] = base64.b64encode(
-                pickle.dumps(events)
-            ).decode("ascii")
-        if metrics is not None:
-            rec["metrics"] = base64.b64encode(
-                pickle.dumps(metrics)
-            ).decode("ascii")
+        for key, buf in (("events", events), ("metrics", metrics)):
+            if buf is not None:
+                rec[key] = base64.b64encode(pickle.dumps(buf)).decode("ascii")
         n = self.journal.append(rec)
         self.stats.checkpoint_bytes += n
         self._count("checkpoint_bytes", n)
@@ -342,13 +304,11 @@ class Scheduler:
         rec = self.journal.done.get(spec.job_id)
         if rec is None or "result" not in rec:
             return None
-        result = decode_result(rec["result"])
-        events = metrics = None
-        if "events" in rec:
-            events = pickle.loads(base64.b64decode(rec["events"]))
-        if "metrics" in rec:
-            metrics = pickle.loads(base64.b64decode(rec["metrics"]))
-        return result, events, metrics
+        events, metrics = (
+            pickle.loads(base64.b64decode(rec[key])) if key in rec else None
+            for key in ("events", "metrics")
+        )
+        return decode_result(rec["result"]), events, metrics
 
     # -- failure construction ---------------------------------------------
     def _failure(self, spec: JobSpec, reason: str, error_text: str = "",
@@ -395,14 +355,6 @@ class Scheduler:
                         f"job {j.label!r} depends on unknown job {dep!r}"
                     )
 
-        from repro.telemetry.registry import get_active_registry
-        from repro.trace.tracer import get_active_tracer
-
-        tracer = get_active_tracer()
-        want_trace = tracer is not None and tracer.enabled
-        registry = get_active_registry()
-        want_metrics = registry is not None and registry.enabled
-
         results: Dict[str, Any] = {}
         aux: Dict[str, tuple] = {}
         failures: List[JobFailure] = []
@@ -435,24 +387,18 @@ class Scheduler:
         if todo:
             if self.n_workers <= 1 or len(todo) <= 1:
                 self._run_inline(
-                    todo, results, aux, failures, want_trace,
-                    want_metrics, dep_ok, degraded=False,
+                    todo, results, aux, failures, dep_ok, degraded=False
                 )
             else:
-                self._run_pool(
-                    todo, results, aux, failures, want_trace,
-                    want_metrics, dep_ok,
-                )
+                self._run_pool(todo, results, aux, failures, dep_ok)
 
         # Absorb instrumentation in submission order, so a fanned-out
         # (or resumed) sweep traces exactly like runs arriving one by
         # one.
-        for job_id in ids:
-            events, metrics = aux.get(job_id, (None, None))
-            if want_trace and events:
-                tracer.absorb(events)
-            if want_metrics and metrics is not None:
-                registry.absorb(metrics)
+        session = active_session()
+        if session is not None:
+            for job_id in ids:
+                session.absorb(*aux.get(job_id, (None, None)))
 
         self._notify()
         if failures:
@@ -460,8 +406,8 @@ class Scheduler:
         return [results[job_id] for job_id in ids]
 
     # -- inline (serial / degraded) path ----------------------------------
-    def _run_inline(self, todo, results, aux, failures, want_trace,
-                    want_metrics, dep_ok, degraded: bool) -> None:
+    def _run_inline(self, todo, results, aux, failures, dep_ok,
+                    degraded: bool) -> None:
         """Run *todo* in the parent, checkpointing each completion.
 
         Used both for ``n_workers <= 1`` batches and as the degraded
@@ -490,9 +436,7 @@ class Scheduler:
                 return
             t0 = time.monotonic()
             try:
-                result, events, metrics = _execute(
-                    spec.fn, spec.arg, want_trace, want_metrics
-                )
+                result, events, metrics = isolate(spec.fn, spec.arg)
             except BaseException as exc:
                 text = traceback.format_exc()
                 self.stats.failed += 1
@@ -511,19 +455,19 @@ class Scheduler:
             self._notify()
 
     # -- pool path ---------------------------------------------------------
-    def _spawn(self, ctx, want_trace, want_metrics) -> _Shard:
+    def _spawn(self, ctx) -> _Shard:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
+        session = active_session()
         proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, want_trace, want_metrics),
+            args=(child_conn, session.fresh() if session else None),
             daemon=True,
         )
         proc.start()
         child_conn.close()
         return _Shard(proc, parent_conn)
 
-    def _run_pool(self, todo, results, aux, failures, want_trace,
-                  want_metrics, dep_ok) -> None:
+    def _run_pool(self, todo, results, aux, failures, dep_ok) -> None:
         import multiprocessing as mp
         from multiprocessing.connection import wait as conn_wait
 
@@ -538,7 +482,7 @@ class Scheduler:
         n_start = min(self.n_workers, len(todo))
         try:
             for _ in range(n_start):
-                shards.append(self._spawn(ctx, want_trace, want_metrics))
+                shards.append(self._spawn(ctx))
 
             def requeue(spec: JobSpec, attempt: int, why: str) -> None:
                 nonlocal seq
@@ -586,9 +530,7 @@ class Scheduler:
                     respawns += 1
                     self.stats.respawns += 1
                     self._count("respawns")
-                    shards.append(
-                        self._spawn(ctx, want_trace, want_metrics)
-                    )
+                    shards.append(self._spawn(ctx))
                 self._notify()
 
             def finish(shard: _Shard, msg) -> None:
@@ -690,8 +632,8 @@ class Scheduler:
                     ]
                     queue = []
                     self._run_inline(
-                        remaining, results, aux, failures, want_trace,
-                        want_metrics, dep_ok, degraded=True,
+                        remaining, results, aux, failures, dep_ok,
+                        degraded=True,
                     )
                     break
                 if not busy:

@@ -15,9 +15,6 @@ from repro.telemetry.registry import (
     Histogram,
     MetricsRegistry,
     Series,
-    collecting,
-    get_active_registry,
-    set_active_registry,
 )
 from repro.telemetry.stragglers import StragglerDetector
 
@@ -32,10 +29,7 @@ __all__ = [
     "Profiler",
     "Series",
     "StragglerDetector",
-    "collecting",
-    "get_active_registry",
     "profiling",
     "render_dashboard",
-    "set_active_registry",
     "snapshot_machine",
 ]

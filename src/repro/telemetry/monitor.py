@@ -2,8 +2,8 @@
 
 Everything that periodically observes a running machine goes through
 :class:`OnlineMonitor` — the dashboard's per-OST timelines, the
-straggler detector's rate feed, and :class:`repro.metrics.LoadRecorder`
-(which delegates here).  Two drive modes:
+straggler detector's rate feed, and caller-owned load recordings.  Two
+drive modes:
 
 ``settle``
     Piggy-back on the flow network: after each settle the fabric state
@@ -19,9 +19,11 @@ straggler detector's rate feed, and :class:`repro.metrics.LoadRecorder`
     A sim process that wakes every ``interval`` simulated seconds and
     forces accounting up to now with ``fabric.invalidate()`` — exact
     cadence, at the cost of extra settles at the sampling instants.
-    This is the historical :class:`LoadRecorder` behaviour and remains
-    its mode: the recorder is an explicit, caller-owned instrument,
-    not ambient telemetry.
+    For an explicit, caller-owned load recording rather than ambient
+    telemetry: ``OnlineMonitor(machine, interval=dt, mode="timer",
+    keep_samples=True, max_samples=None)``, then :meth:`start` /
+    :meth:`stop` around the window of interest (restartable; samples
+    accumulate across windows until :meth:`clear`).
 
 Both modes produce :class:`PoolSample` records and (when a registry is
 attached) the same labeled Series — ``ost.inflow{ost=i}``,
@@ -110,9 +112,8 @@ class OnlineMonitor:
         most ``max_samples`` points per series while the short runs the
         test suite and dashboard care about keep full resolution.
         Depends only on the simulated sampling sequence, so it is
-        deterministic.  ``None`` disables (timer mode ignores it — the
-        :class:`LoadRecorder` contract is an exact, caller-owned
-        cadence).
+        deterministic.  ``None`` disables (timer mode ignores it — a
+        timer-mode recording keeps its exact, caller-owned cadence).
     """
 
     def __init__(
@@ -187,7 +188,7 @@ class OnlineMonitor:
             raise RuntimeError("monitor already running")
         self._running = True
         self._proc = self.machine.env.process(
-            self._sampler(), name="load-recorder"
+            self._sampler(), name="pool-monitor"
         )
 
     def stop(self) -> None:

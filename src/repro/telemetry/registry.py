@@ -24,22 +24,21 @@ reference needs no branch of its own; :data:`NULL_REGISTRY` is the
 canonical disabled singleton.
 
 Like the tracer, one registry may observe several simulation runs (a
-sweep builds a fresh environment per cell): each :meth:`bind` starts a
-new *run*, Series samples carry the run index, and
-:meth:`MetricsRegistry.absorb` merges a worker process's snapshot
-while re-indexing its runs — the exact contract
-:meth:`repro.trace.Tracer.absorb` established for parallel sweeps.
+sweep builds a fresh environment per cell): both number them with the
+shared :class:`~repro.session.RunSequence`, Series samples carry the
+run index, and :meth:`MetricsRegistry.absorb` merges a worker
+process's snapshot while re-basing its runs.  Which registry newly
+built machines attach to, and how a sweep's jobs collect into it, is
+the instrumentation session's business (:mod:`repro.session`).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Environment
+from repro.session import RunSequence
 
 __all__ = [
     "Counter",
@@ -48,9 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "Series",
-    "collecting",
-    "get_active_registry",
-    "set_active_registry",
 ]
 
 LabelsKey = Tuple[Tuple[str, str], ...]
@@ -223,7 +219,7 @@ _KINDS = {
 }
 
 
-class MetricsRegistry:
+class MetricsRegistry(RunSequence):
     """Creates, owns and exports instruments.
 
     ``enabled=False`` makes every accessor return the shared no-op
@@ -233,25 +229,11 @@ class MetricsRegistry:
     """
 
     def __init__(self, enabled: bool = True):
+        super().__init__()
         self.enabled = enabled
         self._instruments: Dict[Tuple[str, str, LabelsKey], object] = {}
-        self.run = 0
-        self._env: Optional["Environment"] = None
-        self._n_binds = 0
 
     # -- lifecycle -------------------------------------------------------
-    def bind(self, env: "Environment") -> None:
-        """Attach to an environment; a new environment starts a new run."""
-        if env is self._env:
-            return
-        self._env = env
-        self.run = self._n_binds
-        self._n_binds += 1
-
-    @property
-    def n_runs(self) -> int:
-        return max(self._n_binds, 1)
-
     def clear(self) -> None:
         self._instruments.clear()
 
@@ -318,7 +300,7 @@ class MetricsRegistry:
             )
         return {"version": 1, "n_runs": self._n_binds, "metrics": metrics}
 
-    def absorb(self, snap: dict) -> None:
+    def absorb(self, snap: Optional[dict]) -> None:
         """Merge a worker registry's :meth:`snapshot`.
 
         Counters and histograms add; gauges take the absorbed value;
@@ -329,7 +311,7 @@ class MetricsRegistry:
         """
         if not self.enabled or not snap:
             return
-        run_base = self._n_binds
+        run_base = self._rebase(max(int(snap.get("n_runs", 0)), 1))
         for m in snap.get("metrics", ()):
             kind, name = m["kind"], m["name"]
             labels = m.get("labels", {})
@@ -342,7 +324,6 @@ class MetricsRegistry:
                 inst.merge(m["state"], run_base=run_base)
             else:
                 inst.merge(m["state"])
-        self._n_binds = run_base + max(int(snap.get("n_runs", 0)), 1)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, default=float)
@@ -427,30 +408,3 @@ def _fmt_labels(labels: LabelsKey, **extra: str) -> str:
 #: The canonical disabled registry: hand this to code that requires a
 #: registry argument when telemetry is off.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-# -- active-registry plumbing (mirrors the tracer's) ----------------------
-_ACTIVE: Optional[MetricsRegistry] = None
-
-
-def set_active_registry(registry: Optional[MetricsRegistry]) -> None:
-    """Install (or clear, with None) the process-wide active registry."""
-    global _ACTIVE
-    _ACTIVE = registry
-
-
-def get_active_registry() -> Optional[MetricsRegistry]:
-    """The registry newly built machines attach to, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def collecting(registry: Optional[MetricsRegistry] = None):
-    """Scope in which every machine built records into *registry*."""
-    reg = registry if registry is not None else MetricsRegistry()
-    previous = get_active_registry()
-    set_active_registry(reg)
-    try:
-        yield reg
-    finally:
-        set_active_registry(previous)

@@ -25,7 +25,7 @@ import sys
 import time
 from typing import Callable, Dict
 
-from repro.harness.experiment import Scale
+from repro.harness.experiment import Scale, metrics_to, trace_to
 
 __all__ = ["main", "ARTIFACTS", "artifact_failures"]
 
@@ -231,15 +231,10 @@ def main(argv=None) -> int:
     from contextlib import ExitStack
 
     with ExitStack() as stack:
-        tracer = None
-        registry = None
+        tracer = registry = None
         if args.trace:
-            from repro.harness.experiment import trace_to
-
             tracer = stack.enter_context(trace_to(args.trace))
         if args.metrics:
-            from repro.harness.experiment import metrics_to
-
             registry = stack.enter_context(metrics_to(args.metrics))
         run_all()
     if tracer is not None:

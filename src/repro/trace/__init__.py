@@ -15,31 +15,17 @@ Tracing is opt-in and zero-cost when off: instrumentation sites check
 tracer, and a constructed-but-disabled tracer's record methods return
 immediately without allocating.
 
-The *active tracer* registry lets a harness switch tracing on for every
-machine built inside a scope without threading a tracer argument
-through every figure and benchmark::
+The instrumentation session (:mod:`repro.session`) lets a harness
+switch tracing on for every machine built inside a scope without
+threading a tracer argument through every figure and benchmark::
 
-    with tracing(Tracer()) as t:
+    with instrumented(tracer=Tracer()) as s:
         result = fig6.run("smoke")
-    chrome.export(t.events, "trace.json")
+    chrome.export(s.tracer.events, "trace.json")
 
-:meth:`repro.machines.base.MachineSpec.build` consults the registry.
+:meth:`repro.machines.base.MachineSpec.build` consults the session.
 """
 
-from repro.trace.tracer import (
-    TraceEvent,
-    Tracer,
-    check_well_formed,
-    get_active_tracer,
-    set_active_tracer,
-    tracing,
-)
+from repro.trace.tracer import TraceEvent, Tracer, check_well_formed
 
-__all__ = [
-    "TraceEvent",
-    "Tracer",
-    "check_well_formed",
-    "get_active_tracer",
-    "set_active_tracer",
-    "tracing",
-]
+__all__ = ["TraceEvent", "Tracer", "check_well_formed"]

@@ -28,26 +28,20 @@ automatically; unbound call sites (the OST pool, which only receives
 
 One tracer may observe several simulation runs (a sweep builds a fresh
 environment per cell); each bind starts a new *run* and events carry
-the run index so exporters can keep runs apart.
+the run index so exporters can keep runs apart.  The run numbering is
+the :class:`~repro.session.RunSequence` shared with the metrics
+registry.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Environment
+from repro.session import RunSequence
 
-__all__ = [
-    "TraceEvent",
-    "Tracer",
-    "check_well_formed",
-    "get_active_tracer",
-    "set_active_tracer",
-    "tracing",
-]
+__all__ = ["TraceEvent", "Tracer", "check_well_formed"]
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class TraceEvent:
     args: Optional[Dict[str, Any]] = None
 
 
-class Tracer:
+class Tracer(RunSequence):
     """Collects :class:`TraceEvent` records from instrumented layers.
 
     Parameters
@@ -77,29 +71,15 @@ class Tracer:
         site and nothing else.
     """
 
-    __slots__ = ("enabled", "events", "run", "_env", "_n_binds")
+    __slots__ = ("enabled", "events")
 
     def __init__(self, enabled: bool = True):
+        super().__init__()
         self.enabled = enabled
         self.events: List[TraceEvent] = []
-        self.run = 0
-        self._env: Optional["Environment"] = None
-        self._n_binds = 0
 
     # -- lifecycle -------------------------------------------------------
-    def bind(self, env: "Environment") -> None:
-        """Attach to an environment; a new environment starts a new run."""
-        if env is self._env:
-            return
-        self._env = env
-        self.run = self._n_binds
-        self._n_binds += 1
-
-    @property
-    def n_runs(self) -> int:
-        return max(self._n_binds, 1)
-
-    def absorb(self, events: List[TraceEvent]) -> None:
+    def absorb(self, events: Optional[List[TraceEvent]]) -> None:
         """Merge another tracer's buffer (e.g. from a worker process).
 
         Each distinct run index in *events* is assigned a fresh run
@@ -108,18 +88,10 @@ class Tracer:
         one-run-per-sample structure (and the same ``runN`` track
         prefixes in the Chrome export) as a serial sweep.
         """
-        if not events:
+        if not self.enabled or not events:
             return
-        from dataclasses import replace
-
-        base = self._n_binds
-        max_run = 0
-        append = self.events.append
-        for ev in events:
-            if ev.run > max_run:
-                max_run = ev.run
-            append(replace(ev, run=base + ev.run))
-        self._n_binds = base + max_run + 1
+        base = self._rebase(max(ev.run for ev in events) + 1)
+        self.events.extend(replace(ev, run=base + ev.run) for ev in events)
 
     def clear(self) -> None:
         self.events.clear()
@@ -309,29 +281,3 @@ def check_well_formed(
                     f"B {ev.name!r} at t={ev.ts} on {key} never closed"
                 )
     return errors
-
-
-# -- active-tracer registry ----------------------------------------------
-_ACTIVE: Optional[Tracer] = None
-
-
-def set_active_tracer(tracer: Optional[Tracer]) -> None:
-    """Install (or clear, with None) the process-wide active tracer."""
-    global _ACTIVE
-    _ACTIVE = tracer
-
-
-def get_active_tracer() -> Optional[Tracer]:
-    """The tracer newly built machines attach to, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def tracing(tracer: Tracer):
-    """Scope in which every machine built picks up *tracer*."""
-    previous = get_active_tracer()
-    set_active_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_active_tracer(previous)

@@ -4,7 +4,7 @@ The whole value proposition of :mod:`repro.harness.parallel` is that
 fanning samples out over worker processes changes wall-clock time and
 nothing else: same seeds, same order, same floats.  These tests pin
 that contract, the job-count resolution rules, the non-picklable
-serial fallback, and the tracer merge.
+serial fallback, and the instrumentation merge.
 """
 
 import os
@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro.harness.experiment import sample_seed
 from repro.harness.parallel import parallel_map, resolve_jobs, run_samples
-from repro.trace import TraceEvent, Tracer, tracing
+from repro.session import active_session, instrumented
+from repro.telemetry import MetricsRegistry
+from repro.trace import TraceEvent, Tracer
 
 
 def _echo_seed(seed: int) -> int:
@@ -34,11 +36,11 @@ def _simulate(seed: int) -> tuple:
 
 
 def _traced_sample(seed: int) -> int:
-    from repro.trace import get_active_tracer
-
-    t = get_active_tracer()
-    if t is not None:
-        t.instant("sample", cat="test", pid="test", tid=f"seed {seed}")
+    session = active_session()
+    if session is not None and session.tracer is not None:
+        session.tracer.instant(
+            "sample", cat="test", pid="test", tid=f"seed {seed}"
+        )
     return seed
 
 
@@ -131,8 +133,9 @@ class TestParallelMap:
             assert parallel_map(fn, [1, 2], jobs=2) == [1, 2]
 
     def test_tracer_collects_worker_events_in_sample_order(self):
-        with tracing(Tracer()) as t:
+        with instrumented(tracer=Tracer()) as session:
             parallel_map(_traced_sample, [10, 11, 12], jobs=2)
+        t = session.tracer
         names = [(e.tid, e.run) for e in t.events if e.name == "sample"]
         # One run per sample, in submission order, distinct run indices.
         assert names == [("seed 10", 0), ("seed 11", 1), ("seed 12", 2)]
@@ -269,12 +272,11 @@ class TestTelemetryParallel:
         sampler never splits a cache-integration step, so every float
         in the result is unchanged — with a live registry, a disabled
         one, or none at all."""
-        from repro.telemetry import MetricsRegistry, collecting
-
         plain = _metered_cell(7)
-        with collecting(MetricsRegistry()) as reg:
+        reg = MetricsRegistry()
+        with instrumented(registry=reg):
             metered = _metered_cell(7)
-        with collecting(MetricsRegistry(enabled=False)):
+        with instrumented(registry=MetricsRegistry(enabled=False)):
             disabled = _metered_cell(7)
         assert len(reg) > 0  # telemetry actually collected something
         # == on floats, not approx: the contract is bit-equality.
@@ -282,28 +284,49 @@ class TestTelemetryParallel:
         assert disabled == plain
 
     def test_parallel_metrics_merge_matches_serial(self):
-        """Workers collect into their own registries; the parent
-        absorbs them in submission order.  Results stay bit-identical
-        and the merged totals equal the serial ones."""
-        from repro.telemetry import MetricsRegistry, collecting
+        """Every job collects into its own registry and the parent
+        absorbs them in submission order — on the serial path and in
+        the workers alike.  Results stay bit-identical and the whole
+        snapshot equals the serial one (histogram sums included, which
+        a single running sum over all jobs would round differently),
+        bar the ``sched.*`` instruments only a scheduled sweep has."""
+        for n_samples in (2, 4):
+            reg_serial, reg_par = MetricsRegistry(), MetricsRegistry()
+            with instrumented(registry=reg_serial):
+                serial = run_samples(_metered_cell, n_samples, 3, jobs=1)
+            with instrumented(registry=reg_par):
+                parallel = run_samples(_metered_cell, n_samples, 3, jobs=2)
+            assert serial == parallel
+            assert reg_serial.n_runs == reg_par.n_runs == n_samples
+            assert reg_serial.find("counter", "fs.writes").value > 0
+            assert _without_sched(reg_serial.snapshot()) == _without_sched(
+                reg_par.snapshot()
+            )
 
-        with collecting(MetricsRegistry()) as reg_serial:
-            serial = run_samples(_metered_cell, 2, base_seed=3, jobs=1)
-        with collecting(MetricsRegistry()) as reg_par:
-            parallel = run_samples(_metered_cell, 2, base_seed=3, jobs=2)
+    def test_tracer_and_registry_together(self):
+        """Both instruments active at once share one run numbering:
+        the trace's run indices are exactly the registry's runs, on a
+        2-worker sweep as on the serial one."""
+        def sweep(jobs):
+            with instrumented(tracer=Tracer(),
+                              registry=MetricsRegistry()) as session:
+                results = run_samples(_metered_cell, 3, 5, jobs=jobs)
+            return results, session.tracer, session.registry
+
+        serial, t_serial, reg_serial = sweep(1)
+        parallel, t_par, reg_par = sweep(2)
         assert serial == parallel
-        assert reg_serial.n_runs == reg_par.n_runs == 2
-        for name in ("fabric.settles", "fs.writes"):
-            a = reg_serial.find("counter", name)
-            b = reg_par.find("counter", name)
-            assert a.value == b.value > 0
-        # Per-run series structure survives the merge: same run
-        # indices, same sample counts per run.
-        def runs_of(reg):
-            s = reg.find("series", "sim.events")
-            out = {}
-            for r, _, _ in s.samples:
-                out[r] = out.get(r, 0) + 1
-            return out
+        runs = {ev.run for ev in t_par.events}
+        assert runs == set(range(reg_par.n_runs)) == set(range(3))
+        assert runs == {ev.run for ev in t_serial.events}
+        assert reg_serial.n_runs == reg_par.n_runs
+        assert t_serial.events == t_par.events
+        assert _without_sched(reg_serial.snapshot()) == _without_sched(
+            reg_par.snapshot()
+        )
 
-        assert runs_of(reg_serial) == runs_of(reg_par)
+
+def _without_sched(snapshot: dict) -> dict:
+    return dict(snapshot, metrics=[
+        m for m in snapshot["metrics"] if not m["name"].startswith("sched.")
+    ])

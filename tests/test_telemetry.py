@@ -16,14 +16,13 @@ import pytest
 from repro.apps import AppKernel, Variable
 from repro.core.transports import AdaptiveTransport
 from repro.machines import jaguar
+from repro.session import active_session, instrumented
 from repro.telemetry import (
     NULL_REGISTRY,
     MetricsRegistry,
     OnlineMonitor,
     Profiler,
     StragglerDetector,
-    collecting,
-    get_active_registry,
     profiling,
     render_dashboard,
 )
@@ -175,17 +174,19 @@ class TestPrometheus:
 
 class TestActiveRegistry:
     def test_collecting_scopes_the_active_registry(self):
-        assert get_active_registry() is None
-        with collecting() as reg:
-            assert get_active_registry() is reg
-            with collecting(NULL_REGISTRY):
-                assert get_active_registry() is NULL_REGISTRY
-            assert get_active_registry() is reg
-        assert get_active_registry() is None
+        assert active_session() is None
+        reg = MetricsRegistry()
+        with instrumented(registry=reg):
+            assert active_session().registry is reg
+            with instrumented(registry=NULL_REGISTRY):
+                assert active_session().registry is NULL_REGISTRY
+            assert active_session().registry is reg
+        assert active_session() is None
 
     def test_machine_build_attaches_active_registry(self):
-        with collecting() as reg:
+        with instrumented(registry=MetricsRegistry()) as session:
             m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
+        reg = session.registry
         assert m.metrics is reg
         assert m.monitor is not None
         assert m.env.metrics is reg
@@ -318,7 +319,7 @@ class TestOnlineMonitor:
 
     def test_settle_mode_records_ambiently_during_run(self):
         reg = MetricsRegistry()
-        with collecting(reg):
+        with instrumented(registry=reg):
             m = jaguar(n_osts=4).build(n_ranks=8, seed=0)
         # A run long enough to cross several sampling intervals.
         AdaptiveTransport(n_osts_used=4).run(

@@ -14,12 +14,8 @@ import pytest
 from repro.apps import AppKernel, Variable
 from repro.core.transports import AdaptiveTransport, MpiIoTransport
 from repro.machines import jaguar
-from repro.trace import (
-    Tracer,
-    check_well_formed,
-    get_active_tracer,
-    tracing,
-)
+from repro.session import active_session, instrumented
+from repro.trace import Tracer, check_well_formed
 from repro.trace import chrome
 from repro.trace.counters import PHASES, per_writer_counters, render_report
 from repro.units import MB
@@ -79,11 +75,11 @@ class TestTracerCore:
         assert len(tr) == 0
 
     def test_active_tracer_scoping(self):
-        assert get_active_tracer() is None
+        assert active_session() is None
         tr = Tracer()
-        with tracing(tr):
-            assert get_active_tracer() is tr
-        assert get_active_tracer() is None
+        with instrumented(tracer=tr):
+            assert active_session().tracer is tr
+        assert active_session() is None
 
 
 class TestAdaptiveRoundTrip:
