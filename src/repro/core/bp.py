@@ -263,7 +263,7 @@ class BpReader:
         from repro.lustre.ost import OstState
 
         report = self.scrub(extra_files)
-        tr = self.env_tracer()
+        tr = self.fs.env.tracer
         start = self.fs.env.now
         if tr is not None:
             tr.begin("scrub", cat="integrity", pid="integrity",
@@ -305,11 +305,6 @@ class BpReader:
                    tid="scrubber",
                    args={"n_bad": report.n_bad})
         return report, self.fs.env.now - start
-
-    def env_tracer(self):
-        """The active tracer of the bound simulation, if any."""
-        tr = getattr(self.fs.env, "tracer", None)
-        return tr if (tr is not None and tr.enabled) else None
 
     def query_value_range(
         self, var: str, low: float, high: float

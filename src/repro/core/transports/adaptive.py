@@ -164,7 +164,7 @@ class _GroupStream:
         self.timings = timings
         tracer = env.tracer
         self.tracer = tracer
-        self.traced = tracer is not None and tracer.enabled
+        self.traced = tracer is not None
         self.notify = notify
         self.pending = list(members)  # members writing locally, in order
         self.finished = False
@@ -515,7 +515,7 @@ class AdaptiveTransport(Transport):
         build = self.index_build_time
 
         tracer = env.tracer
-        traced = tracer is not None and tracer.enabled
+        traced = tracer is not None
         # sc_rank/sc_tag are mutable: adoption redirects a group's SC
         # endpoint, and writers resolve the address at send time.
         sc_rank = [groups.sub_coordinator_of(g) for g in range(n_groups)]

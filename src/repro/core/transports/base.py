@@ -227,7 +227,7 @@ class Transport(abc.ABC):
         # observes the result, never feeds anything back into it, so a
         # run with telemetry attached stays bit-identical to one
         # without (the determinism test compares whole OutputResults).
-        reg = machine.metrics
+        reg = machine.env.metrics
         if reg is not None:
             t = result.transport
             for phase in ("open", "write", "flush", "close"):

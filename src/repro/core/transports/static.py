@@ -101,7 +101,7 @@ class StaticTransport(Transport):
         # stays untagged, a TenantView stamps its tenant on every write.
         tenant = getattr(machine, "tenant", -1)
         policy = faults.policy if faults is not None else None
-        tr = env.tracer if getattr(env.tracer, "enabled", False) else None
+        tr = env.tracer
         chunk = app.per_process_bytes
         timings: List[Optional[WriterTiming]] = [None] * machine.n_ranks
         fobjs: Dict[int, object] = {}
@@ -281,7 +281,7 @@ class StaticTransport(Transport):
             reasons.append(f"{missing} writer(s) did not complete")
         if corrupt:
             reasons.append(f"{corrupt:.0f} B of stored output corrupt/torn")
-        if getattr(machine.env.tracer, "enabled", False):
+        if machine.env.tracer is not None:
             machine.env.tracer.close_open_spans()  # aborts close their spans
         raise TransportError(
             f"{result.transport} output did not complete cleanly: "

@@ -123,7 +123,7 @@ class FaultInjector:
     # -- injection --------------------------------------------------------
     def _trace(self, name: str, ev: FaultEvent) -> None:
         tr = self.env.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.instant(
                 name,
                 cat="fault",
@@ -146,7 +146,7 @@ class FaultInjector:
             # In-flight transfers error out; waiters see OstFailedError.
             undelivered = self.fs.fabric.fail_sink(ev.target)
             tr = self.env.tracer
-            if tr is not None and tr.enabled:
+            if tr is not None:
                 tr.instant(
                     "ost.failstop", cat="fault", pid=f"ost/{ev.target}",
                     tid="state",
@@ -265,7 +265,7 @@ class FaultInjector:
                 self.blocks_silent += 1
                 self._ledger(f, blk, "silent")
                 tr = self.env.tracer
-                if tr is not None and tr.enabled:
+                if tr is not None:
                     tr.instant(
                         "fault.silent_corrupt", cat="fault", pid="faults",
                         tid="silent",

@@ -120,8 +120,10 @@ def _serial(fn: Callable[[T], U], items: List[T]) -> List[U]:
         return [fn(x) for x in items]
     out = []
     for x in items:
-        result, events, snapshot = isolate(fn, x)
+        result, error, events, snapshot = isolate(fn, x)
         session.absorb(events, snapshot)
+        if error is not None:
+            raise error
         out.append(result)
     return out
 

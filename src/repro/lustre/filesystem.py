@@ -98,7 +98,7 @@ class FileSystem:
         self.fabric = FlowNetwork(
             env, source_capacities, pool, default_flow_cap=per_stream_cap
         )
-        pool.bind_invalidate(self.fabric.invalidate)
+        pool.bind(env, self.fabric.invalidate)
         self.mds = mds if mds is not None else MetadataServer(env)
         self.max_stripe_count = int(max_stripe_count)
         self.default_stripe_size = float(default_stripe_size)
@@ -112,18 +112,17 @@ class FileSystem:
         self.corrupt_hook: Optional[
             Callable[[SimFile, List[StoredBlock]], None]
         ] = None
-        self.metrics = None  # wired by Machine.attach_metrics
-
-    def bind_metrics(self, registry) -> None:
-        """Attach (or detach, with None) a metrics registry."""
-        self.metrics = registry
-        if registry is None:
-            return
-        self._m_writes = registry.counter("fs.writes")
-        self._m_bytes_written = registry.counter("fs.bytes_written")
-        self._m_write_seconds = registry.histogram("fs.write_seconds")
-        self._m_flushes = registry.counter("fs.flushes")
-        self._m_flush_seconds = registry.histogram("fs.flush_seconds")
+        # Instrument handles, resolved once from the environment's
+        # registry so a snapshot carries them even at zero.  The ones
+        # the recording sites check are None when telemetry is off.
+        reg = env.metrics
+        self._m_writes = self._m_flushes = None
+        if reg is not None:
+            self._m_writes = reg.counter("fs.writes")
+            self._m_bytes_written = reg.counter("fs.bytes_written")
+            self._m_write_seconds = reg.histogram("fs.write_seconds")
+            self._m_flushes = reg.counter("fs.flushes")
+            self._m_flush_seconds = reg.histogram("fs.flush_seconds")
 
     # -- namespace ---------------------------------------------------------
     @property
@@ -297,14 +296,13 @@ class FileSystem:
         start = self.env.now
         if spans:
             tr = self.env.tracer
-            traced = tr is not None and tr.enabled
             events = []
             fids = []
             for ost, b in spans:
                 ev, fid = self.fabric.start_flow_with_id(
                     node, ost, b, tenant=tenant
                 )
-                if traced:
+                if tr is not None:
                     tid = f"writer {node if writer is None else writer}"
                     tr.begin(
                         "ost.service",
@@ -347,29 +345,9 @@ class FileSystem:
                     )
                 if not timer.processed:
                     timer.cancel()
-        record = WriteRecord(
-            offset=offset,
-            nbytes=nbytes,
-            start_time=start,
-            end_time=self.env.now,
-            writer=writer,
+        return self._record_write(
+            f, offset, nbytes, start, self.env.now, writer, payload, blocks
         )
-        if self.metrics is not None:
-            self._m_writes.inc()
-            self._m_bytes_written.inc(float(nbytes))
-            self._m_write_seconds.observe(self.env.now - start)
-        f.record_write(record, payload=payload)
-        if blocks:
-            stored = []
-            for boff, bnb, cksum in blocks:
-                self._store_seq += 1
-                stored.append(
-                    f.store_block(boff, bnb, cksum, self._store_seq,
-                                  writer=writer)
-                )
-            if self.corrupt_hook is not None:
-                self.corrupt_hook(f, stored)
-        return record
 
     def record_aggregated_write(
         self,
@@ -387,15 +365,14 @@ class FileSystem:
 
         The batched adaptive protocol moves a whole group's data as one
         fabric flow; individual members' segments are accounted here
-        when their boundary inside the stream is crossed.  This is the
-        bookkeeping tail of :meth:`write` — record, metrics, stored
-        blocks, corruption hook, and the traced ``ost.service`` span at
-        the member's actual (possibly past) start/end instants — with
-        no fabric interaction: the carrying flow already moved the
-        bytes.
+        when their boundary inside the stream is crossed: the traced
+        ``ost.service`` span at the member's actual (possibly past)
+        start/end instants, then the bookkeeping tail :meth:`write`
+        shares — with no fabric interaction: the carrying flow already
+        moved the bytes.
         """
         tr = self.env.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tid = f"writer {node if writer is None else writer}"
             for ost, b in f.layout.span_list(offset, nbytes):
                 tr.begin(
@@ -409,6 +386,15 @@ class FileSystem:
                 )
                 tr.end("ost.service", cat="ost", pid=f"ost/{ost}", tid=tid,
                        ts=end_time)
+        return self._record_write(
+            f, offset, nbytes, start_time, end_time, writer, payload, blocks
+        )
+
+    def _record_write(self, f, offset, nbytes, start_time, end_time,
+                      writer, payload, blocks) -> WriteRecord:
+        """A completed write's bookkeeping: the :class:`WriteRecord`,
+        metrics, the file's write log, stored blocks (numbered by
+        ``_store_seq``) and the corruption hook, in that order."""
         record = WriteRecord(
             offset=offset,
             nbytes=nbytes,
@@ -416,7 +402,7 @@ class FileSystem:
             end_time=end_time,
             writer=writer,
         )
-        if self.metrics is not None:
+        if self._m_writes is not None:
             self._m_writes.inc()
             self._m_bytes_written.inc(float(nbytes))
             self._m_write_seconds.observe(end_time - start_time)
@@ -510,7 +496,7 @@ class FileSystem:
             )
             worst = float(deficit.max()) if deficit.size else 0.0
             if worst <= _FLUSH_EPS:
-                if self.metrics is not None:
+                if self._m_flushes is not None:
                     self._m_flushes.inc()
                     self._m_flush_seconds.observe(self.env.now - start)
                 return self.env.now - start

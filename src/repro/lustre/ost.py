@@ -223,9 +223,9 @@ class OstPool:
         # Sticky flag: once any fault API has been touched, write-path
         # health checks stay on; fault-free runs never pay for them.
         self.faults_active = False
-        self._on_change = None  # fabric.invalidate, wired by FileSystem
-        self._tracer = None  # wired by Machine.attach_tracer
-        self._metrics = None  # wired by Machine.attach_metrics
+        # Wired by the file system (see bind); None when standalone.
+        self._env = None
+        self._on_change = None
         # Rate memo: drain and ingest rates, and their minimum, for the
         # counts snapshot `_memo_counts` under the current multipliers.
         # One settle reads it up to three times (advance, capacities,
@@ -242,18 +242,19 @@ class OstPool:
         self._any_stale = False
 
     # -- wiring ----------------------------------------------------------
-    def bind_invalidate(self, callback) -> None:
-        """Register the fabric's invalidate() for out-of-band changes."""
-        self._on_change = callback
+    def bind(self, env, on_change) -> None:
+        """Wire the pool to its file system's environment and fabric.
 
-    def bind_tracer(self, tracer) -> None:
-        """Attach a tracer; the pool stamps events with the ``now`` it
-        receives from the fabric (it holds no environment reference)."""
-        self._tracer = tracer
+        *on_change* (the fabric's invalidate()) runs after out-of-band
+        changes.  The pool reads ``env.tracer`` and ``env.metrics`` per
+        call, stamping trace events with the ``now`` the fabric hands
+        it, and counting fault transitions.
+        """
+        self._env = env
+        self._on_change = on_change
 
-    def bind_metrics(self, registry) -> None:
-        """Attach a metrics registry; fault transitions become counters."""
-        self._metrics = registry
+    def _registry(self):
+        return self._env.metrics if self._env is not None else None
 
     def set_load_multiplier(
         self,
@@ -317,7 +318,7 @@ class OstPool:
         self.cache_level[i] = 0.0
         self._full[i] = False
         self._mark_stale(i)
-        mi = self._metrics
+        mi = self._registry()
         if mi is not None:
             mi.counter("ost.state_changes", to="failed", ost=i).inc()
             mi.counter("ost.bytes_lost", ost=i).inc(lost)
@@ -333,7 +334,7 @@ class OstPool:
         self.fault_mult[i] = 0.0
         self._ingest_gate[i] = 0.0
         self._mark_stale(i)
-        mi = self._metrics
+        mi = self._registry()
         if mi is not None:
             mi.counter("ost.state_changes", to="hung", ost=i).inc()
         if self._on_change is not None:
@@ -349,7 +350,7 @@ class OstPool:
         self.fault_mult[i] = float(factor)
         self._ingest_gate[i] = 1.0
         self._mark_stale(i)
-        mi = self._metrics
+        mi = self._registry()
         if mi is not None:
             mi.counter("ost.state_changes", to="degraded", ost=i).inc()
         if self._on_change is not None:
@@ -362,7 +363,7 @@ class OstPool:
         self.fault_mult[i] = 1.0
         self._ingest_gate[i] = 1.0
         self._mark_stale(i)
-        mi = self._metrics
+        mi = self._registry()
         if mi is not None:
             mi.counter("ost.state_changes", to="up", ost=i).inc()
         if self._on_change is not None:
@@ -433,10 +434,10 @@ class OstPool:
         self.bytes_drained += absorbed + before - self.cache_level
 
     def capacities(self, counts: np.ndarray, now: float) -> np.ndarray:
-        tr = self._tracer
-        traced = tr is not None and tr.enabled
+        tr = self._env.tracer if self._env is not None else None
+        traced = tr is not None
         if traced:
-            self._trace_stream_changes(counts, now)
+            self._trace_stream_changes(tr, counts, now)
         self._refresh(counts)
         self._last_counts = self._memo_counts
         cap = self.config.cache_capacity
@@ -454,7 +455,7 @@ class OstPool:
                 > self.config.hysteresis * cap + _LEVEL_EPS
             )
             if traced:
-                self._trace_cache_transitions(before, now)
+                self._trace_cache_transitions(tr, before, now)
         else:
             self._full[:] = True
         return np.where(self._full, self._min_rate, self._ingest)
@@ -479,7 +480,8 @@ class OstPool:
         return max(float((gap[moving] / closing[moving]).min()), 0.0)
 
     # -- trace hooks -----------------------------------------------------
-    def _trace_stream_changes(self, counts: np.ndarray, now: float) -> None:
+    def _trace_stream_changes(self, tr, counts: np.ndarray,
+                              now: float) -> None:
         """Counter events for OSTs whose stream count (and therefore
         seek efficiency) just changed."""
         prev = self._last_counts
@@ -490,7 +492,7 @@ class OstPool:
             return
         eff = self.config.drain_curve(np.maximum(counts[changed], 1))
         for j, i in enumerate(changed):
-            self._tracer.counter(
+            tr.counter(
                 "streams",
                 pid=f"ost/{int(i)}",
                 values={
@@ -500,12 +502,12 @@ class OstPool:
                 ts=now,
             )
 
-    def _trace_cache_transitions(self, before: np.ndarray,
+    def _trace_cache_transitions(self, tr, before: np.ndarray,
                                  now: float) -> None:
         """Instant events for caches crossing the full/drained boundary."""
         flipped = np.nonzero(before != self._full)[0]
         for i in flipped:
-            self._tracer.instant(
+            tr.instant(
                 "cache.full" if self._full[i] else "cache.drained",
                 cat="ost",
                 pid=f"ost/{int(i)}",

@@ -77,20 +77,21 @@ class MachineSpec:
         (other batch jobs, attached analysis clusters) that share the
         file system but not the job's compute nodes.
 
-        ``tracer`` attaches an observability tracer; when omitted the
-        active instrumentation session's tracer
+        ``tracer`` attaches an observability tracer to ``env``; when
+        omitted the active instrumentation session's tracer
         (``repro.session.instrumented``) is used if it has one, so
         harnesses can trace whole sweeps without threading the tracer
-        through every call site.
+        through every call site.  Either way it goes on the
+        environment (``machine.env.tracer``), which every layer reads.
 
         ``faults`` installs a fault plan; when omitted the process-wide
         active plan (``repro.faults.with_faults``) or a plan file named
         by ``REPRO_FAULTS`` is used.  With no plan from any source,
         ``machine.faults`` is None and all fault machinery is off.
 
-        ``metrics`` attaches a telemetry registry (and a non-perturbing
-        settle-hook monitor feeding it); like ``tracer`` it falls back
-        to the active session's registry when omitted.
+        ``metrics`` attaches a telemetry registry to ``env`` (and a
+        non-perturbing settle-hook monitor feeding it); like ``tracer``
+        it falls back to the active session's registry when omitted.
 
         ``qos`` stores a multi-tenant bandwidth-contract config on the
         machine (``machine.qos``); when omitted the process-wide active
@@ -109,6 +110,19 @@ class MachineSpec:
             raise ConfigurationError("extra_service_nodes must be >= 0")
         if env is None:
             env = Environment()
+        from repro.session import active_session
+
+        # The environment is the instruments' one holder, set before
+        # any layer is built: the fabric and the file system resolve
+        # their instrument handles from it at construction.
+        session = active_session()
+        if session is not None:
+            tracer = tracer if tracer is not None else session.tracer
+            metrics = metrics if metrics is not None else session.registry
+        if tracer is not None:
+            env.set_tracer(tracer)
+        if metrics is not None:
+            env.set_metrics(metrics)
         rngs = RngRegistry(seed)
         topology = Topology(
             n_ranks=n_ranks,
@@ -150,18 +164,18 @@ class MachineSpec:
             service_node_base=topology.n_nodes,
             n_service_nodes=extra_service_nodes,
         )
-        from repro.session import active_session
+        if env.metrics is not None:
+            # A settle-hook monitor (with an auto-sized straggler
+            # detector) feeds per-OST time series into the registry
+            # without perturbing the simulation: telemetry on/off is
+            # bit-identical by construction.
+            from repro.telemetry import OnlineMonitor
 
-        session = active_session()
-        if session is not None:
-            tracer = tracer if tracer is not None else session.tracer
-            metrics = metrics if metrics is not None else session.registry
-        tracer = tracer if tracer is not None else env.tracer
-        metrics = metrics if metrics is not None else env.metrics
-        if tracer is not None:
-            machine.attach_tracer(tracer)
-        if metrics is not None:
-            machine.attach_metrics(metrics)
+            machine.monitor = OnlineMonitor(
+                machine, registry=env.metrics, detector="auto",
+                mode="settle",
+            )
+            machine.monitor.install()
         from repro.faults import FaultInjector, resolve_fault_plan
 
         plan = resolve_fault_plan(faults)
@@ -188,34 +202,8 @@ class Machine:
     service_node_base: int = 0
     n_service_nodes: int = 0
     faults: Optional["FaultInjector"] = None
-    metrics: Optional["MetricsRegistry"] = None
     monitor: Optional["OnlineMonitor"] = None
     qos: Optional["QosConfig"] = None
-
-    def attach_tracer(self, tracer: "Tracer") -> None:
-        """Bind a tracer to every traced layer of this machine."""
-        self.env.set_tracer(tracer)
-        self.pool.bind_tracer(tracer)
-
-    def attach_metrics(self, registry: "MetricsRegistry") -> None:
-        """Bind a metrics registry to every instrumented layer.
-
-        Also installs a settle-hook :class:`OnlineMonitor` (with an
-        auto-sized straggler detector) so per-OST time series flow into
-        the registry without perturbing the simulation — telemetry
-        on/off is bit-identical by construction.
-        """
-        from repro.telemetry import OnlineMonitor
-
-        self.env.set_metrics(registry)
-        self.fs.fabric.bind_metrics(registry)
-        self.pool.bind_metrics(registry)
-        self.fs.bind_metrics(registry)
-        self.metrics = registry
-        self.monitor = OnlineMonitor(
-            self, registry=registry, detector="auto", mode="settle"
-        )
-        self.monitor.install()
 
     def service_node(self, i: int) -> int:
         """Source index of the i-th reserved interference node."""

@@ -144,7 +144,7 @@ class SimComm:
             )
             self._inboxes[dest].deliver(msg)
             tr = self.env.tracer
-            if tr is not None and tr.enabled:
+            if tr is not None:
                 # One complete span per message, send -> delivery.
                 name = (
                     payload.__class__.__name__

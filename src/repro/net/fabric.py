@@ -526,25 +526,22 @@ class FlowNetwork:
         # cannot perturb the simulation.  Hooks chain by saving and
         # calling the previous value.
         self.on_settle = None
-        # Optional MetricsRegistry; bind_metrics pre-resolves the
-        # fabric's instruments so the per-settle cost when attached is
-        # one attribute check plus a few dict-free increments.
-        self.metrics = None
-
-    def bind_metrics(self, registry) -> None:
-        """Attach (or detach, with None) a metrics registry."""
-        self.metrics = registry
-        if registry is None:
-            return
-        self._m_settles = registry.counter("fabric.settles")
-        self._m_realloc_batch = registry.counter(
-            "fabric.reallocs", kind="batch"
-        )
-        self._m_realloc_incr = registry.counter(
-            "fabric.reallocs", kind="incremental"
-        )
-        self._m_coalesced = registry.counter("fabric.coalesced_settles")
-        self._m_flows = registry.gauge("fabric.active_flows")
+        # Instrument handles, resolved once from the environment's
+        # registry so the per-settle cost when attached is one check
+        # plus a few dict-free increments.  The ones the recording
+        # sites check are None when telemetry is off.
+        reg = env.metrics
+        self._m_settles = self._m_coalesced = self._m_realloc_batch = None
+        if reg is not None:
+            self._m_settles = reg.counter("fabric.settles")
+            self._m_flows = reg.gauge("fabric.active_flows")
+            self._m_coalesced = reg.counter("fabric.coalesced_settles")
+            self._m_realloc_batch = reg.counter(
+                "fabric.reallocs", kind="batch"
+            )
+            self._m_realloc_incr = reg.counter(
+                "fabric.reallocs", kind="incremental"
+            )
 
     # -- public API ------------------------------------------------------
     @property
@@ -676,7 +673,7 @@ class FlowNetwork:
         self._flowset_gen += 1
         self._dirty_sinks.add(sink)
         tr = self.env.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.begin(
                 "flow",
                 cat="fabric",
@@ -699,7 +696,7 @@ class FlowNetwork:
         left = float(self._remaining[slot])
         (ev,) = self._retire(np.array([slot]))[1]
         tr = self.env.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.end(
                 "flow",
                 cat="fabric",
@@ -726,7 +723,7 @@ class FlowNetwork:
             self._request_settle()
             return 0.0
         tr = self.env.tracer
-        traced = tr is not None and tr.enabled
+        traced = tr is not None
         total_left = 0.0
         lefts = self._remaining[victims].tolist()
         fids, events = self._retire(victims)
@@ -918,7 +915,7 @@ class FlowNetwork:
         """
         if self._settle_pending:
             self.coalesced_count += 1
-            if self.metrics is not None:
+            if self._m_coalesced is not None:
                 self._m_coalesced.inc()
             return
         self._settle_pending = True
@@ -966,7 +963,7 @@ class FlowNetwork:
         now = self.env.now
         self.settle_count += 1
         tr = self.env.tracer
-        traced = tr is not None and tr.enabled
+        traced = tr is not None
 
         # Complete drained flows: bookkeeping in one vectorized pass,
         # then each flow's event in ascending slot order.
@@ -1043,7 +1040,7 @@ class FlowNetwork:
                        values={"bytes_per_s": total})
         t_pool = self.pool.next_transition(self._inflow, counts, now)
         self._arm_timer(min(t_complete, t_pool))
-        if self.metrics is not None:
+        if self._m_settles is not None:
             self._m_settles.inc()
             self._m_flows.set(int(act_slots.size))
         if self._watchers:
@@ -1100,7 +1097,7 @@ class FlowNetwork:
         self._alloc_gen = self._flowset_gen
         self._last_caps = caps.copy()
         self.realloc_count += 1
-        if self.metrics is not None:
+        if self._m_realloc_batch is not None:
             (self._m_realloc_incr if incremental
              else self._m_realloc_batch).inc()
         return rates

@@ -75,7 +75,7 @@ class QosControlPlane:
         self.installed = True
         self._last_tick = self.env.now
         self.fabric.set_tenant_limits(self.ceilings)
-        self._bind_metrics()
+        self._resolve_metrics()
         self._tick_event = self.env.schedule_callback(
             self.config.tick, self._on_tick
         )
@@ -86,8 +86,8 @@ class QosControlPlane:
             self._tick_event.cancel()
             self._tick_event = None
 
-    def _bind_metrics(self) -> None:
-        reg = self.machine.metrics
+    def _resolve_metrics(self) -> None:
+        reg = self.env.metrics
         if reg is None or self._metrics_bound:
             return
         self._metrics_bound = True

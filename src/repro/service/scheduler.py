@@ -36,11 +36,14 @@ and a ready-to-paste reproduction one-liner.  Pass
 Every job runs under :func:`repro.session.isolate` — inline and in
 the worker shards alike — and the batch's ``(events, snapshot)`` pairs
 are absorbed into the active instrumentation session in submission
-order once the batch winds down.  Scheduler counters land in the
-session's registry when it has one: ``sched.jobs_done``,
-``sched.jobs_restored``, ``sched.retries``, ``sched.adoptions``,
-``sched.timeouts``, ``sched.respawns``, ``sched.checkpoint_bytes``,
-``sched.queue_depth``.
+order once the batch winds down.  A job that raises keeps its partial
+pair (a worker sends it with the error), so a failed sweep's trace
+shows what ran up to the failure; a job requeued under
+``retry_errors`` drops the failed attempt's pair for the retry's.
+Scheduler counters land in the session's registry when it has one:
+``sched.jobs_done``, ``sched.jobs_restored``, ``sched.retries``,
+``sched.adoptions``, ``sched.timeouts``, ``sched.respawns``,
+``sched.checkpoint_bytes``, ``sched.queue_depth``.
 """
 
 from __future__ import annotations
@@ -132,16 +135,16 @@ def _worker_main(conn, session: Optional[Session]) -> None:
             if msg is None:
                 return
             job_id, fn, arg = msg
-            try:
-                result, events, metrics = isolate(fn, arg)
-            except BaseException as exc:
+            result, exc, events, metrics = isolate(fn, arg)
+            if exc is not None:
                 try:
                     exc_bytes: Optional[bytes] = pickle.dumps(exc)
                 except Exception:
                     exc_bytes = None
                 payload = (
                     "err", job_id, f"{type(exc).__name__}: {exc}",
-                    traceback.format_exc(), exc_bytes,
+                    "".join(traceback.format_exception(exc)), exc_bytes,
+                    events, metrics,
                 )
                 try:
                     conn.send(payload)
@@ -154,7 +157,8 @@ def _worker_main(conn, session: Optional[Session]) -> None:
                 try:
                     conn.send((
                         "err", job_id,
-                        f"result of {job_id} is not sendable: {exc}", "", None,
+                        f"result of {job_id} is not sendable: {exc}", "",
+                        None, None, None,
                     ))
                 except Exception:
                     return
@@ -234,10 +238,10 @@ class Scheduler:
         self._adopted_jobs: Dict[str, int] = {}
 
     # -- telemetry ---------------------------------------------------------
-    def _bind_metrics(self) -> None:
+    def _resolve_metrics(self) -> None:
         session = active_session()
         reg = session.registry if session is not None else None
-        if reg is None or not reg.enabled:
+        if reg is None:
             self._m = {}
             return
         self._m = {
@@ -343,7 +347,7 @@ class Scheduler:
         ids = [j.job_id for j in jobs]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate job ids in batch")
-        self._bind_metrics()
+        self._resolve_metrics()
         self.stats = SchedulerStats(jobs=len(jobs), label=label)
         known = set(ids)
         for j in jobs:
@@ -435,12 +439,12 @@ class Scheduler:
             if failures and self.fail_fast:
                 return
             t0 = time.monotonic()
-            try:
-                result, events, metrics = isolate(spec.fn, spec.arg)
-            except BaseException as exc:
-                text = traceback.format_exc()
+            result, exc, events, metrics = isolate(spec.fn, spec.arg)
+            aux[spec.job_id] = (events, metrics)
+            if exc is not None:
                 self.stats.failed += 1
                 self._journal_failure(spec, f"{type(exc).__name__}: {exc}")
+                text = "".join(traceback.format_exception(exc))
                 failures.append(
                     self._failure(spec, "raised", text, cause=exc)
                 )
@@ -448,7 +452,6 @@ class Scheduler:
                 continue
             elapsed = time.monotonic() - t0
             results[spec.job_id] = result
-            aux[spec.job_id] = (events, metrics)
             self.stats.done += 1
             self._count("done")
             self._checkpoint(spec, 0, result, events, metrics, elapsed)
@@ -552,10 +555,11 @@ class Scheduler:
                         spec, attempt, result, events, metrics, elapsed
                     )
                 else:
-                    _, job_id, text, tb, exc_bytes = msg
+                    _, job_id, text, tb, exc_bytes, events, metrics = msg
                     if self.retry_errors:
                         requeue(spec, attempt + 1, text)
                     else:
+                        aux[job_id] = (events, metrics)
                         cause = None
                         if exc_bytes is not None:
                             try:

@@ -7,7 +7,8 @@ activation (:func:`instrumented` layers instruments over the enclosing
 session), :class:`RunSequence` the run numbering both instruments
 share, and :func:`isolate` plus :meth:`Session.absorb` the one way a
 sweep's jobs record: each job runs under fresh instruments and the
-parent absorbs the job's ``(events, snapshot)`` in submission order, so
+parent absorbs the job's ``(events, snapshot)`` in submission order (a
+failed job's partial buffers too, before its error propagates), so
 serial, pooled and journal-resumed sweeps record alike::
 
     with instrumented(tracer=Tracer(), registry=MetricsRegistry()) as s:
@@ -69,10 +70,6 @@ class RunSequence:
         return base
 
 
-def _enabled(instrument) -> bool:
-    return instrument is not None and instrument.enabled
-
-
 class Session:
     """An optional tracer plus an optional metrics registry."""
 
@@ -84,12 +81,12 @@ class Session:
         self.registry = registry
 
     def fresh(self) -> Optional["Session"]:
-        """Empty instruments of this session's enabled kinds, or None."""
+        """Empty instruments of the kinds this session holds, or None."""
         from repro.telemetry.registry import MetricsRegistry
         from repro.trace.tracer import Tracer
 
-        tracer = Tracer() if _enabled(self.tracer) else None
-        registry = MetricsRegistry() if _enabled(self.registry) else None
+        tracer = Tracer() if self.tracer is not None else None
+        registry = MetricsRegistry() if self.registry is not None else None
         if tracer is None and registry is None:
             return None
         return Session(tracer, registry)
@@ -137,20 +134,28 @@ def instrumented(tracer: Optional["Tracer"] = None,
     return activate(Session(tracer, registry))
 
 
-def isolate(fn: Callable[[Any], Any],
-            arg: Any) -> Tuple[Any, Optional[list], Optional[dict]]:
+def isolate(fn: Callable[[Any], Any], arg: Any) -> Tuple[
+        Any, Optional[BaseException], Optional[list], Optional[dict]]:
     """Run ``fn(arg)`` under fresh instruments; the active session is
     restored afterwards.
 
-    Returns ``(result, events, snapshot)``: the job's trace events and
-    registry snapshot, each None when the active session has no enabled
-    instrument of that kind.  Pass the pair to :meth:`Session.absorb`.
+    Returns ``(result, error, events, snapshot)``.  *error* is the
+    exception ``fn`` raised (*result* is then None): it is returned,
+    not raised, so a failed job's partial trace and metrics still reach
+    the caller, which absorbs them before it re-raises.  *events* and
+    *snapshot* are the job's trace events and registry snapshot, each
+    None when the active session has no instrument of that kind.  Pass
+    the pair to :meth:`Session.absorb`.
     """
     job = _ACTIVE.fresh() if _ACTIVE is not None else None
+    result = error = None
     with activate(job):
-        result = fn(arg)
+        try:
+            result = fn(arg)
+        except BaseException as exc:
+            error = exc
     if job is None:
-        return result, None, None
+        return result, error, None, None
     events = job.tracer.events if job.tracer is not None else None
     snapshot = job.registry.snapshot() if job.registry is not None else None
-    return result, events, snapshot
+    return result, error, events, snapshot

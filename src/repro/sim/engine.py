@@ -60,18 +60,14 @@ class Environment:
         When True (default) an unhandled exception in any process aborts
         the whole simulation with :class:`SimulationError` — silent
         process death hides protocol bugs.
-    tracer:
-        Optional :class:`~repro.trace.tracer.Tracer` observing this
-        simulation.  ``env.tracer`` is None by default so instrumented
-        layers pay a single attribute check when tracing is off.
+
+    The environment is the one holder of the simulation's instruments:
+    ``tracer`` and ``metrics`` are None (off) until :meth:`set_tracer`
+    / :meth:`set_metrics` attach one, and every instrumented layer
+    reads them from here, paying one attribute check when off.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        strict: bool = True,
-        tracer: Optional["Tracer"] = None,
-    ):
+    def __init__(self, initial_time: float = 0.0, strict: bool = True):
         self._now = float(initial_time)
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
@@ -80,13 +76,8 @@ class Environment:
         self.strict = strict
         self._crashed: Optional[SimulationError] = None
         self.tracer: Optional["Tracer"] = None
-        #: Optional MetricsRegistry / Profiler (telemetry package).
-        #: Plain nullable attributes, same cost model as ``tracer``:
-        #: instrumented layers pay one attribute check when off.
-        self.metrics = None
-        self.profiler = None
-        if tracer is not None:
-            self.set_tracer(tracer)
+        self.metrics = None  # Optional[MetricsRegistry]
+        self.profiler = None  # Optional[Profiler]
 
     def set_tracer(self, tracer: Optional["Tracer"]) -> None:
         """Attach (or detach, with None) a tracer to this environment."""
@@ -139,7 +130,7 @@ class Environment:
         """Launch *generator* as a new simulation process."""
         p = Process(self, generator, name=name)
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.instant("process.spawn", cat="process", pid="sim", tid=p.name)
 
             def _trace_exit(_ev, _tr=tr, _name=p.name) -> None:

@@ -9,7 +9,6 @@ from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.monitor import OnlineMonitor, PoolSample, snapshot_machine
 from repro.telemetry.profiler import Profiler, profiling
 from repro.telemetry.registry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -23,7 +22,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "OnlineMonitor",
     "PoolSample",
     "Profiler",

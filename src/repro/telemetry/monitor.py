@@ -12,8 +12,9 @@ drive modes:
     events, no extra settles, **no perturbation**: a simulation with a
     settle-mode monitor attached is bit-identical to one without
     (splitting a cache-integration step at a sampling instant would
-    change float rounding — this mode never splits anything).  This is
-    what ``--metrics`` and :meth:`Machine.attach_metrics` use.
+    change float rounding — this mode never splits anything).
+    ``MachineSpec.build`` installs one on every machine whose
+    environment holds a registry (``--metrics`` included).
 
 ``timer``
     A sim process that wakes every ``interval`` simulated seconds and

@@ -15,13 +15,12 @@ kind="failed")`` and ``registry.series("ost.inflow", ost=17)`` are
 distinct time series, exported as ``repro_ost_state_change
 {kind="failed"}`` in the Prometheus text format.
 
-Cost model (mirrors the tracer): instrumented layers hold a nullable
-reference (``env.metrics``, ``fabric.metrics`` …) and skip the call
-entirely when it is None — one attribute load per site when telemetry
-is off.  A registry constructed with ``enabled=False`` additionally
-hands out shared no-op instruments, so code holding an instrument
-reference needs no branch of its own; :data:`NULL_REGISTRY` is the
-canonical disabled singleton.
+Cost model (mirrors the tracer): there is no disabled registry —
+telemetry is off when ``env.metrics`` is None, the environment being
+the registry's one holder.  Rare recording sites read ``env.metrics``
+per call; the fabric and the file system resolve their instrument
+handles once at construction (None when off) and guard on the handle,
+so telemetry off costs one attribute load per site.
 
 Like the tracer, one registry may observe several simulation runs (a
 sweep builds a fresh environment per cell): both number them with the
@@ -45,7 +44,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "Series",
 ]
 
@@ -184,33 +182,6 @@ class Series:
         )
 
 
-class _NullInstrument:
-    """Shared do-nothing instrument handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = "null"
-    labels: LabelsKey = ()
-    value = 0.0
-    sum = 0.0
-    count = 0
-    samples: List[Tuple[int, float, float]] = []
-    last = None
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def observe(self, v: float) -> None:
-        pass
-
-    def sample(self, t: float, v: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
 _KINDS = {
     "counter": Counter,
     "gauge": Gauge,
@@ -220,17 +191,10 @@ _KINDS = {
 
 
 class MetricsRegistry(RunSequence):
-    """Creates, owns and exports instruments.
+    """Creates, owns and exports instruments."""
 
-    ``enabled=False`` makes every accessor return the shared no-op
-    instrument: a layer can bind instruments unconditionally and pay
-    nothing at record time.  (Hot paths should still prefer the
-    ``attr is None`` skip — see the module docstring.)
-    """
-
-    def __init__(self, enabled: bool = True):
+    def __init__(self):
         super().__init__()
-        self.enabled = enabled
         self._instruments: Dict[Tuple[str, str, LabelsKey], object] = {}
 
     # -- lifecycle -------------------------------------------------------
@@ -243,8 +207,6 @@ class MetricsRegistry(RunSequence):
     # -- instrument accessors (get-or-create) ----------------------------
     def _get(self, kind: str, name: str, labels: Dict[str, object],
              **kwargs):
-        if not self.enabled:
-            return _NULL_INSTRUMENT
         key = (kind, name, _labels_key(labels))
         inst = self._instruments.get(key)
         if inst is None:
@@ -309,7 +271,7 @@ class MetricsRegistry(RunSequence):
         ``Tracer.absorb``), so a parallel sweep yields the same
         one-run-per-sample structure as a serial one.
         """
-        if not self.enabled or not snap:
+        if not snap:
             return
         run_base = self._rebase(max(int(snap.get("n_runs", 0)), 1))
         for m in snap.get("metrics", ()):
@@ -404,7 +366,3 @@ def _fmt_labels(labels: LabelsKey, **extra: str) -> str:
     body = ",".join(f'{k}="{v}"' for k, v in items)
     return "{" + body + "}"
 
-
-#: The canonical disabled registry: hand this to code that requires a
-#: registry argument when telemetry is off.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

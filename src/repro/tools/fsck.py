@@ -178,7 +178,7 @@ def _repair(machine, reader: BpReader, report: ScrubReport) -> Dict:
         for e in entries:
             entry_at[(path, e.offset, e.nbytes)] = e
     outcome = {"repaired": 0, "collected": 0, "unrepairable": 0}
-    tr = reader.env_tracer()
+    tr = fs.env.tracer
 
     reopened = []
 

@@ -23,8 +23,14 @@ to numeric ids and emits metadata so Perfetto shows the labels.
 
 Timestamps are simulated seconds.  A tracer bound to an
 :class:`~repro.sim.engine.Environment` stamps events with ``env.now``
-automatically; unbound call sites (the OST pool, which only receives
-``now`` as an argument) pass ``ts`` explicitly.
+automatically; call sites handed a time (the OST pool stamps with the
+settle's ``now``) pass ``ts`` explicitly.
+
+The environment is the tracer's one holder and off means absent:
+``env.set_tracer`` attaches a tracer (None detaches it), and every
+traced layer reads ``env.tracer`` at its guard site and skips the call
+when it is None — one attribute load per site when untraced.  A tracer
+attached after a machine is built therefore reaches every layer.
 
 One tracer may observe several simulation runs (a sweep builds a fresh
 environment per cell); each bind starts a new *run* and events carry
@@ -60,22 +66,12 @@ class TraceEvent:
 
 
 class Tracer(RunSequence):
-    """Collects :class:`TraceEvent` records from instrumented layers.
+    """Collects :class:`TraceEvent` records from instrumented layers."""
 
-    Parameters
-    ----------
-    enabled:
-        When False every record method is a no-op; instrumentation
-        sites additionally skip the call entirely when ``env.tracer``
-        is None, so an untraced simulation pays one attribute load per
-        site and nothing else.
-    """
+    __slots__ = ("events",)
 
-    __slots__ = ("enabled", "events")
-
-    def __init__(self, enabled: bool = True):
+    def __init__(self):
         super().__init__()
-        self.enabled = enabled
         self.events: List[TraceEvent] = []
 
     # -- lifecycle -------------------------------------------------------
@@ -88,7 +84,7 @@ class Tracer(RunSequence):
         one-run-per-sample structure (and the same ``runN`` track
         prefixes in the Chrome export) as a serial sweep.
         """
-        if not self.enabled or not events:
+        if not events:
             return
         base = self._rebase(max(ev.run for ev in events) + 1)
         self.events.extend(replace(ev, run=base + ev.run) for ev in events)
@@ -114,8 +110,6 @@ class Tracer(RunSequence):
         ts: Optional[float] = None,
         args: Optional[dict] = None,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             TraceEvent("B", name, cat, self._ts(ts), pid, tid, self.run,
                        args=args)
@@ -130,8 +124,6 @@ class Tracer(RunSequence):
         ts: Optional[float] = None,
         args: Optional[dict] = None,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             TraceEvent("E", name, cat, self._ts(ts), pid, tid, self.run,
                        args=args)
@@ -148,8 +140,6 @@ class Tracer(RunSequence):
         args: Optional[dict] = None,
     ) -> None:
         """A span whose duration is known at record time (Chrome "X")."""
-        if not self.enabled:
-            return
         self.events.append(
             TraceEvent("X", name, cat, ts, pid, tid, self.run, dur=dur,
                        args=args)
@@ -164,8 +154,6 @@ class Tracer(RunSequence):
         ts: Optional[float] = None,
         args: Optional[dict] = None,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             TraceEvent("i", name, cat, self._ts(ts), pid, tid, self.run,
                        args=args)
@@ -179,8 +167,6 @@ class Tracer(RunSequence):
         tid: str = "counters",
         ts: Optional[float] = None,
     ) -> None:
-        if not self.enabled:
-            return
         self.events.append(
             TraceEvent("C", name, "counter", self._ts(ts), pid, tid,
                        self.run, args=dict(values))
@@ -206,8 +192,6 @@ class Tracer(RunSequence):
         proper nesting order, so :func:`check_well_formed` passes on
         aborted runs too.  Returns the number of spans closed.
         """
-        if not self.enabled:
-            return 0
         stacks: Dict[tuple, List[TraceEvent]] = {}
         for ev in self.events:
             if ev.run != self.run:

@@ -59,7 +59,7 @@ def run_one(batched, n_ranks=48, n_osts=6, slow_osts=(), seed=0,
         n_ranks=n_ranks, seed=seed, faults=faults, metrics=metrics
     )
     if tracer is not None:
-        m.attach_tracer(tracer)
+        m.env.set_tracer(tracer)
     if slow_osts:
         m.pool.set_load_multiplier(0.05, osts=np.array(list(slow_osts)))
     res = AdaptiveTransport(batched=batched, **opts).run(

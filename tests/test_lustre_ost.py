@@ -10,6 +10,7 @@ from repro.lustre.ost import (
     lustre_drain_curve,
     lustre_ingest_curve,
 )
+from repro.sim.engine import Environment
 
 
 class TestEfficiencyCurve:
@@ -156,7 +157,7 @@ class TestOstPoolDynamics:
     def test_load_multiplier_triggers_callback(self):
         pool = make_pool()
         hits = []
-        pool.bind_invalidate(lambda: hits.append(1))
+        pool.bind(Environment(), lambda: hits.append(1))
         pool.set_load_multiplier(0.8)
         assert hits == [1]
 

@@ -44,6 +44,17 @@ def _traced_sample(seed: int) -> int:
     return seed
 
 
+def _record_then_fail(seed: int) -> int:
+    """Records into the job's instruments, then raises on odd seeds."""
+    session = active_session()
+    session.tracer.instant("sample", cat="test", pid="test",
+                           tid=f"seed {seed}")
+    session.registry.counter("test.samples").inc()
+    if seed % 2:
+        raise ValueError(f"seed {seed} failed")
+    return seed
+
+
 class TestResolveJobs:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -140,6 +151,30 @@ class TestParallelMap:
         # One run per sample, in submission order, distinct run indices.
         assert names == [("seed 10", 0), ("seed 11", 1), ("seed 12", 2)]
         assert t.n_runs == 3
+
+
+class TestFailedJobInstrumentation:
+    @pytest.mark.parametrize("jobs,journal", [
+        (1, False),  # parallel_map's plain serial path
+        (1, True),  # the scheduler's inline path
+        (2, False),  # the scheduler's worker path
+    ])
+    def test_failed_job_keeps_its_trace_and_metrics(
+        self, jobs, journal, tmp_path, monkeypatch
+    ):
+        """A job that raises hands its partial buffers to the session
+        before the error propagates, on every execution path."""
+        if journal:
+            monkeypatch.setenv("REPRO_JOURNAL", str(tmp_path))
+        else:
+            monkeypatch.delenv("REPRO_JOURNAL", raising=False)
+        tracer, registry = Tracer(), MetricsRegistry()
+        with instrumented(tracer=tracer, registry=registry):
+            with pytest.raises(Exception, match="seed 1 failed"):
+                parallel_map(_record_then_fail, [0, 1], jobs=jobs)
+        assert [ev.tid for ev in tracer.events] == ["seed 0", "seed 1"]
+        assert [ev.run for ev in tracer.events] == [0, 1]
+        assert registry.find("counter", "test.samples").value == 2.0
 
 
 class TestTracerAbsorb:
@@ -270,13 +305,13 @@ class TestTelemetryParallel:
     def test_results_bit_identical_with_and_without_metrics(self):
         """Ambient telemetry must be a pure observer: the settle-hook
         sampler never splits a cache-integration step, so every float
-        in the result is unchanged — with a live registry, a disabled
-        one, or none at all."""
+        in the result is unchanged — with a live registry, a session
+        without one, or no session at all."""
         plain = _metered_cell(7)
         reg = MetricsRegistry()
         with instrumented(registry=reg):
             metered = _metered_cell(7)
-        with instrumented(registry=MetricsRegistry(enabled=False)):
+        with instrumented():
             disabled = _metered_cell(7)
         assert len(reg) > 0  # telemetry actually collected something
         # == on floats, not approx: the contract is bit-equality.

@@ -256,20 +256,16 @@ class TestResume:
 class TestInstrumentationScope:
     def test_inline_run_keeps_callers_disabled_instruments(self, tmp_path):
         """Jobs run under their own (here: no) instrumentation, and the
-        caller's session — disabled instruments included — is back in
-        place once the batch is done."""
+        caller's session — one whose instruments are all absent — is
+        back in place once the batch is done."""
         from repro.session import active_session, instrumented
-        from repro.telemetry import MetricsRegistry
-        from repro.trace import Tracer
 
-        tracer = Tracer(enabled=False)
-        registry = MetricsRegistry(enabled=False)
         jobs = [make_job(_double, s, label="cell", index=s) for s in (1, 2)]
-        with instrumented(tracer=tracer, registry=registry):
+        with instrumented() as outer:
             sched = Scheduler(n_workers=1, journal=journal_in(str(tmp_path)))
             assert sched.run(jobs, "cell") == [2.0, 4.0]
-            session = active_session()
-            assert session.tracer is tracer and session.registry is registry
+            assert active_session() is outer
+            assert outer.tracer is None and outer.registry is None
         assert active_session() is None
 
 

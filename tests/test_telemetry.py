@@ -18,7 +18,6 @@ from repro.core.transports import AdaptiveTransport
 from repro.machines import jaguar
 from repro.session import active_session, instrumented
 from repro.telemetry import (
-    NULL_REGISTRY,
     MetricsRegistry,
     OnlineMonitor,
     Profiler,
@@ -85,18 +84,19 @@ class TestInstruments:
         assert reg.n_runs == 2
 
     def test_disabled_registry_hands_out_noop_instruments(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("x")
-        c.inc(100)
-        reg.series("y").sample(0.0, 1.0)
-        reg.histogram("z").observe(3.0)
-        assert c.value == 0.0
-        assert len(reg) == 0
-        assert reg.snapshot()["metrics"] == []
-        # NULL_REGISTRY is the shared canonical instance of the same.
-        assert NULL_REGISTRY.enabled is False
-        NULL_REGISTRY.counter("x").inc()
-        assert len(NULL_REGISTRY) == 0
+        """Off is absent: a machine built without a registry holds no
+        instrument handles and installs no monitor, and a registry
+        detached from the environment after build records nothing."""
+        bare = jaguar(n_osts=4).build(n_ranks=4, seed=0)
+        assert bare.env.metrics is None and bare.monitor is None
+        assert bare.fs.fabric._m_settles is None
+        assert bare.fs._m_writes is None
+        reg = MetricsRegistry()
+        m = jaguar(n_osts=4).build(n_ranks=4, seed=0, metrics=reg)
+        m.env.set_metrics(None)
+        m.pool.fail_ost(0)  # the pool reads env.metrics per call
+        assert reg.find("counter", "ost.state_changes",
+                        to="failed", ost=0) is None
 
 
 class TestSnapshotAbsorb:
@@ -137,9 +137,14 @@ class TestSnapshotAbsorb:
         assert reg.n_runs == 5
 
     def test_disabled_registry_ignores_absorb(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.absorb(self._worker_snapshot())
-        assert len(reg) == 0
+        """A session without a registry drops a job's snapshot, and a
+        registry ignores a job that recorded none."""
+        from repro.session import Session
+
+        Session().absorb(None, self._worker_snapshot())
+        reg = MetricsRegistry()
+        reg.absorb(None)
+        assert len(reg) == 0 and reg._n_binds == 0
 
 
 class TestPrometheus:
@@ -176,10 +181,11 @@ class TestActiveRegistry:
     def test_collecting_scopes_the_active_registry(self):
         assert active_session() is None
         reg = MetricsRegistry()
+        inner = MetricsRegistry()
         with instrumented(registry=reg):
             assert active_session().registry is reg
-            with instrumented(registry=NULL_REGISTRY):
-                assert active_session().registry is NULL_REGISTRY
+            with instrumented(registry=inner):
+                assert active_session().registry is inner
             assert active_session().registry is reg
         assert active_session() is None
 
@@ -187,13 +193,28 @@ class TestActiveRegistry:
         with instrumented(registry=MetricsRegistry()) as session:
             m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
         reg = session.registry
-        assert m.metrics is reg
         assert m.monitor is not None
         assert m.env.metrics is reg
         # Outside the scope, builds are bare again.
         m2 = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        assert m2.metrics is None and m2.monitor is None
+        assert m2.monitor is None
         assert m2.env.metrics is None
+
+    def test_snapshot_carries_instruments_resolved_at_construction(self):
+        """The fabric and the file system resolve their instruments
+        when built, so a snapshot carries them even at zero: a fig1
+        posix cell never flushes, yet ``fs.flushes`` is there."""
+        from repro.harness.figures.fig1 import _one_cell
+
+        reg = MetricsRegistry()
+        with instrumented(registry=reg):
+            _one_cell(8, 1, 8, 0)
+        assert reg.find("counter", "fs.flushes").value == 0.0
+        flush_seconds = reg.find("histogram", "fs.flush_seconds")
+        assert flush_seconds.count == 0 and not any(flush_seconds.counts)
+        assert reg.find("counter", "fabric.coalesced_settles") is not None
+        # Both realloc kinds, though this cell never patches in place.
+        assert len(reg.instruments("fabric.reallocs")) == 2
 
 
 # -- straggler detector ---------------------------------------------------
@@ -542,7 +563,7 @@ class TestExperimentMetricsFlag:
             AdaptiveTransport(n_osts_used=4).run(
                 m, small_app(), output_name="out"
             )
-        assert m.metrics is reg
+        assert m.env.metrics is reg
         snap = json.loads(path.read_text())
         names = {x["name"] for x in snap["metrics"]}
         assert "fabric.settles" in names and "ost.inflow" in names

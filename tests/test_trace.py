@@ -3,7 +3,7 @@
 The headline round trip: run the adaptive protocol with tracing on,
 export the Chrome trace-event JSON, load it back, and check that the
 span structure is well-formed and that the protocol's steering
-decisions reference real OSTs.  Plus the negative: a disabled tracer
+decisions reference real OSTs.  Plus the negative: an absent tracer
 records nothing and changes nothing.
 """
 
@@ -34,7 +34,7 @@ def app():
 def traced_run(transport=None, tracer=None, seed=0):
     m = jaguar(n_osts=N_OSTS).build(n_ranks=N_RANKS, seed=seed)
     if tracer is not None:
-        m.attach_tracer(tracer)
+        m.env.set_tracer(tracer)
     t = transport or AdaptiveTransport(n_osts_used=N_OSTS)
     res = t.run(m, app(), output_name="out")
     return m, res
@@ -66,12 +66,12 @@ class TestTracerCore:
         assert any("no open span" in p for p in problems)
 
     def test_disabled_tracer_records_nothing(self):
-        tr = Tracer(enabled=False)
-        tr.begin("a", cat="t", pid="p", tid="t")
-        tr.instant("i", cat="t", pid="p", tid="t")
-        tr.counter("c", pid="p", values={"v": 1.0})
-        with tr.span("s", cat="t", pid="p", tid="t"):
-            pass
+        """Off is absent: a tracer detached from the environment after
+        build records nothing from any layer, the OST pool included."""
+        tr = Tracer()
+        m = jaguar(n_osts=N_OSTS).build(n_ranks=N_RANKS, seed=0, tracer=tr)
+        m.env.set_tracer(None)
+        AdaptiveTransport(n_osts_used=N_OSTS).run(m, app(), output_name="out")
         assert len(tr) == 0
 
     def test_active_tracer_scoping(self):
@@ -178,7 +178,7 @@ class TestCounters:
         m = jaguar(n_osts=8).build(n_ranks=64, seed=3)
         m.fs.max_stripe_count = 2
         m.pool.set_load_multiplier(0.1, osts=np.array([0]))
-        m.attach_tracer(tr)
+        m.env.set_tracer(tr)
         res = AdaptiveTransport().run(m, app(), output_name="out")
         assert res.n_adaptive_writes > 0
         counters = per_writer_counters(tr.events)
@@ -209,13 +209,39 @@ class TestCounters:
         assert all(wc.time["index"] == 0.0 for wc in counters)
 
 
+class TestAttachAfterBuild:
+    def test_tracer_set_on_env_after_build_reaches_ost_pool(self):
+        """Every layer reads ``env.tracer``: a tracer set on the
+        environment of an already-built machine records the pool's
+        stream counters and cache transitions, exactly as one
+        attached at build."""
+        big = AppKernel("big", [Variable("x", shape=(int(128 * MB / 8),))])
+        at_build, after = Tracer(), Tracer()
+        m = jaguar(n_osts=4).build(n_ranks=16, seed=0, tracer=at_build)
+        AdaptiveTransport(n_osts_used=4).run(m, big, output_name="out")
+        m = jaguar(n_osts=4).build(n_ranks=16, seed=0)
+        m.env.set_tracer(after)
+        AdaptiveTransport(n_osts_used=4).run(m, big, output_name="out")
+        pool_names = {
+            ev.name for ev in after.events if ev.pid.startswith("ost/")
+        }
+        assert {"streams", "cache.full", "cache.drained"} <= pool_names
+        assert after.events == at_build.events
+
+
 class TestDisabledTracing:
     def test_run_identical_with_and_without_tracer(self):
         _, res_plain = traced_run(seed=7)
         tr = Tracer()
         _, res_traced = traced_run(tracer=tr, seed=7)
-        off = Tracer(enabled=False)
-        _, res_off = traced_run(tracer=off, seed=7)
+        off = Tracer()
+        m_off = jaguar(n_osts=N_OSTS).build(
+            n_ranks=N_RANKS, seed=7, tracer=off
+        )
+        m_off.env.set_tracer(None)  # attached, then absent
+        res_off = AdaptiveTransport(n_osts_used=N_OSTS).run(
+            m_off, app(), output_name="out"
+        )
         assert len(tr.events) > 0
         assert len(off.events) == 0
         assert res_traced.reported_time == res_plain.reported_time
@@ -374,7 +400,7 @@ class TestAbortedRunTraces:
         m = jaguar(n_osts=N_OSTS).build(
             n_ranks=N_RANKS, seed=0, faults=plan
         )
-        m.attach_tracer(tr)
+        m.env.set_tracer(tr)
         with pytest.raises(TransportError):
             MpiIoTransport(build_index=False).run(m, app(), "out")
         assert check_well_formed(tr.events) == []
@@ -393,7 +419,7 @@ class TestAbortedRunTraces:
         m = jaguar(n_osts=N_OSTS).build(
             n_ranks=N_RANKS, seed=0, faults=plan
         )
-        m.attach_tracer(tr)
+        m.env.set_tracer(tr)
         with pytest.raises(TransportError):
             MpiIoTransport(build_index=False).run(m, app(), "out")
         counters = per_writer_counters(tr.events)
