@@ -9,17 +9,16 @@ to one machine build.  Transports consult ``machine.faults`` to decide
 whether to run their hardened (timeout/retry/failover) paths; with no
 plan installed, behaviour is bit-identical to a fault-free build.
 
-Plans reach machine builds three ways, mirroring the tracer:
-explicitly (``MachineSpec.build(..., faults=plan)``), through the
-process-wide registry (:func:`with_faults` /
-:func:`set_active_fault_plan`), or via the ``REPRO_FAULTS`` environment
-variable naming a plan JSON file.
+Plans reach machine builds two ways: explicitly
+(``MachineSpec.build(..., faults=plan)``) for a run that builds its
+own plan, or via the ``REPRO_FAULTS`` environment variable naming a
+plan JSON file for a whole sweep (worker processes inherit it under
+every start method).
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from typing import Optional
 
 from repro.faults.injector import FaultInjector
@@ -39,48 +38,17 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "RetryPolicy",
-    "get_active_fault_plan",
     "resolve_fault_plan",
-    "set_active_fault_plan",
     "two_ost_failure_plan",
-    "with_faults",
 ]
-
-# -- active-plan registry --------------------------------------------------
-_ACTIVE: Optional[FaultPlan] = None
-
-
-def set_active_fault_plan(plan: Optional[FaultPlan]) -> None:
-    """Install (or clear, with None) the process-wide active fault plan."""
-    global _ACTIVE
-    _ACTIVE = plan
-
-
-def get_active_fault_plan() -> Optional[FaultPlan]:
-    """The plan newly built machines pick up, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def with_faults(plan: FaultPlan):
-    """Scope in which every machine built picks up *plan*."""
-    previous = get_active_fault_plan()
-    set_active_fault_plan(plan)
-    try:
-        yield plan
-    finally:
-        set_active_fault_plan(previous)
 
 
 def resolve_fault_plan(
     explicit: Optional[FaultPlan] = None,
 ) -> Optional[FaultPlan]:
-    """Resolution order: explicit arg > active registry > REPRO_FAULTS."""
+    """Resolution order: explicit arg > REPRO_FAULTS."""
     if explicit is not None:
         return explicit
-    active = get_active_fault_plan()
-    if active is not None:
-        return active
     path = os.environ.get("REPRO_FAULTS")
     if path:
         return FaultPlan.from_json(path)

@@ -8,13 +8,8 @@ tests), "small" (the benchmark default — reduced machine, full shape),
 "paper" (the publication configuration; hours of wall time).
 """
 
-from repro.harness.experiment import (
-    Scale,
-    n_samples_override,
-    run_samples,
-    scale_from_env,
-)
-from repro.harness.parallel import parallel_map, resolve_jobs
+from repro.harness.experiment import Scale, n_samples_override, scale_from_env
+from repro.harness.parallel import parallel_map, resolve_jobs, run_samples
 from repro.harness.report import format_table, render_series
 
 __all__ = [

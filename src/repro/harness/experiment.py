@@ -5,21 +5,16 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from enum import Enum
-from typing import Callable, List, TypeVar
 
 __all__ = [
     "Scale",
-    "checkpoint_to",
     "metrics_to",
     "n_samples_override",
     "resolve_preset",
-    "run_samples",
     "scale_from_env",
     "sample_seed",
     "trace_to",
 ]
-
-T = TypeVar("T")
 
 
 class Scale(str, Enum):
@@ -99,33 +94,6 @@ def n_samples_override(default: int) -> int:
     return n
 
 
-def run_samples(
-    fn: Callable[[int], T],
-    n_samples: int,
-    base_seed: int = 0,
-    jobs: "int | None" = None,
-    label: "str | None" = None,
-) -> List[T]:
-    """Run ``fn(seed)`` for each of *n_samples* derived seeds.
-
-    Every sample builds its own machine from its seed, so samples are
-    statistically independent, individually reproducible — and safe to
-    fan out over worker processes: with ``jobs`` (or ``REPRO_JOBS``)
-    above 1 this delegates to :mod:`repro.harness.parallel` and the
-    :mod:`repro.service` scheduler, whose results are bit-for-bit
-    identical to serial execution (including across worker deaths,
-    retries, and journal resume — see DESIGN.md §14).  *fn* must then
-    be picklable (module-level function or ``functools.partial``);
-    anything else falls back to serial with a ``RuntimeWarning``.
-    *label* names the sweep cell in journals and failure messages.
-    """
-    from repro.harness.parallel import run_samples as _parallel_run_samples
-
-    return _parallel_run_samples(
-        fn, n_samples, base_seed, jobs=jobs, label=label
-    )
-
-
 @contextmanager
 def trace_to(path: str, tracer=None):
     """Trace every machine built inside the block; export on exit.
@@ -147,33 +115,6 @@ def trace_to(path: str, tracer=None):
             yield t
     finally:
         chrome.export(t.events, path)
-
-
-@contextmanager
-def checkpoint_to(state_dir: str):
-    """Checkpoint every sweep cell run inside the block to *state_dir*.
-
-    Installs the directory as the process-wide journal state dir
-    (every :func:`run_samples` batch below appends completed jobs to
-    ``state_dir/journal.jsonl``, fsync'd per record).  Re-entering the
-    same block after a crash resumes from the journal: completed cells
-    are restored bit-identically, only the rest recompute.  Equivalent
-    to ``REPRO_JOURNAL=state_dir`` / ``--journal`` on the CLIs.
-
-    >>> with checkpoint_to("sweep_state"):   # doctest: +SKIP
-    ...     fig1.run("paper")
-    """
-    from repro.service.journal import (
-        get_active_state_dir,
-        set_active_state_dir,
-    )
-
-    prev = get_active_state_dir()
-    set_active_state_dir(state_dir)
-    try:
-        yield state_dir
-    finally:
-        set_active_state_dir(prev)
 
 
 @contextmanager

@@ -25,12 +25,8 @@ import numpy as np
 
 from repro.apps.base import AppKernel
 from repro.core.transports import AdaptiveTransport, MpiIoTransport
-from repro.harness.experiment import (
-    Scale,
-    n_samples_override,
-    resolve_preset,
-    run_samples,
-)
+from repro.harness.experiment import Scale, n_samples_override, resolve_preset
+from repro.harness.parallel import run_samples
 from repro.harness.report import format_table
 from repro.interference import (
     BackgroundWriterJob,

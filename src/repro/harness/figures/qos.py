@@ -35,12 +35,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.harness.experiment import (
-    Scale,
-    n_samples_override,
-    resolve_preset,
-    run_samples,
-)
+from repro.harness.experiment import Scale, n_samples_override, resolve_preset
+from repro.harness.parallel import run_samples
 from repro.harness.report import format_table
 
 __all__ = ["run", "QosResult", "MODES", "_FAULT_SLOWDOWN_TOL"]
@@ -153,22 +149,22 @@ def _mode_metrics(result, floors: np.ndarray) -> Dict[str, float]:
 
 def _one_cell(seed: int, n_tenants: int, n_osts: int, cap: int,
               victim_ranks: int, victim_mb: float, aggressor_ranks: int,
-              aggressor_mb: float, with_faults_check: bool
+              aggressor_mb: float, fault_check: bool
               ) -> Dict[str, float]:
     """One N-tenant sample: baseline, QoS, and (optionally) QoS+faults.
 
     All three runs share the seed, so the only differences are the
     contract set and the injected failures.
     """
-    from repro.faults import FaultEvent, FaultPlan, with_faults
+    from repro.faults import FaultEvent, FaultPlan
     from repro.machines import jaguar
     from repro.qos import QosConfig, run_tenants
 
     spec = jaguar(n_osts=n_osts).with_overrides(max_stripe_count=cap)
     n_ranks = victim_ranks * (n_tenants - 1) + aggressor_ranks
 
-    def build():
-        return spec.build(n_ranks=n_ranks, seed=seed)
+    def build(faults=None):
+        return spec.build(n_ranks=n_ranks, seed=seed, faults=faults)
 
     def jobs():
         return _tenant_jobs(n_tenants, victim_ranks, victim_mb,
@@ -188,7 +184,7 @@ def _one_cell(seed: int, n_tenants: int, n_osts: int, cap: int,
         for key, value in _mode_metrics(result, floors).items():
             out[f"{prefix}_{key}"] = value
 
-    if not with_faults_check:
+    if not fault_check:
         return out
 
     # Resilience cross-check: fail 2 OSTs while the *victims* are
@@ -205,8 +201,7 @@ def _one_cell(seed: int, n_tenants: int, n_osts: int, cap: int,
             for i in range(_FAULT_K)
         )
     ).with_policy(run_timeout=max(120.0, 50.0 * qos.makespan))
-    with with_faults(plan):
-        faulted = run_tenants(build(), jobs(), qos=config)
+    faulted = run_tenants(build(faults=plan), jobs(), qos=config)
     for key, value in _mode_metrics(faulted, floors).items():
         out[f"fault_{key}"] = value
     # Worst per-tenant slowdown vs the fault-free QoS run — the
@@ -384,7 +379,7 @@ def run(scale: "Scale | str" = Scale.SMALL,
                 victim_mb=preset["victim_mb"],
                 aggressor_ranks=preset["aggressor_ranks"],
                 aggressor_mb=preset["aggressor_mb"],
-                with_faults_check=(n == largest),
+                fault_check=(n == largest),
             ),
             n_samples,
             base_seed,

@@ -34,12 +34,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.harness.experiment import (
-    Scale,
-    n_samples_override,
-    resolve_preset,
-    run_samples,
-)
+from repro.harness.experiment import Scale, n_samples_override, resolve_preset
+from repro.harness.parallel import run_samples
 from repro.harness.report import format_table
 
 __all__ = ["run", "ResilienceResult", "K_FAILED", "METHODS"]
@@ -88,7 +84,7 @@ def _one_cell(seed: int, method: str, k: int, n_osts: int, cap: int,
               n_ranks: int, mb: float) -> Dict[str, float]:
     """One (method, k-failures) sample; returns JSON-safe scalars."""
     from repro.errors import TransportError
-    from repro.faults import FaultEvent, FaultPlan, with_faults
+    from repro.faults import FaultEvent, FaultPlan
     from repro.interference import install_production_noise
     from repro.machines import jaguar
 
@@ -123,23 +119,22 @@ def _one_cell(seed: int, method: str, k: int, n_osts: int, cap: int,
             for i in range(k)
         )
     ).with_policy(run_timeout=max(120.0, 50.0 * base.reported_time))
-    with with_faults(plan):
-        m = spec.build(n_ranks=n_ranks, seed=seed)
-        install_production_noise(m, live=True)
-        try:
-            res = transport.run(m, app, output_name="resil")
-            durable = res.extra.get("bytes_durable", res.total_bytes)
-            reported = res.reported_time
-            completed = 1.0
-        except TransportError as exc:
-            durable = exc.bytes_durable
-            p = exc.partial
-            reported = (
-                p.reported_time
-                if p is not None and p.reported_time > 0
-                else m.env.now
-            )
-            completed = 0.0
+    m = spec.build(n_ranks=n_ranks, seed=seed, faults=plan)
+    install_production_noise(m, live=True)
+    try:
+        res = transport.run(m, app, output_name="resil")
+        durable = res.extra.get("bytes_durable", res.total_bytes)
+        reported = res.reported_time
+        completed = 1.0
+    except TransportError as exc:
+        durable = exc.bytes_durable
+        p = exc.partial
+        reported = (
+            p.reported_time
+            if p is not None and p.reported_time > 0
+            else m.env.now
+        )
+        completed = 0.0
     total = app.per_process_bytes * n_ranks
     first_frac = durable / total
     time_to_complete = reported
@@ -184,7 +179,7 @@ def _integrity_cell(seed: int, method: str, n_osts: int, cap: int,
         SplitFilesTransport,
     )
     from repro.errors import TransportError
-    from repro.faults import FaultEvent, FaultPlan, with_faults
+    from repro.faults import FaultEvent, FaultPlan
     from repro.interference import install_production_noise
     from repro.machines import jaguar
     from repro.units import MB
@@ -239,15 +234,14 @@ def _integrity_cell(seed: int, method: str, n_osts: int, cap: int,
             FaultEvent(time=at, kind="stale_index", target=2, factor=1),
         ),
     ).with_policy(run_timeout=max(120.0, 50.0 * base.reported_time))
-    with with_faults(plan):
-        m2 = spec.build(n_ranks=n_ranks, seed=seed)
-        install_production_noise(m2, live=True)
-        try:
-            res = transport().run(m2, app(True), output_name="resil")
-        except TransportError as exc:
-            # The statics flag corrupt bytes at finalize; the partial
-            # result still carries the index and file list to scrub.
-            res = exc.partial
+    m2 = spec.build(n_ranks=n_ranks, seed=seed, faults=plan)
+    install_production_noise(m2, live=True)
+    try:
+        res = transport().run(m2, app(True), output_name="resil")
+    except TransportError as exc:
+        # The statics flag corrupt bytes at finalize; the partial
+        # result still carries the index and file list to scrub.
+        res = exc.partial
     reader = BpReader(m2.fs, index=res.index, files=res.files)
     proc = m2.env.process(reader.scrub_sim(0), name="resil.scrub")
     m2.env.run(until=proc)

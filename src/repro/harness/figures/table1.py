@@ -24,12 +24,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.harness.experiment import (
-    Scale,
-    n_samples_override,
-    resolve_preset,
-    run_samples,
-)
+from repro.harness.experiment import Scale, n_samples_override, resolve_preset
+from repro.harness.parallel import run_samples
 from repro.harness.report import format_table
 from repro.interference import (
     BackgroundWriterJob,

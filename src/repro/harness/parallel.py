@@ -25,10 +25,9 @@ argument, the ``REPRO_JOBS`` environment variable (``0`` means "all
 cores"), else serial.  ``--jobs N`` on ``repro.tools.experiment`` and
 on the benchmark suite sets ``REPRO_JOBS`` for everything below it.
 
-Checkpointing engages when a journal state directory is active:
-either ``REPRO_JOURNAL=DIR`` in the environment (set by ``--journal``
-on the experiment CLI and benchmark suite, and by ``repro.tools.serve``)
-or an explicit :func:`repro.harness.experiment.checkpoint_to` block.
+Checkpointing engages when ``REPRO_JOURNAL=DIR`` names a journal state
+directory (set by ``--journal`` on the experiment CLI and benchmark
+suite, and by ``repro.tools.serve``).
 With a journal active even serial execution routes through the
 scheduler so every completed cell survives a crash.  ``REPRO_JOB_TIMEOUT``
 (seconds) and ``REPRO_JOB_RETRIES`` tune the per-job wall-clock budget

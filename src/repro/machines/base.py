@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultInjector, FaultPlan
-    from repro.qos import QosConfig
     from repro.telemetry import MetricsRegistry, OnlineMonitor
     from repro.trace.tracer import Tracer
 
@@ -68,7 +67,6 @@ class MachineSpec:
         tracer: Optional["Tracer"] = None,
         faults: Optional["FaultPlan"] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        qos: Optional["QosConfig"] = None,
     ) -> "Machine":
         """Instantiate the machine for a job of ``n_ranks`` processes.
 
@@ -84,20 +82,16 @@ class MachineSpec:
         through every call site.  Either way it goes on the
         environment (``machine.env.tracer``), which every layer reads.
 
-        ``faults`` installs a fault plan; when omitted the process-wide
-        active plan (``repro.faults.with_faults``) or a plan file named
-        by ``REPRO_FAULTS`` is used.  With no plan from any source,
+        ``faults`` installs a fault plan; when omitted a plan file named
+        by ``REPRO_FAULTS`` is used.  With no plan from either source,
         ``machine.faults`` is None and all fault machinery is off.
 
         ``metrics`` attaches a telemetry registry to ``env`` (and a
         non-perturbing settle-hook monitor feeding it); like ``tracer``
         it falls back to the active session's registry when omitted.
 
-        ``qos`` stores a multi-tenant bandwidth-contract config on the
-        machine (``machine.qos``); when omitted the process-wide active
-        config (``repro.qos.with_qos``) or a contract file named by
-        ``REPRO_QOS`` is used.  The config is inert until a harness
-        (``repro.qos.run_tenants``) installs the control plane.
+        Multi-tenant bandwidth contracts are not part of a build: they
+        go to ``repro.qos.run_tenants(qos=...)`` explicitly.
         """
         if n_ranks < 1:
             raise ConfigurationError("n_ranks must be >= 1")
@@ -183,9 +177,6 @@ class MachineSpec:
             machine.faults = FaultInjector(
                 env, fs, plan, rngs, n_ranks=n_ranks
             )
-        from repro.qos import resolve_qos_config
-
-        machine.qos = resolve_qos_config(qos)
         return machine
 
 
@@ -203,7 +194,6 @@ class Machine:
     n_service_nodes: int = 0
     faults: Optional["FaultInjector"] = None
     monitor: Optional["OnlineMonitor"] = None
-    qos: Optional["QosConfig"] = None
 
     def service_node(self, i: int) -> int:
         """Source index of the i-th reserved interference node."""

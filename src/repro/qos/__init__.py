@@ -11,17 +11,12 @@ congestion.  Degradation is graceful by construction: an over-contract
 tenant is backpressured, never errored, and every throttled byte is
 ledgered.
 
-``with_qos`` / ``resolve_qos_config`` mirror the fault and telemetry
-context managers: a process-wide active config that
-``MachineSpec.build`` picks up, with the ``REPRO_QOS`` environment
-variable (path to a contract JSON) as the ambient fallback.
+A contract set reaches a run one way: the explicit ``qos=`` argument
+of :func:`run_tenants`.  Without it, tenants contend under raw max-min
+fairness, the ablation baseline.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
 
 from repro.qos.contracts import QosConfig, TenantContract, check_admission
 from repro.qos.controller import CongestionController
@@ -49,45 +44,4 @@ __all__ = [
     "MultiTenantResult",
     "run_tenants",
     "jain_index",
-    "with_qos",
-    "get_active_qos",
-    "resolve_qos_config",
 ]
-
-_active_qos: Optional[QosConfig] = None
-
-
-@contextmanager
-def with_qos(config: QosConfig) -> Iterator[QosConfig]:
-    """Install a process-wide QoS config for the dynamic extent.
-
-    Machines built inside the block (without an explicit ``qos``
-    argument) pick it up, the same way ``with_faults`` and
-    ``repro.session.instrumented`` work for fault plans and
-    instrumentation.
-    """
-    global _active_qos
-    prev = _active_qos
-    _active_qos = config
-    try:
-        yield config
-    finally:
-        _active_qos = prev
-
-
-def get_active_qos() -> Optional[QosConfig]:
-    return _active_qos
-
-
-def resolve_qos_config(
-    explicit: Optional[QosConfig] = None,
-) -> Optional[QosConfig]:
-    """Explicit argument > ``with_qos`` context > ``REPRO_QOS`` file."""
-    if explicit is not None:
-        return explicit
-    if _active_qos is not None:
-        return _active_qos
-    path = os.environ.get("REPRO_QOS", "").strip()
-    if path:
-        return QosConfig.load_json(path)
-    return None

@@ -11,9 +11,8 @@ when the congestion controller detects overload.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -101,52 +100,6 @@ class QosConfig:
             if c.name == name:
                 return i
         raise KeyError(f"unknown tenant {name!r}")
-
-    # -- (de)serialization, for the REPRO_QOS env knob -------------------
-    def to_dict(self) -> Dict:
-        return {
-            "contracts": [
-                {"name": c.name, "floor": c.floor, "ceiling": c.ceiling}
-                for c in self.contracts
-            ],
-            "tick": self.tick,
-            "burst_window": self.burst_window,
-            "congestion_threshold": self.congestion_threshold,
-            "congestion_fraction": self.congestion_fraction,
-            "decrease": self.decrease,
-            "increase_per_s": self.increase_per_s,
-            "admission_margin": self.admission_margin,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "QosConfig":
-        contracts = tuple(
-            TenantContract(
-                name=c["name"],
-                floor=float(c["floor"]),
-                ceiling=float(c.get("ceiling", float("inf"))),
-            )
-            for c in doc.get("contracts", ())
-        )
-        kwargs = {
-            k: float(doc[k])
-            for k in (
-                "tick", "burst_window", "congestion_threshold",
-                "congestion_fraction", "decrease", "increase_per_s",
-                "admission_margin",
-            )
-            if k in doc
-        }
-        return cls(contracts=contracts, **kwargs)
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def load_json(cls, path: str) -> "QosConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def check_admission(config: QosConfig, pool) -> float:

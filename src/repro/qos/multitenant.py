@@ -167,14 +167,11 @@ def run_tenants(
 ) -> MultiTenantResult:
     """Launch every tenant's transport on one machine; collect them all.
 
-    With ``qos`` given (or carried on ``machine.qos`` from
-    ``MachineSpec.build``), a :class:`QosControlPlane` is admitted and
+    With ``qos`` given, a :class:`QosControlPlane` is admitted and
     installed before any tenant starts (contract order must match job
     order).  Without it, tenants contend under raw max-min fairness —
     the ablation baseline.
     """
-    if qos is None:
-        qos = getattr(machine, "qos", None)
     total = sum(j.n_ranks for j in jobs)
     if total > machine.n_ranks:
         raise ConfigurationError(

@@ -12,12 +12,7 @@ package) and the ``python -m repro.tools.serve`` daemon/client.
 """
 
 from repro.service.job import JobSpec, job_id, make_job, repro_command
-from repro.service.journal import (
-    Journal,
-    get_active_state_dir,
-    journal_in,
-    set_active_state_dir,
-)
+from repro.service.journal import Journal, get_active_state_dir, journal_in
 from repro.service.scheduler import Scheduler, SchedulerStats
 
 __all__ = [
@@ -30,5 +25,4 @@ __all__ = [
     "journal_in",
     "make_job",
     "repro_command",
-    "set_active_state_dir",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "get_active_state_dir",
     "journal_in",
     "replay",
-    "set_active_state_dir",
     "summarize",
 ]
 
@@ -248,26 +247,17 @@ def summarize(state_dir: str) -> dict:
     return {"labels": labels, "totals": totals}
 
 
-# -- process-wide active state directory ---------------------------------
+# -- the sweep's state directory -----------------------------------------
 #
-# Mirrors the tracer/registry pattern: an explicitly installed state
-# dir wins, else the REPRO_JOURNAL environment variable (which also
-# propagates to worker processes and subcommands), else None (no
-# checkpointing).  One Journal instance is kept per directory so many
-# scheduler batches in one sweep share a single replay.
+# REPRO_JOURNAL names it (``--journal`` and ``serve run`` set the
+# variable, and worker processes and subcommands inherit it); unset
+# means no checkpointing.  One Journal instance is kept per directory
+# so many scheduler batches in one sweep share a single replay.
 
-_active_state_dir: Optional[str] = None
 _journals: Dict[str, Journal] = {}
 
 
-def set_active_state_dir(path: Optional[str]) -> None:
-    global _active_state_dir
-    _active_state_dir = path
-
-
 def get_active_state_dir() -> Optional[str]:
-    if _active_state_dir is not None:
-        return _active_state_dir
     env = os.environ.get("REPRO_JOURNAL", "").strip()
     return env or None
 

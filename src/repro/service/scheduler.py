@@ -30,20 +30,19 @@ A job that *raises* (as opposed to killing its worker) is treated as
 deterministic — the simulator is seeded, so the retry would fail the
 same way — and fails the batch immediately with a
 :class:`~repro.errors.JobFailure` naming the cell, the sample seed,
-and a ready-to-paste reproduction one-liner.  Pass
-``retry_errors=True`` for workloads where exceptions are transient.
+and a ready-to-paste reproduction one-liner; no new job is dispatched
+after the first failure.
 
 Every job runs under :func:`repro.session.isolate` — inline and in
 the worker shards alike — and the batch's ``(events, snapshot)`` pairs
 are absorbed into the active instrumentation session in submission
 order once the batch winds down.  A job that raises keeps its partial
 pair (a worker sends it with the error), so a failed sweep's trace
-shows what ran up to the failure; a job requeued under
-``retry_errors`` drops the failed attempt's pair for the retry's.
-Scheduler counters land in the session's registry when it has one:
-``sched.jobs_done``, ``sched.jobs_restored``, ``sched.retries``,
-``sched.adoptions``, ``sched.timeouts``, ``sched.respawns``,
-``sched.checkpoint_bytes``, ``sched.queue_depth``.
+shows what ran up to the failure.  Scheduler counters land in the
+session's registry when it has one: ``sched.jobs_done``,
+``sched.jobs_restored``, ``sched.retries``, ``sched.adoptions``,
+``sched.timeouts``, ``sched.respawns``, ``sched.checkpoint_bytes``,
+``sched.queue_depth``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import pickle
 import signal
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -210,9 +208,7 @@ class Scheduler:
         policy=None,
         job_timeout: Optional[float] = None,
         journal: Optional[Journal] = None,
-        retry_errors: bool = False,
         max_respawns: Optional[int] = None,
-        fail_fast: bool = True,
         progress: Optional[Callable[[SchedulerStats], None]] = None,
     ):
         if policy is None:
@@ -223,11 +219,9 @@ class Scheduler:
         self.policy = policy
         self.job_timeout = job_timeout
         self.journal = journal
-        self.retry_errors = retry_errors
         self.max_respawns = (
             2 * self.n_workers if max_respawns is None else max_respawns
         )
-        self.fail_fast = fail_fast
         self.progress = progress
         self.stats = SchedulerStats()
         self._metrics_bound = False
@@ -340,8 +334,7 @@ class Scheduler:
         """Execute *jobs*; returns results in submission order.
 
         Raises the first :class:`~repro.errors.JobFailure` once the
-        batch has wound down (immediately stopping new dispatch when
-        ``fail_fast``, the default).
+        batch has wound down (new dispatch stops at the first failure).
         """
         jobs = list(jobs)
         ids = [j.job_id for j in jobs]
@@ -349,15 +342,6 @@ class Scheduler:
             raise ConfigurationError("duplicate job ids in batch")
         self._resolve_metrics()
         self.stats = SchedulerStats(jobs=len(jobs), label=label)
-        known = set(ids)
-        for j in jobs:
-            for dep in j.deps:
-                if dep not in known and (
-                    self.journal is None or dep not in self.journal.done
-                ):
-                    raise ConfigurationError(
-                        f"job {j.label!r} depends on unknown job {dep!r}"
-                    )
 
         results: Dict[str, Any] = {}
         aux: Dict[str, tuple] = {}
@@ -371,10 +355,6 @@ class Scheduler:
             })
             self.stats.checkpoint_bytes += n
             self._count("checkpoint_bytes", n)
-
-        # Dep satisfaction spans batches: a dep completed in an earlier
-        # batch of the same sweep is visible through the journal.
-        dep_ok = set(self.journal.done) if self.journal is not None else set()
 
         todo: List[JobSpec] = []
         for spec in jobs:
@@ -390,11 +370,9 @@ class Scheduler:
 
         if todo:
             if self.n_workers <= 1 or len(todo) <= 1:
-                self._run_inline(
-                    todo, results, aux, failures, dep_ok, degraded=False
-                )
+                self._run_inline(todo, results, aux, failures, degraded=False)
             else:
-                self._run_pool(todo, results, aux, failures, dep_ok)
+                self._run_pool(todo, results, aux, failures)
 
         # Absorb instrumentation in submission order, so a fanned-out
         # (or resumed) sweep traces exactly like runs arriving one by
@@ -410,7 +388,7 @@ class Scheduler:
         return [results[job_id] for job_id in ids]
 
     # -- inline (serial / degraded) path ----------------------------------
-    def _run_inline(self, todo, results, aux, failures, dep_ok,
+    def _run_inline(self, todo, results, aux, failures,
                     degraded: bool) -> None:
         """Run *todo* in the parent, checkpointing each completion.
 
@@ -421,22 +399,8 @@ class Scheduler:
         """
         if degraded:
             self.stats.serial_fallback = True
-        pending = deque(todo)
-        deferred = 0
-        while pending:
-            spec = pending.popleft()
-            if any(d not in results and d not in dep_ok
-                   for d in spec.deps):
-                pending.append(spec)
-                deferred += 1
-                if deferred > len(pending):
-                    raise ConfigurationError(
-                        "dependency cycle among jobs: "
-                        + ", ".join(s.label for s in pending)
-                    )
-                continue
-            deferred = 0
-            if failures and self.fail_fast:
+        for spec in todo:
+            if failures:
                 return
             t0 = time.monotonic()
             result, exc, events, metrics = isolate(spec.fn, spec.arg)
@@ -470,7 +434,7 @@ class Scheduler:
         child_conn.close()
         return _Shard(proc, parent_conn)
 
-    def _run_pool(self, todo, results, aux, failures, dep_ok) -> None:
+    def _run_pool(self, todo, results, aux, failures) -> None:
         import multiprocessing as mp
         from multiprocessing.connection import wait as conn_wait
 
@@ -528,7 +492,7 @@ class Scheduler:
                 if (
                     outstanding > len(shards)
                     and respawns < self.max_respawns
-                    and not (failures and self.fail_fast)
+                    and not failures
                 ):
                     respawns += 1
                     self.stats.respawns += 1
@@ -556,22 +520,19 @@ class Scheduler:
                     )
                 else:
                     _, job_id, text, tb, exc_bytes, events, metrics = msg
-                    if self.retry_errors:
-                        requeue(spec, attempt + 1, text)
-                    else:
-                        aux[job_id] = (events, metrics)
-                        cause = None
-                        if exc_bytes is not None:
-                            try:
-                                cause = pickle.loads(exc_bytes)
-                            except Exception:
-                                cause = None
-                        self.stats.failed += 1
-                        self._journal_failure(spec, text)
-                        failures.append(self._failure(
-                            spec, "raised in its worker", tb or text,
-                            cause=cause,
-                        ))
+                    aux[job_id] = (events, metrics)
+                    cause = None
+                    if exc_bytes is not None:
+                        try:
+                            cause = pickle.loads(exc_bytes)
+                        except Exception:
+                            cause = None
+                    self.stats.failed += 1
+                    self._journal_failure(spec, text)
+                    failures.append(self._failure(
+                        spec, "raised in its worker", tb or text,
+                        cause=cause,
+                    ))
                 self._notify()
 
             while True:
@@ -581,18 +542,11 @@ class Scheduler:
                 gauge = self._m.get("queue_depth")
                 if gauge is not None:
                     gauge.set(len(queue) + len(busy))
-                # Dispatch every ready job onto an idle shard; jobs
-                # whose deps are still running are skipped this round
-                # (a completion wakes the loop again).
-                stop_dispatch = failures and self.fail_fast
-                blocked: List[_Pending] = []
+                # Dispatch every ready job onto an idle shard.
+                stop_dispatch = bool(failures)
                 while (queue and idle and not stop_dispatch
                        and queue[0].ready_at <= now):
                     item = heapq.heappop(queue)
-                    if any(d not in results and d not in dep_ok
-                           for d in item.spec.deps):
-                        blocked.append(item)
-                        continue
                     shard = idle.pop()
                     shard.spec = item.spec
                     shard.attempt = item.attempt
@@ -612,32 +566,20 @@ class Scheduler:
                              adopted=False)
                         heapq.heappush(queue, item)
                         idle = [s for s in shards if s.spec is None]
-                for item in blocked:
-                    heapq.heappush(queue, item)
                 if stop_dispatch:
                     queue = []
                 if not busy and not queue:
                     break
-                if not busy and queue and all(
-                    any(d not in results and d not in dep_ok
-                        for d in p.spec.deps)
-                    for p in queue
-                ):
-                    raise ConfigurationError(
-                        "dependency cycle among jobs: "
-                        + ", ".join(p.spec.label for p in queue)
-                    )
                 if not shards:
                     # Pool exhausted; degrade to inline execution of
-                    # whatever is left (deps honoured there too).
+                    # whatever is left.
                     remaining = [
                         p.spec for p in sorted(queue)
                         if p.spec.job_id not in results
                     ]
                     queue = []
                     self._run_inline(
-                        remaining, results, aux, failures, dep_ok,
-                        degraded=True,
+                        remaining, results, aux, failures, degraded=True
                     )
                     break
                 if not busy:

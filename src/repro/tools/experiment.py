@@ -21,6 +21,7 @@ journal; rerunning the same command resumes from it (see DESIGN.md
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Callable, Dict
@@ -98,6 +99,10 @@ ARTIFACTS: Dict[str, Callable] = {
     "qos": _qos,
 }
 
+#: Artifacts that pair each faulted run with a fault-free baseline and
+#: build their own plans; they run with ``REPRO_FAULTS`` unset.
+OWN_FAULT_PLANS = frozenset({"resilience", "qos"})
+
 
 def artifact_failures(result) -> list:
     """Failure strings a rendered result self-reports (else empty).
@@ -170,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", metavar="PATH", default=None,
         help="inject faults from a FaultPlan JSON into every "
         "simulation run (equivalent to setting REPRO_FAULTS; the "
-        "resilience artifact builds its own plans and ignores this)",
+        "resilience and qos artifacts build their own plans and "
+        "ignore this)",
     )
     return parser
 
@@ -180,18 +186,12 @@ def main(argv=None) -> int:
     if args.jobs is not None:
         # Propagate via the environment so every run_samples call below
         # (and in any worker-side nesting) picks the same job count up.
-        import os
-
         os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.journal is not None:
-        import os
-
         os.environ["REPRO_JOURNAL"] = args.journal
     if args.faults is not None:
         # Same propagation trick: machine builds (local and in worker
         # processes) resolve REPRO_FAULTS when no explicit plan is set.
-        import os
-
         from repro.faults import FaultPlan
 
         FaultPlan.from_json(args.faults)  # fail fast on a bad plan
@@ -203,6 +203,10 @@ def main(argv=None) -> int:
     def run_all() -> None:
         for name in names:
             start = time.time()
+            hidden = (
+                os.environ.pop("REPRO_FAULTS", None)
+                if name in OWN_FAULT_PLANS else None
+            )
             try:
                 result = ARTIFACTS[name](Scale.parse(args.scale), args.seed)
             except Exception as exc:
@@ -212,6 +216,9 @@ def main(argv=None) -> int:
                 if args.fail_fast:
                     return
                 continue
+            finally:
+                if hidden is not None:
+                    os.environ["REPRO_FAULTS"] = hidden
             elapsed = time.time() - start
             print(result.render())
             print(f"\n[{name} @ {args.scale}, seed {args.seed}: "

@@ -12,8 +12,7 @@ buffer.  Two exporters turn the buffer into standard artifacts:
 
 Tracing is opt-in and zero-cost when off: instrumentation sites check
 ``env.tracer is None`` (a single attribute load) before touching the
-tracer, and a constructed-but-disabled tracer's record methods return
-immediately without allocating.
+tracer; an environment with no tracer attached records nothing.
 
 The instrumentation session (:mod:`repro.session`) lets a harness
 switch tracing on for every machine built inside a scope without

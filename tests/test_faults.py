@@ -13,11 +13,8 @@ from repro.faults import (
     FaultEvent,
     FaultPlan,
     RetryPolicy,
-    get_active_fault_plan,
     resolve_fault_plan,
-    set_active_fault_plan,
     two_ost_failure_plan,
-    with_faults,
 )
 from repro.lustre.ost import OstState
 from repro.machines import jaguar
@@ -129,7 +126,7 @@ class TestSerialization:
 
 class TestResolution:
     def test_no_plan_means_no_injector(self):
-        assert get_active_fault_plan() is None
+        assert resolve_fault_plan() is None
         m = build()
         assert m.faults is None
 
@@ -138,26 +135,19 @@ class TestResolution:
         assert m.faults is not None
         assert m.faults.policy == two_ost_failure_plan().policy
 
-    def test_with_faults_scopes_the_registry(self):
-        plan = two_ost_failure_plan()
-        with with_faults(plan):
-            assert resolve_fault_plan() is plan
-            assert build().faults is not None
-        assert resolve_fault_plan() is None
-        assert build().faults is None
-
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         path = tmp_path / "plan.json"
         two_ost_failure_plan().save_json(str(path))
         monkeypatch.setenv("REPRO_FAULTS", str(path))
         assert resolve_fault_plan() == two_ost_failure_plan()
 
-    def test_explicit_beats_registry(self):
-        a = two_ost_failure_plan(osts=(0,))
+    def test_explicit_beats_env_var(self, tmp_path, monkeypatch):
+        path = tmp_path / "plan.json"
+        two_ost_failure_plan(osts=(0,)).save_json(str(path))
+        monkeypatch.setenv("REPRO_FAULTS", str(path))
         b = two_ost_failure_plan(osts=(1,))
-        with with_faults(a):
-            assert resolve_fault_plan(b) is b
-        set_active_fault_plan(None)
+        assert resolve_fault_plan(b) is b
+        assert build(plan=b).faults.plan is b
 
 
 class TestInjector:

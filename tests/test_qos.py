@@ -13,6 +13,7 @@ Three contracts pinned here:
 
 from __future__ import annotations
 
+import json
 from functools import partial
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.qos import (
     TokenBucketArray,
     jain_index,
     run_tenants,
-    with_qos,
 )
 
 
@@ -151,10 +151,12 @@ def test_controller_recovers_additively_when_quiet():
 
 # -- admission and config plumbing ---------------------------------------
 
-def _machine(n_osts=4, n_ranks=8, seed=0):
+def _machine(n_osts=4, n_ranks=8, seed=0, faults=None):
     from repro.machines import jaguar
 
-    return jaguar(n_osts=n_osts).build(n_ranks=n_ranks, seed=seed)
+    return jaguar(n_osts=n_osts).build(
+        n_ranks=n_ranks, seed=seed, faults=faults
+    )
 
 
 def _jobs(ranks=(4, 4), mb=8.0):
@@ -188,27 +190,31 @@ def test_contract_count_must_match_jobs():
         run_tenants(m, _jobs(), qos=cfg)
 
 
-def test_machine_carries_ambient_qos_config():
-    from repro.machines import jaguar
-
-    cfg = _config([1e6, 1e6], [np.inf, np.inf])
-    with with_qos(cfg):
-        m = jaguar(n_osts=4).build(n_ranks=8, seed=0)
-    assert m.qos is cfg
-    r = run_tenants(m, _jobs())  # picked up from machine.qos
-    assert r.qos is not None and r.qos["ticks"] > 0
+def test_environment_never_turns_the_baseline_into_a_qos_run(
+    tmp_path, monkeypatch
+):
+    # Contracts reach a run only through ``run_tenants(qos=...)``: a
+    # stray REPRO_QOS must not turn the raw max-min baseline into a
+    # QoS run.
+    path = tmp_path / "contracts.json"
+    path.write_text(json.dumps({"contracts": [
+        {"name": "t0", "floor": 1e6, "ceiling": 1e9},
+        {"name": "t1", "floor": 1e6, "ceiling": 1e9},
+    ]}))
+    monkeypatch.setenv("REPRO_QOS", str(path))
+    r = run_tenants(_machine(), _jobs())
+    assert r.qos is None
 
 
 def test_rank_faults_rejected_in_multitenant_runs():
-    from repro.faults import FaultEvent, FaultPlan, with_faults
+    from repro.faults import FaultEvent, FaultPlan
 
     plan = FaultPlan(
         events=(FaultEvent(time=0.1, kind="crash_rank", target=0),)
     )
-    with with_faults(plan):
-        m = _machine()
-        with pytest.raises(ConfigurationError):
-            run_tenants(m, _jobs())
+    m = _machine(faults=plan)
+    with pytest.raises(ConfigurationError):
+        run_tenants(m, _jobs())
 
 
 # -- graceful degradation ------------------------------------------------
@@ -248,7 +254,7 @@ def test_jain_index_bounds():
 # -- parallel == serial --------------------------------------------------
 
 def test_tenant_sweep_parallel_serial_bit_identical():
-    from repro.harness.experiment import run_samples
+    from repro.harness.parallel import run_samples
     from repro.harness.figures.qos import _one_cell
 
     cell = partial(
@@ -260,7 +266,7 @@ def test_tenant_sweep_parallel_serial_bit_identical():
         victim_mb=24.0,
         aggressor_ranks=8,
         aggressor_mb=24.0,
-        with_faults_check=True,
+        fault_check=True,
     )
     serial = run_samples(cell, 2, base_seed=3, jobs=1, label="qos-serial")
     fanned = run_samples(cell, 2, base_seed=3, jobs=2, label="qos-fanned")

@@ -64,7 +64,6 @@ def _clean_service_env():
     from repro.service import journal as journal_mod
 
     journal_mod._journals.clear()
-    journal_mod.set_active_state_dir(None)
 
 
 # -- picklable job functions (module level on purpose) --------------------

@@ -1,6 +1,8 @@
 """Tests for the CLI entry points."""
 
 import json
+import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +32,35 @@ class TestExperimentCli:
     def test_rejects_unknown_scale(self):
         with pytest.raises(SystemExit):
             experiment_main(["fig3", "--scale", "galactic"])
+
+    def test_faults_skip_artifacts_with_their_own_plans(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.faults import two_ost_failure_plan
+
+        plan = tmp_path / "plan.json"
+        two_ost_failure_plan().save_json(str(plan))
+        # Registers the variable with monkeypatch, so the value that
+        # ``--faults`` sets below is undone after the test.
+        monkeypatch.setenv("REPRO_FAULTS", str(plan))
+        seen = {}
+
+        def stub(name):
+            def run(scale, seed):
+                seen[name] = os.environ.get("REPRO_FAULTS")
+                return SimpleNamespace(render=lambda: name)
+            return run
+
+        for name in ("resilience", "qos", "fig3"):
+            monkeypatch.setitem(ARTIFACTS, name, stub(name))
+            rc = experiment_main([name, "--scale", "smoke",
+                                  "--faults", str(plan)])
+            assert rc == 0
+        # resilience and qos pair faulted runs with fault-free
+        # baselines, so an ambient plan must not reach them.
+        assert seen == {"resilience": None, "qos": None,
+                        "fig3": str(plan)}
+        assert os.environ["REPRO_FAULTS"] == str(plan)
 
 
 class TestCompareCli:
