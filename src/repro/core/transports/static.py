@@ -4,14 +4,21 @@ The paper measures adaptive IO against four methods that never react
 to a slow storage target: IOR's POSIX file-per-process (Section II),
 the tuned ADIOS MPI-IO shared file (Section III-A), split files
 (Section II-3) and the CUG'09 stagger method.  :class:`StaticTransport`
-runs them all; a preset picks the layout, open policy and flush order.
-A *lane* is one writer process playing an ordered list of ranks: one
-rank, or one stagger group.
+runs them all; a preset picks the layout, open policy and member order.
+A *lane* is one writer process per file that plays the file's member
+ranks: concurrently, each member's write started in slot order at one
+instant and completed from its flow's callback, or, for stagger, one
+after another in rank order.
 
-Under a fault plan the static methods fail fast, with no retry: a lane
-stops at its first failed write, a ``crash_rank`` kills the lane that
-plays the rank, the join is bounded by the run timeout, and an unclean
+Under a fault plan the static methods fail fast, with no retry: a
+member stops at its failed write, a ``crash_rank`` kills the member
+that plays the rank, a stagger lane stops at its first failed or
+crashed member, the join is bounded by the run timeout, and an unclean
 run raises :class:`~repro.errors.TransportError` with byte accounting.
+Where a lane creates its own file (POSIX, stagger), the file's creator
+is its first member: a creator that dies before the file exists takes
+the whole file with it, and the create barrier counts that file as
+settled so the other lanes still write.
 """
 
 from __future__ import annotations
@@ -65,16 +72,75 @@ def _osts_used(requested, default: int, machine: "Machine") -> int:
     return n
 
 
-class StaticTransport(Transport):
-    """One write loop for every static IO method; see the module doc."""
+class _Member:
+    """One rank a lane plays: the handle a ``crash_rank`` kills, and
+    the callback its write's completion calls.
 
-    #: Simulation process names: "<tag>.main", "<tag>.<lane_prefix><i>".
+    ``write`` is the member's write while it is in flight; a completion
+    that finds it cleared belongs to a dead or abandoned writer and is
+    dropped, its flows left in flight.
+    """
+
+    __slots__ = ("rank", "slot", "lane", "is_alive", "write")
+
+    def __init__(self, rank: int, slot: int, lane: "_Lane"):
+        self.rank = rank
+        self.slot = slot
+        self.lane = lane
+        self.is_alive = True
+        self.write = None
+
+    def kill(self, cause=None) -> None:
+        if self.is_alive:
+            self.is_alive = False
+            self.lane.on_kill(self)
+
+    def __call__(self, _event) -> None:
+        if self.write is not None:
+            self.lane.on_landed(self)
+
+
+class _Lane:
+    """One file's writer process and the state its members share."""
+
+    __slots__ = ("k", "members", "proc", "done", "cursor", "in_flight",
+                 "on_landed", "on_kill")
+
+    def __init__(self, k: int, ranks: Sequence[int], done, on_landed,
+                 on_kill):
+        self.k = k
+        self.members = [_Member(rank, slot, self)
+                        for slot, rank in enumerate(ranks)]
+        self.proc = None
+        self.done = done  # fires once no member is left to play
+        self.cursor = 0  # next member to start
+        self.in_flight = 0
+        self.on_landed = on_landed
+        self.on_kill = on_kill
+
+
+class StaticTransport(Transport):
+    """One write loop for every static IO method; see the module doc.
+
+    Each file gets one lane: a writer process that creates the file
+    (when ``lanes_open``), waits at the create barrier, then plays the
+    file's members.  Members start their writes in slot order at one
+    instant, and each finishes from its write's completion callback;
+    where lanes open their own files (POSIX, stagger), each member
+    starts from the previous one's callback instead.  A ``crash_rank``
+    kills the rank's member handle, not the lane.
+    """
+
+    #: Simulation process names: "<tag>.main", "<tag>.<lane_prefix><k>".
     tag = "static"
     lane_prefix = ""
     #: Open policy.  False: the coordinator creates every file, then
-    #: releases one lane per rank.  True: one lane per file creates
-    #: its file, ``open_stagger * file`` seconds late if that is set,
-    #: and waits until every file exists.
+    #: releases the lanes, and each lane starts all its members' writes
+    #: at once.  True: each lane creates its file, ``open_stagger *
+    #: file`` seconds late if that is set, waits until every file exists
+    #: (or has lost its creator), then plays its members in rank order,
+    #: each starting as the previous one lands (stagger's one writer at
+    #: a time per target; a POSIX lane has one member).
     lanes_open = False
     open_stagger: Optional[float] = None
     #: Flush order: None, "inline" (file after file) or "concurrent".
@@ -85,9 +151,10 @@ class StaticTransport(Transport):
                 output_name: str) -> Layout:
         raise NotImplementedError
 
-    def _pre_write(self, machine: "Machine", tr, pid: str, tid: str):
-        """Generator each rank runs once its file is ready."""
-        return ()
+    def _pre_write(self, machine: "Machine") -> float:
+        """Seconds every member waits, once its file is ready, before
+        its write starts (traced as a ``wait`` span); 0 for none."""
+        return 0.0
 
     def launch(self, machine: "Machine", app: "AppKernel",
                output_name: str = "output") -> TransportRun:
@@ -101,68 +168,148 @@ class StaticTransport(Transport):
         # stays untagged, a TenantView stamps its tenant on every write.
         tenant = getattr(machine, "tenant", -1)
         policy = faults.policy if faults is not None else None
+        timeout = policy and policy.write_timeout
+        in_order = self.lanes_open
+        pre_wait = self._pre_write(machine)
         tr = env.tracer
         chunk = app.per_process_bytes
         timings: List[Optional[WriterTiming]] = [None] * machine.n_ranks
         fobjs: Dict[int, object] = {}
+        lost_files = set()  # files whose creator died before creating them
         phase: Dict[str, float] = {}
         failures = {"write": [], "flush": [], "timed_out": False}
-        # Each lane: (name index, file, first slot, end slot).
-        if self.lanes_open:
-            lanes = [(k, k, 0, len(ranks))
-                     for k, ranks in enumerate(layout.members)]
-        else:
-            lanes = [(ranks[slot], k, slot, slot + 1)
-                     for k, ranks in enumerate(layout.members)
-                     for slot in range(len(ranks))]
+        ready = env.event()
 
-        def create(k: int, ready):
+        def file_settled():
+            if len(fobjs) + len(lost_files) == len(layout.paths):
+                phase["open_end"] = env.now
+                ready.succeed()  # every file exists or is lost: release
+
+        def create(k: int):
             fobjs[k] = yield from fs.create(
                 layout.paths[k], **layout.create_args(k)
             )
-            if len(fobjs) == len(layout.paths):
-                phase["open_end"] = env.now
-                ready.succeed()  # every file exists: release the lanes
+            file_settled()
 
-        def lane(k: int, lo: int, hi: int, ready):
+        def thread(rank: int):
+            return f"node/{machine.node_of(rank)}", f"rank {rank}"
+
+        def fail(m: _Member, exc: Exception) -> None:
+            # No retry: the failure is recorded, the member ends, and
+            # the join and the accounting see the rest.
+            failures["write"].append((m.rank, str(exc)))
+            if tr is not None:
+                pid, tid = thread(m.rank)
+                tr.instant("write.abort", cat="fault", pid=pid, tid=tid,
+                           args={"reason": str(exc)})
+                tr.end("write", cat="writer", pid=pid, tid=tid,
+                       args={"failed": True})
+
+        def begin(m: _Member):
+            """Start m's write now: its PendingWrite, or None if the
+            write failed up front."""
+            node = machine.node_of(m.rank)
+            if tr is not None:
+                pid, tid = f"node/{node}", f"rank {m.rank}"
+                if pre_wait:
+                    tr.end("wait", cat="writer", pid=pid, tid=tid)
+                tr.begin("write", cat="writer", pid=pid, tid=tid,
+                         args={"nbytes": float(chunk),
+                               "target_group": layout.target_group(
+                                   m.lane.k, m.slot)})
+            try:
+                return fs.start_write(
+                    fobjs[m.lane.k], node=node, offset=m.slot * chunk,
+                    nbytes=chunk, writer=m.rank, timeout=timeout,
+                    tenant=tenant,
+                )
+            except (OstFailedError, WriteTimeout) as exc:
+                fail(m, exc)
+                return None
+
+        def complete(m: _Member, w) -> bool:
+            """Finish m's write w; False if it failed."""
+            try:
+                fs.finish_write(
+                    w, blocks=app.data_blocks(m.rank, m.slot * chunk)
+                )
+            except (OstFailedError, WriteTimeout) as exc:
+                fail(m, exc)
+                return False
+            if tr is not None:
+                pid, tid = thread(m.rank)
+                tr.end("write", cat="writer", pid=pid, tid=tid)
+            timings[m.rank] = WriterTiming(
+                m.rank, w.start, env.now, chunk,
+                target_group=layout.target_group(m.lane.k, m.slot),
+            )
+            return True
+
+        def play(lane: _Lane) -> None:
+            """Start members from the lane's cursor: every one left, or
+            (in order) up to the first in flight; end the lane once
+            nothing is left to start or in flight."""
+            members = lane.members
+            while lane.cursor < len(members):
+                m = members[lane.cursor]
+                lane.cursor += 1
+                w = begin(m) if m.is_alive else None
+                if w is not None:
+                    m.write = w
+                    lane.in_flight += 1
+                    fs.when_written(w, m)  # calls landed(m)
+                    if in_order:
+                        return  # the next member starts as this one lands
+                elif in_order:
+                    lane.cursor = len(members)  # stop at a dead member
+            if lane.in_flight == 0:
+                lane.done.succeed()
+
+        def settle(m: _Member, ok: bool) -> None:
+            """m's write is over: landed (ok), failed or killed."""
+            lane = m.lane
+            m.write = None
+            lane.in_flight -= 1
+            if in_order:
+                if not ok:
+                    lane.cursor = len(lane.members)  # the lane stops here
+                play(lane)
+            elif lane.in_flight == 0:
+                lane.done.succeed()
+
+        def landed(m: _Member) -> None:
+            settle(m, complete(m, m.write))
+
+        def killed(m: _Member) -> None:
+            lane = m.lane
+            if self.lanes_open and m.slot == 0 and lane.k not in fobjs:
+                # The creator died before its file exists: the file is
+                # never created and none of its members write.
+                lane.proc.kill(f"rank {m.rank} crashed before create")
+                lost_files.add(lane.k)
+                file_settled()
+            elif m.write is not None:
+                # Its flows stay in flight, like any dead writer's.
+                settle(m, False)
+
+        def lane_body(lane: _Lane):
             if self.lanes_open:
                 if self.open_stagger is not None:
-                    yield env.timeout(self.open_stagger * k)
-                yield from create(k, ready)
+                    yield env.timeout(self.open_stagger * lane.k)
+                yield from create(lane.k)
             yield ready
-            for slot in range(lo, hi):
-                rank = layout.members[k][slot]
-                node = machine.node_of(rank)
-                pid, tid = f"node/{node}", f"rank {rank}"
-                yield from self._pre_write(machine, tr, pid, tid)
-                group = layout.target_group(k, slot)
-                start = env.now
-                if tr is not None:
-                    tr.begin("write", cat="writer", pid=pid, tid=tid,
-                             args={"nbytes": float(chunk),
-                                   "target_group": group})
-                try:
-                    yield from fs.write(
-                        fobjs[k], node=node, offset=slot * chunk,
-                        nbytes=chunk, writer=rank,
-                        timeout=policy and policy.write_timeout,
-                        blocks=app.data_blocks(rank, slot * chunk),
-                        tenant=tenant,
-                    )
-                except (OstFailedError, WriteTimeout) as exc:
-                    # No retry: the failure is recorded, the lane ends,
-                    # and the join and the accounting see the rest.
-                    failures["write"].append((rank, str(exc)))
-                    if tr is not None:
-                        tr.instant("write.abort", cat="fault", pid=pid,
-                                   tid=tid, args={"reason": str(exc)})
-                        tr.end("write", cat="writer", pid=pid, tid=tid,
-                               args={"failed": True})
-                    return
-                if tr is not None:
-                    tr.end("write", cat="writer", pid=pid, tid=tid)
-                timings[rank] = WriterTiming(rank, start, env.now, chunk,
-                                             target_group=group)
+            if pre_wait:
+                if tr is not None:  # each wait span ends as its write begins
+                    for m in lane.members:
+                        if m.is_alive:
+                            pid, tid = thread(m.rank)
+                            tr.begin("wait", cat="writer", pid=pid, tid=tid)
+                yield env.timeout(pre_wait)
+            play(lane)
+            yield lane.done
+
+        lanes = [_Lane(k, ranks, env.event(), landed, killed)
+                 for k, ranks in enumerate(layout.members)]
 
         def flush(f):
             try:
@@ -171,31 +318,34 @@ class StaticTransport(Transport):
                 failures["flush"].append(str(exc))
 
         def main():
-            ready = env.event()
             prefix = f"{self.tag}.{self.lane_prefix}"
-            procs = [env.process(lane(k, lo, hi, ready), name=f"{prefix}{i}")
-                     for i, k, lo, hi in lanes]
+            for lane in lanes:
+                lane.proc = env.process(lane_body(lane),
+                                        name=f"{prefix}{lane.k}")
+            procs = [lane.proc for lane in lanes]
             if faults is not None:
-                # Arm the plan; a crash of any rank a lane plays kills it.
+                # Arm the plan; a crash of a rank kills its member.
                 faults.arm()
-                for (_i, k, lo, hi), proc in zip(lanes, procs):
-                    for rank in layout.members[k][lo:hi]:
-                        faults.register(rank, proc)
+                for lane in lanes:
+                    for m in lane.members:
+                        faults.register(m.rank, m)
             if not self.lanes_open:
                 for k in range(len(layout.paths)):
-                    yield from create(k, ready)
+                    yield from create(k)
             if faults is None:
                 yield env.all_of(procs)
             else:
-                # Run-timeout backstop: a stalled run (a lane crashed before
-                # the create barrier filled) still ends, with accounting.
+                # Run-timeout backstop: a stalled run (a hung target with
+                # no write timeout) still ends, with accounting.
                 deadline = env.timeout(policy.run_timeout)
                 yield env.any_of([AllSettled(env, procs), deadline])
                 if deadline.processed and any(p.is_alive for p in procs):
                     failures["timed_out"] = True
-                    for p in procs:
-                        if p.is_alive:
-                            p.kill("run timeout backstop")
+                    for lane in lanes:
+                        if lane.proc.is_alive:
+                            for m in lane.members:
+                                m.write = None  # abandoned mid-write
+                            lane.proc.kill("run timeout backstop")
             phase["write_end"] = env.now
             files = [fobjs[k] for k in sorted(fobjs)]
             if self.flush_order == "inline":
@@ -396,16 +546,11 @@ class MpiIoTransport(StaticTransport):
             extra={"stripe_count": float(stripes)},
         )
 
-    def _pre_write(self, machine, tr, pid, tid):
+    def _pre_write(self, machine):
         # Offset exchange: every rank learns its slot via the
         # collective the real method runs (sizes are gathered and
         # offsets scanned); modelled at tree-collective cost.
-        if tr is not None:
-            tr.begin("wait", cat="writer", pid=pid, tid=tid)
-        lat = machine.spec.latency.tree_collective(16.0, machine.n_ranks)
-        yield machine.env.timeout(lat)
-        if tr is not None:
-            tr.end("wait", cat="writer", pid=pid, tid=tid)
+        return machine.spec.latency.tree_collective(16.0, machine.n_ranks)
 
 
 class SplitFilesTransport(StaticTransport):

@@ -40,14 +40,42 @@ from repro.lustre.layout import StripeLayout
 from repro.lustre.mds import MetadataServer
 from repro.lustre.ost import OstPool, OstState
 from repro.net.fabric import FlowNetwork
+from repro.sim.events import Event
 from repro.units import MB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["FileSystem"]
+__all__ = ["FileSystem", "PendingWrite"]
 
 _FLUSH_EPS = 64.0  # bytes of drain slack considered "flushed"
+
+
+class PendingWrite:
+    """A write :meth:`FileSystem.start_write` started.
+
+    ``flows`` are its flows' completion events (none when it moves no
+    bytes) and ``timer`` its deadline, if it has one.  ``wait`` is the
+    event its waiter waits on and ``done`` the one that fires once
+    every flow has landed; :meth:`FileSystem.write` or
+    :meth:`FileSystem.when_written` sets both.
+    """
+
+    __slots__ = ("f", "offset", "nbytes", "writer", "timeout", "start",
+                 "flows", "fids", "timer", "done", "wait")
+
+    def __init__(self, f: SimFile, offset: float, nbytes: float,
+                 writer: Optional[int], timeout: Optional[float],
+                 start: float):
+        self.f = f
+        self.offset = offset
+        self.nbytes = nbytes
+        self.writer = writer
+        self.timeout = timeout
+        self.start = start
+        self.flows: List[Event] = []
+        self.fids: List[int] = []
+        self.timer = self.done = self.wait = None
 
 
 class FileSystem:
@@ -279,6 +307,34 @@ class FileSystem:
         (the signature of a HUNG target) cancels its remaining flows
         and raises :class:`WriteTimeout`.  Either way sibling flows are
         withdrawn, so a failed write leaves nothing in flight.
+
+        This is :meth:`start_write`, a wait, then :meth:`finish_write`;
+        one process driving many writes starts each, hears of it through
+        :meth:`when_written` and finishes it from that callback.
+        """
+        w = self.start_write(f, node, offset, nbytes, writer=writer,
+                             timeout=timeout, tenant=tenant)
+        if w.flows:
+            try:
+                yield self._join(w)
+            except FileSystemError:
+                pass  # finish_write withdraws the flows and re-raises
+        return self.finish_write(w, payload=payload, blocks=blocks)
+
+    def start_write(
+        self,
+        f: SimFile,
+        node: int,
+        offset: float,
+        nbytes: float,
+        writer: Optional[int] = None,
+        timeout: Optional[float] = None,
+        tenant: int = -1,
+    ) -> PendingWrite:
+        """Start a write's flows now; :meth:`finish_write` completes it.
+
+        Raises up front exactly as :meth:`write` does.  Hand the
+        returned handle to :meth:`when_written` to hear when it settles.
         """
         spans = f.layout.span_list(offset, nbytes)
         if len(spans) > self.max_flows_per_write:
@@ -293,60 +349,89 @@ class FileSystem:
                     raise OstFailedError(
                         ost, f"write to failed ost {ost} rejected"
                     )
-        start = self.env.now
-        if spans:
-            tr = self.env.tracer
-            events = []
-            fids = []
-            for ost, b in spans:
-                ev, fid = self.fabric.start_flow_with_id(
-                    node, ost, b, tenant=tenant
+        w = PendingWrite(f, offset, nbytes, writer, timeout, self.env.now)
+        if not spans:
+            return w
+        tr = self.env.tracer
+        for ost, b in spans:
+            ev, fid = self.fabric.start_flow_with_id(
+                node, ost, b, tenant=tenant
+            )
+            if tr is not None:
+                tid = f"writer {node if writer is None else writer}"
+                tr.begin(
+                    "ost.service",
+                    cat="ost",
+                    pid=f"ost/{ost}",
+                    tid=tid,
+                    args={"nbytes": float(b), "offset": float(offset),
+                          "writer": writer},
                 )
-                if tr is not None:
-                    tid = f"writer {node if writer is None else writer}"
-                    tr.begin(
-                        "ost.service",
-                        cat="ost",
-                        pid=f"ost/{ost}",
-                        tid=tid,
-                        args={"nbytes": float(b), "offset": float(offset),
-                              "writer": writer},
-                    )
 
-                    def _end(_ev, _tr=tr, _ost=ost, _tid=tid) -> None:
-                        _tr.end("ost.service", cat="ost",
-                                pid=f"ost/{_ost}", tid=_tid)
+                def _end(_ev, _tr=tr, _ost=ost, _tid=tid) -> None:
+                    _tr.end("ost.service", cat="ost",
+                            pid=f"ost/{_ost}", tid=_tid)
 
-                    ev.add_callback(_end)
-                events.append(ev)
-                fids.append(fid)
-            done = self.env.all_of(events)
-            if timeout is None:
-                try:
-                    yield done
-                except FileSystemError:
-                    self._withdraw_flows(fids)
-                    raise
-            else:
-                timer = self.env.timeout(timeout)
-                try:
-                    yield self.env.any_of([done, timer])
-                except FileSystemError:
-                    if not timer.processed:
-                        timer.cancel()
-                    self._withdraw_flows(fids)
-                    raise
-                if not done.triggered:
-                    undelivered = self._withdraw_flows(fids)
-                    raise WriteTimeout(
-                        f"write of {nbytes:.0f} B at offset {offset:.0f} "
-                        f"timed out after {timeout} s",
-                        undelivered=undelivered,
-                    )
-                if not timer.processed:
+                ev.add_callback(_end)
+            w.flows.append(ev)
+            w.fids.append(fid)
+        if timeout is not None:
+            w.timer = self.env.timeout(timeout)
+        return w
+
+    def when_written(self, w: PendingWrite,
+                     fn: Callable[[Event], None]) -> None:
+        """Call ``fn(event)`` once ``w`` has settled — every flow landed,
+        one failed, or the deadline passed — for it to call
+        :meth:`finish_write`.  A lone flow with no deadline is its own
+        join, so the callback rides its completion event."""
+        if len(w.flows) == 1 and w.timer is None:
+            w.done = w.wait = w.flows[0]
+        else:
+            self._join(w)
+        w.wait.add_callback(fn)
+
+    def _join(self, w: PendingWrite) -> Event:
+        """The event a waiting process yields on: every flow landed,
+        raced against the deadline if there is one."""
+        w.done = w.wait = self.env.all_of(w.flows)
+        if w.timer is not None:
+            w.wait = self.env.any_of([w.done, w.timer])
+        return w.wait
+
+    def finish_write(
+        self,
+        w: PendingWrite,
+        payload: object = None,
+        blocks: Optional[Sequence[Tuple[float, float, Optional[int]]]] = None,
+    ) -> WriteRecord:
+        """Complete a write once it has settled; returns its record.
+
+        A failed flow or an expired timer withdraws the write's
+        remaining flows and raises, as :meth:`write` documents;
+        otherwise the write is recorded (:meth:`_record_write`) at now.
+        """
+        timer = w.timer
+        if w.wait is not None and not w.wait.ok:
+            exc = w.wait.value
+            if isinstance(exc, FileSystemError):
+                if timer is not None and not timer.processed:
                     timer.cancel()
+                self._withdraw_flows(w.fids)
+            raise exc
+        if timer is not None:
+            if not w.done.triggered:
+                undelivered = self._withdraw_flows(w.fids)
+                raise WriteTimeout(
+                    f"write of {w.nbytes:.0f} B at offset {w.offset:.0f} "
+                    f"timed out after {w.timeout} s",
+                    undelivered=undelivered,
+                )
+            if not timer.processed:
+                timer.cancel()
         return self._record_write(
-            f, offset, nbytes, start, self.env.now, writer, payload, blocks
+            w.f, w.offset, w.nbytes, w.start, self.env.now, w.writer,
+            payload, blocks,
         )
 
     def record_aggregated_write(
@@ -423,7 +508,7 @@ class FileSystem:
         """Cancel whichever of *fids* are still in flight; bytes undelivered."""
         undelivered = 0.0
         for fid in fids:
-            if fid in self.fabric._slot_of:
+            if self.fabric.in_flight(fid):
                 undelivered += self.fabric.cancel_flow(fid)
         return undelivered
 

@@ -684,6 +684,10 @@ class FlowNetwork:
         self._request_settle()
         return ev, fid
 
+    def in_flight(self, flow_id: int) -> bool:
+        """True while the flow is still moving bytes."""
+        return flow_id in self._slot_of
+
     def cancel_flow(self, flow_id: int) -> float:
         """Abort a flow; returns the bytes left undelivered.
 

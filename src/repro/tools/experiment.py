@@ -28,7 +28,7 @@ from typing import Callable, Dict
 
 from repro.harness.experiment import Scale, metrics_to, trace_to
 
-__all__ = ["main", "ARTIFACTS", "artifact_failures"]
+__all__ = ["main", "ARTIFACTS", "artifact_failures", "run_artifact"]
 
 
 def _fig1(scale, seed):
@@ -102,6 +102,22 @@ ARTIFACTS: Dict[str, Callable] = {
 #: Artifacts that pair each faulted run with a fault-free baseline and
 #: build their own plans; they run with ``REPRO_FAULTS`` unset.
 OWN_FAULT_PLANS = frozenset({"resilience", "qos"})
+
+
+def run_artifact(name: str, scale: Scale, seed: int):
+    """Render artifact ``name``; the one entry both CLIs call.
+
+    An artifact in :data:`OWN_FAULT_PLANS` runs with ``REPRO_FAULTS``
+    hidden, so an inherited plan cannot reach its fault-free baseline;
+    the variable is restored afterwards, even if the artifact raises.
+    """
+    hidden = (os.environ.pop("REPRO_FAULTS", None)
+              if name in OWN_FAULT_PLANS else None)
+    try:
+        return ARTIFACTS[name](scale, seed)
+    finally:
+        if hidden is not None:
+            os.environ["REPRO_FAULTS"] = hidden
 
 
 def artifact_failures(result) -> list:
@@ -203,12 +219,9 @@ def main(argv=None) -> int:
     def run_all() -> None:
         for name in names:
             start = time.time()
-            hidden = (
-                os.environ.pop("REPRO_FAULTS", None)
-                if name in OWN_FAULT_PLANS else None
-            )
             try:
-                result = ARTIFACTS[name](Scale.parse(args.scale), args.seed)
+                result = run_artifact(name, Scale.parse(args.scale),
+                                      args.seed)
             except Exception as exc:
                 failures.append(f"{name}: {exc}")
                 print(f"[{name} @ {args.scale}, seed {args.seed}: "
@@ -216,9 +229,6 @@ def main(argv=None) -> int:
                 if args.fail_fast:
                     return
                 continue
-            finally:
-                if hidden is not None:
-                    os.environ["REPRO_FAULTS"] = hidden
             elapsed = time.time() - start
             print(result.render())
             print(f"\n[{name} @ {args.scale}, seed {args.seed}: "

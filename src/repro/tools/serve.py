@@ -161,7 +161,11 @@ def _check_manifest(state_dir: str, names: List[str], scale: str,
 
 
 def _run(args) -> int:
-    from repro.tools.experiment import ARTIFACTS, artifact_failures
+    from repro.tools.experiment import (
+        ARTIFACTS,
+        artifact_failures,
+        run_artifact,
+    )
 
     names = (
         sorted(ARTIFACTS)
@@ -205,8 +209,8 @@ def _run(args) -> int:
                   flush=True)
             start = time.time()
             try:
-                result = ARTIFACTS[name](
-                    Scale.parse(args.scale), args.seed
+                result = run_artifact(
+                    name, Scale.parse(args.scale), args.seed
                 )
             except Exception as exc:
                 failures.append(f"{name}: {exc}")

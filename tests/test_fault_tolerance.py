@@ -301,3 +301,32 @@ class TestStaggerLanes:
         assert exc.bytes_durable + exc.bytes_lost == pytest.approx(
             TOTAL_BYTES
         )
+
+
+class TestCreatorCrash:
+    """A rank that creates its own file and dies at t=0, before the
+    create barrier fills: the file is never created, its members are
+    lost, and the other lanes write as normal instead of stalling the
+    barrier until the run-timeout backstop."""
+
+    @pytest.mark.parametrize("name, target, lost", [
+        ("posix", 5, {5}),
+        ("stagger", 4, {4, 5, 6, 7}),  # rank 4 creates group 1's file
+        ("stagger", 5, {5, 6, 7}),  # rank 4 writes; the lane stops at 5
+    ])
+    def test_crash_at_t0_loses_only_its_file(self, name, target, lost):
+        plan = FaultPlan(
+            events=(FaultEvent(time=0.0, kind="crash_rank", target=target),)
+        ).with_policy(run_timeout=120.0)
+        m = spec().build(n_ranks=N_RANKS, seed=2, faults=plan)
+        with pytest.raises(TransportError) as excinfo:
+            STATIC_TRANSPORTS[name]().run(m, app(), output_name="ft")
+        exc = excinfo.value
+        assert m.env.now < 12.0  # ended by the lanes, not the backstop
+        assert "run timeout" not in str(exc)
+        missing = set(range(N_RANKS)) - {
+            w.rank for w in exc.partial.per_writer
+        }
+        assert missing == lost
+        assert exc.bytes_lost == pytest.approx(len(lost) * PER_PROC_BYTES)
+

@@ -250,6 +250,92 @@ class TestWritePath:
         assert recs["b"].duration == pytest.approx(10.0, rel=1e-3)
 
 
+BLOCKS = [(0.0, 250.0, 11), (250.0, 250.0, 22)]
+
+
+def _write_both_ways(osts, prepare, timeout=None):
+    """One write through the generator and one through start_write /
+    when_written / finish_write (finished inside the callback), each on
+    a fresh file system; per path, what the caller and the file saw."""
+    out = {}
+    for path in ("generator", "callback"):
+        env, fs = make_fs(cache=0.0)
+        seen = {}
+
+        def finish(w):
+            try:
+                rec = fs.finish_write(w, blocks=BLOCKS)
+                seen["record"] = (rec.offset, rec.nbytes, rec.start_time,
+                                  rec.end_time, rec.writer)
+            except FileSystemError as exc:
+                seen["error"] = (type(exc).__name__, str(exc),
+                                 getattr(exc, "undelivered", None))
+
+        def scenario(path=path):
+            f = yield from fs.create("/f", osts=osts, stripe_size=250.0)
+            yield from fs.write(f, node=1, offset=500.0, nbytes=500.0,
+                                blocks=[(500.0, 500.0, 33)])
+            prepare(fs)
+            kw = dict(node=0, offset=0.0, nbytes=500.0, writer=3,
+                      timeout=timeout)
+            try:
+                if path == "generator":
+                    try:
+                        w = yield from fs.write(f, blocks=BLOCKS, **kw)
+                        seen["record"] = (w.offset, w.nbytes, w.start_time,
+                                          w.end_time, w.writer)
+                    except FileSystemError as exc:
+                        seen["error"] = (type(exc).__name__, str(exc),
+                                         getattr(exc, "undelivered", None))
+                else:
+                    w = fs.start_write(f, **kw)
+                    landed = env.event()
+                    fs.when_written(
+                        w, lambda _ev: (finish(w), landed.succeed())
+                    )
+                    yield landed
+            except FileSystemError as exc:  # raised up front
+                seen["error"] = (type(exc).__name__, str(exc), None)
+            seen["seqs"] = sorted((b.offset, b.seq)
+                                  for b in f.stored_blocks())
+            seen["in_flight"] = fs.fabric.active_flow_count
+            seen["now"] = env.now
+
+        run(env, scenario())
+        out[path] = seen
+    return out
+
+
+class TestStartFinishEqualsWrite:
+    """The generator write and the start/finish pair a callback drives
+    are one implementation: equal records, stored-block seqs and
+    failures on every path."""
+
+    def test_healthy_write(self):
+        out = _write_both_ways([0], lambda fs: None)
+        assert out["generator"] == out["callback"]
+        assert out["generator"]["record"][3] > out["generator"]["record"][2]
+        assert [seq for _off, seq in out["generator"]["seqs"]] == [2, 3, 1]
+
+    def test_write_to_failed_target_raises_up_front(self):
+        out = _write_both_ways([0], lambda fs: fs.pool.fail_ost(0))
+        assert out["generator"] == out["callback"]
+        assert out["generator"]["error"][0] == "OstFailedError"
+        assert [seq for _off, seq in out["generator"]["seqs"]] == [1]
+
+    def test_two_span_timeout_withdraws_both_flows(self):
+        def hang(fs):
+            fs.pool.hang_ost(0)
+            fs.pool.hang_ost(1)
+
+        out = _write_both_ways([0, 1], hang, timeout=2.0)
+        assert out["generator"] == out["callback"]
+        name, _msg, undelivered = out["generator"]["error"]
+        assert name == "WriteTimeout"
+        assert undelivered == pytest.approx(500.0)
+        assert out["generator"]["in_flight"] == 0  # both flows withdrawn
+
+
 class TestFlush:
     def test_flush_waits_for_drain(self):
         env, fs = make_fs(cache=1e6)

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import time
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -458,6 +459,34 @@ class TestServeCli:
             again = json.load(fh)
         assert again["artifacts"]["fig1"]["data"] == \
             results["artifacts"]["fig1"]["data"]
+
+    def test_artifacts_with_their_own_plans_never_see_repro_faults(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.faults import two_ost_failure_plan
+        from repro.tools.experiment import ARTIFACTS
+
+        plan = tmp_path / "plan.json"
+        two_ost_failure_plan().save_json(str(plan))
+        monkeypatch.setenv("REPRO_FAULTS", str(plan))
+        seen = {}
+
+        def stub(name):
+            def run(scale, seed):
+                seen[name] = os.environ.get("REPRO_FAULTS")
+                return SimpleNamespace(render=lambda: name)
+            return run
+
+        for name in ("resilience", "fig3"):
+            monkeypatch.setitem(ARTIFACTS, name, stub(name))
+        assert self._run([
+            "run", "resilience", "fig3", "--state-dir",
+            str(tmp_path / "state"), "--scale", "smoke",
+        ]) == 0
+        # resilience pairs faulted runs with a fault-free baseline, so
+        # an inherited plan must not reach it; fig3 still gets it.
+        assert seen == {"resilience": None, "fig3": str(plan)}
+        assert os.environ["REPRO_FAULTS"] == str(plan)
 
     def test_manifest_rejects_parameter_drift(self, tmp_path):
         state = str(tmp_path / "state")

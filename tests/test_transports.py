@@ -10,10 +10,12 @@ from repro.core.transports import (
     AdaptiveTransport,
     MpiIoTransport,
     PosixTransport,
+    SplitFilesTransport,
     StaggerTransport,
 )
 from repro.errors import ConfigurationError
 from repro.machines import jaguar
+from repro.trace import Tracer
 from repro.units import MB
 
 
@@ -204,6 +206,27 @@ class TestMpiIoTransport:
         res = MpiIoTransport(stripe_count=2).run(m, tiny_app(),
                                                  output_name="out")
         assert res.extra["stripe_count"] == 2.0
+
+
+class TestStaticLanes:
+    """A static lane is one writer process per file that plays all of
+    its members: no simulation process per rank."""
+
+    @pytest.mark.parametrize("transport, prefix", [
+        (MpiIoTransport(), "mpiio."),
+        (SplitFilesTransport(), "split."),
+    ], ids=["mpiio", "splitfiles"])
+    def test_no_per_rank_writer_process(self, transport, prefix):
+        tracer = Tracer()
+        m = jaguar(n_osts=16).with_overrides(max_stripe_count=4).build(
+            n_ranks=64, seed=2, tracer=tracer
+        )
+        res = transport.run(m, tiny_app(), output_name="t")
+        assert len(res.per_writer) == 64
+        spawned = [e for e in tracer.events
+                   if e.name == "process.spawn" and e.tid.startswith(prefix)]
+        # One lane and one concurrent flush per file, plus main.
+        assert len(spawned) <= 2 * len(res.files) + 1
 
 
 class TestAdaptiveTransport:
