@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +67,22 @@ class Variable:
         return self._nbytes
 
 
+_TWO_U64 = struct.Struct("<QQ")  # digest bytes 8..24, two LE u64s
+
+
+def _min_max(digest: bytes, var: Variable) -> Tuple[float, float]:
+    """Synthetic (min, max) of one block from its (app, rank, var)
+    digest, inside the variable's value range."""
+    lo, hi = var.value_range
+    span = hi - lo
+    x, y = _TWO_U64.unpack_from(digest, 8)
+    a = lo + span * (x / 2.0**64)
+    b = lo + span * (y / 2.0**64)
+    if b < a:
+        a, b = b, a
+    return float(a), float(b)
+
+
 class AppKernel:
     """An application's per-process output model.
 
@@ -78,6 +95,16 @@ class AppKernel:
     with the storage layer, enabling read-back verification and
     scrubbing.  Turn it off to model checksum-free output (blocks
     classify as unverified, silent corruption goes undetected).
+
+    One rank's output is handed to the storage and index layers as
+    columns, never as a Python object per block: :meth:`blocks_of`
+    gives ``(sizes, checksums)`` for ``FileSystem.write`` and
+    ``LocalIndex.add_output`` reads :attr:`var_names`,
+    :attr:`block_sizes`, :attr:`block_counts`, :meth:`block_checksums`
+    and :meth:`block_characteristics`.  The digests behind them — one
+    blake2b checksum and one sha256 characteristics digest per (rank,
+    variable) — are computed once per kernel and kept in flat per-rank
+    rows.
     """
 
     def __init__(self, name: str, variables: List[Variable],
@@ -90,19 +117,72 @@ class AppKernel:
         self.name = name
         self.variables: Tuple[Variable, ...] = tuple(variables)
         self.checksums = bool(checksums)
-        self._cksum_cache: dict = {}
+        self.var_names: Tuple[str, ...] = tuple(names)
+        self.block_sizes: Tuple[float, ...] = tuple(
+            v.nbytes for v in variables
+        )
+        self.block_counts: Tuple[int, ...] = tuple(
+            v.count for v in variables
+        )
+        self._no_checksums: Tuple[None, ...] = (None,) * len(variables)
+        # rank -> first row of that rank's digests in the flat columns.
+        self._cksum_row: Dict[int, int] = {}
+        self._cksums: List[int] = []
+        self._char_row: Dict[int, int] = {}
+        self._cmin: List[float] = []
+        self._cmax: List[float] = []
 
-    def _checksum(self, var: Variable, rank: int) -> Optional[int]:
-        """Cached :func:`block_checksum` — index_entries and data_blocks
-        hash the same (var, rank) triple once each per write otherwise."""
+    def block_checksums(self, rank: int) -> Sequence[Optional[int]]:
+        """:func:`block_checksum` of each of one rank's blocks (all None
+        when checksums are off)."""
         if not self.checksums:
-            return None
-        key = (var.name, rank)
-        c = self._cksum_cache.get(key)
-        if c is None:
-            c = block_checksum(var.name, rank, var.nbytes)
-            self._cksum_cache[key] = c
-        return c
+            return self._no_checksums
+        row = self._cksum_row.get(rank)
+        if row is None:
+            row = self._cksum_row[rank] = len(self._cksums)
+            self._cksums.extend([
+                block_checksum(name, rank, nb)
+                for name, nb in zip(self.var_names, self.block_sizes)
+            ])
+        return self._cksums[row:row + len(self.block_sizes)]
+
+    def block_characteristics(
+        self, rank: int
+    ) -> Tuple[List[float], List[float]]:
+        """``(minima, maxima)`` of one rank's blocks; see
+        :meth:`characteristics_of`."""
+        row = self._char_row.get(rank)
+        if row is None:
+            row = self._char_row[rank] = len(self._cmin)
+            for var in self.variables:
+                lo, hi = _min_max(self._var_digest(rank, var), var)
+                self._cmin.append(lo)
+                self._cmax.append(hi)
+        end = row + len(self.block_sizes)
+        return self._cmin[row:end], self._cmax[row:end]
+
+    def blocks_of(
+        self, rank: int
+    ) -> Tuple[Tuple[float, ...], Sequence[Optional[int]]]:
+        """``(sizes, checksums)`` of one rank's variable blocks.
+
+        What a writer hands to :meth:`FileSystem.write` so the storage
+        layer records the blocks it absorbed, laid back to back from the
+        write's offset; matches :meth:`index_entries` block for block.
+        """
+        return self.block_sizes, self.block_checksums(rank)
+
+    def data_blocks(
+        self, rank: int, base_offset: float
+    ) -> Iterator[Tuple[float, float, Optional[int]]]:
+        """``(offset, nbytes, checksum)`` per variable block of one rank
+        laid from ``base_offset``: what a writer's read-back check
+        (:func:`~repro.core.integrity.verify_stored`) compares."""
+        offset = base_offset
+        for nb, checksum in zip(self.block_sizes,
+                                self.block_checksums(rank)):
+            yield offset, nb, checksum
+            offset += nb
 
     @property
     def per_process_bytes(self) -> float:
@@ -123,20 +203,12 @@ class AppKernel:
     def characteristics_of(self, rank: int, var: Variable) -> Characteristics:
         """Deterministic synthetic min/max for one rank's block.
 
-        Derived straight from the (app, rank, var) digest: the batched
-        protocol builds every rank's index entries inside the cohort
-        processes, so this runs n_ranks * n_vars times per output and
-        must not pay a fresh numpy Generator per call (~12us each —
-        a third of the 8192-proc cell's wall time before this).
+        Derived straight from the (app, rank, var) digest, with no
+        numpy Generator per call (~12us each): the index layer needs
+        this for n_ranks * n_vars blocks per output.
         """
-        digest = self._var_digest(rank, var)
-        lo, hi = var.value_range
-        span = hi - lo
-        a = lo + span * (int.from_bytes(digest[8:16], "little") / 2.0**64)
-        b = lo + span * (int.from_bytes(digest[16:24], "little") / 2.0**64)
-        if b < a:
-            a, b = b, a
-        return Characteristics(float(a), float(b), var.count)
+        lo, hi = _min_max(self._var_digest(rank, var), var)
+        return Characteristics(lo, hi, var.count)
 
     def index_entries(
         self,
@@ -147,49 +219,30 @@ class AppKernel:
         """The local index of one rank's output at ``base_offset``.
 
         Variables are laid out back-to-back in declaration order, the
-        ADIOS process-group layout.
+        ADIOS process-group layout.  Built as objects for readers and
+        tests; transports index a rank with ``LocalIndex.add_output``.
         """
+        checksums = self.block_checksums(rank)
+        if with_characteristics:
+            lo, hi = self.block_characteristics(rank)
         entries: List[IndexEntry] = []
         offset = base_offset
-        for var in self.variables:
-            chars = (
-                self.characteristics_of(rank, var)
-                if with_characteristics
-                else None
-            )
+        for i, var in enumerate(self.variables):
             entries.append(
                 IndexEntry(
                     var=var.name,
                     writer=rank,
                     offset=offset,
                     nbytes=var.nbytes,
-                    characteristics=chars,
-                    checksum=self._checksum(var, rank),
+                    characteristics=(
+                        Characteristics(lo[i], hi[i], var.count)
+                        if with_characteristics else None
+                    ),
+                    checksum=checksums[i],
                 )
             )
             offset += var.nbytes
         return entries
-
-    def data_blocks(
-        self, rank: int, base_offset: float
-    ) -> List[Tuple[float, float, Optional[int]]]:
-        """``(offset, nbytes, checksum)`` per variable block of one rank.
-
-        What a writer hands to :meth:`FileSystem.write` so the storage
-        layer records the blocks it absorbed; matches
-        :meth:`index_entries` block for block (same layout, same
-        checksums) without paying for characteristics.
-        """
-        blocks: List[Tuple[float, float, Optional[int]]] = []
-        offset = base_offset
-        for var in self.variables:
-            blocks.append((
-                offset,
-                var.nbytes,
-                self._checksum(var, rank),
-            ))
-            offset += var.nbytes
-        return blocks
 
     def sample_block(self, rank: int, var_name: str, n: int = 64) -> np.ndarray:
         """A small representative data block (tests / examples only)."""

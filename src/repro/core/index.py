@@ -6,19 +6,34 @@ block to (file, offset).  The paper additionally stores *data
 characteristics* — per-block min/max — which let queries prune without
 reading data ("enabling quickly searching for both the content as well
 as the logical location of the data of interest").
+
+Both indices are columnar.  An :class:`EntryTable` holds one file's
+entries as parallel lists (variable, writer, offset, nbytes, checksum,
+characteristics min/max/count) and builds an :class:`IndexEntry` only
+when a reader indexes or iterates it.  :class:`LocalIndex` fills one
+table — from entries, or straight from an application's per-rank
+columns (:meth:`LocalIndex.add_output`), which is how transports index
+a rank's output without building a Python object per block.
+:class:`GlobalIndex` keeps each file's finalized table as it is and
+builds its per-variable and per-writer lookup maps on the first query
+after a change.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "Characteristics",
     "IndexEntry",
+    "EntryTable",
     "LocalIndex",
     "GlobalIndex",
     "block_checksum",
@@ -119,106 +134,263 @@ class IndexEntry:
         return self._serialized
 
 
+class EntryTable(Sequence):
+    """One file's index entries as columns; entries are built on access.
+
+    Row ``i`` is the entry ``IndexEntry(var[i], writer[i], offset[i],
+    nbytes[i], Characteristics(cmin[i], cmax[i], ccount[i]),
+    checksum[i])``; ``ccount[i] is None`` marks an entry without
+    characteristics.  Indexing or iterating the table builds those
+    entries afresh, equal to the ones that went in.
+    """
+
+    __slots__ = ("var", "writer", "offset", "nbytes", "checksum",
+                 "cmin", "cmax", "ccount")
+
+    def __init__(self, entries: Iterable[IndexEntry] = ()):
+        self.var: List[str] = []
+        self.writer: List[int] = []
+        self.offset: List[float] = []
+        self.nbytes: List[float] = []
+        self.checksum: List[Optional[int]] = []
+        self.cmin: List[float] = []
+        self.cmax: List[float] = []
+        self.ccount: List[Optional[int]] = []
+        for e in entries:
+            self.append(e)
+
+    def append(self, e: IndexEntry) -> None:
+        self.var.append(e.var)
+        self.writer.append(e.writer)
+        self.offset.append(e.offset)
+        self.nbytes.append(e.nbytes)
+        self.checksum.append(e.checksum)
+        ch = e.characteristics
+        if ch is None:
+            self.cmin.append(0.0)
+            self.cmax.append(0.0)
+            self.ccount.append(None)
+        else:
+            self.cmin.append(ch.minimum)
+            self.cmax.append(ch.maximum)
+            self.ccount.append(ch.count)
+
+    def __len__(self) -> int:
+        return len(self.var)
+
+    def __getitem__(self, i: int) -> IndexEntry:
+        count = self.ccount[i]  # raises IndexError past the end
+        return IndexEntry(
+            self.var[i], self.writer[i], self.offset[i], self.nbytes[i],
+            None if count is None
+            else Characteristics(self.cmin[i], self.cmax[i], count),
+            self.checksum[i],
+        )
+
+    def __iter__(self) -> Iterator[IndexEntry]:
+        return map(self.__getitem__, range(len(self.var)))
+
+    def rows(self, *then: str) -> Sequence:
+        """Row numbers ordered by offset, then by the named columns
+        (stable: full ties keep insertion order)."""
+        offs = self.offset
+        if all(map(operator.lt, offs, islice(offs, 1, None))):
+            return range(len(offs))  # offsets strictly increase
+        order = list(range(len(offs)))
+        for name in reversed(("offset",) + then):
+            order.sort(key=getattr(self, name).__getitem__)
+        return order
+
+    def permute(self, order: Sequence) -> None:
+        """Reorder every column to ``order`` (a permutation of rows)."""
+        for name in self.__slots__:
+            col = getattr(self, name)
+            col[:] = [col[i] for i in order]
+
+    @property
+    def serialized_bytes(self) -> float:
+        """Σ of the entries' :attr:`IndexEntry.serialized_bytes`."""
+        n = len(self.var)
+        return (
+            _ENTRY_HEADER_BYTES * n
+            + sum(map(len, self.var))
+            + _CHAR_BYTES * (n - self.ccount.count(None))
+            + _CKSUM_BYTES * (n - self.checksum.count(None))
+        )
+
+
 class LocalIndex:
     """The per-sub-file index a sub-coordinator assembles.
 
     Entries arrive out of order (adaptive writers interleave with the
     group's own); :meth:`finalize` sorts and seals, mirroring the SC's
-    "sort and merge the index pieces" step.
+    "sort and merge the index pieces" step.  The entries live in one
+    :class:`EntryTable`; :meth:`add_output` appends one rank's whole
+    output from the application's cached per-rank columns.
     """
 
     def __init__(self, file_path: str):
         self.file_path = file_path
-        self._entries: List[IndexEntry] = []
+        self._table = EntryTable()
         self._final = False
 
-    def add(self, entries: Iterable[IndexEntry]) -> None:
+    def _check_open(self) -> None:
         if self._final:
             raise RuntimeError("index already finalized")
-        self._entries.extend(entries)
 
-    def finalize(self) -> Tuple[IndexEntry, ...]:
+    def add(self, entries: Iterable[IndexEntry]) -> None:
+        self._check_open()
+        for e in entries:
+            self._table.append(e)
+
+    def add_output(self, app, rank: int, base_offset: float) -> None:
+        """Index one rank's output laid back to back from ``base_offset``.
+
+        ``app`` is an :class:`~repro.apps.base.AppKernel`: its variable
+        names, block sizes and counts are shared by every rank, and its
+        per-rank checksums and characteristics are computed once per
+        (rank, variable) and cached.  Equal to ``add(
+        app.index_entries(rank, base_offset))`` without the objects.
+        """
+        self._check_open()
+        t = self._table
+        sizes = app.block_sizes
+        t.var.extend(app.var_names)
+        t.writer.extend(repeat(rank, len(sizes)))
+        offset = base_offset
+        for nb in sizes:
+            t.offset.append(offset)
+            offset += nb
+        t.nbytes.extend(sizes)
+        t.checksum.extend(app.block_checksums(rank))
+        lo, hi = app.block_characteristics(rank)
+        t.cmin.extend(lo)
+        t.cmax.extend(hi)
+        t.ccount.extend(app.block_counts)
+
+    def finalize(self) -> EntryTable:
+        """Sort by (offset, var) and seal; returns the entry table,
+        which the global index and the file's footer then share."""
         self._final = True
-        self._entries.sort(key=lambda e: (e.offset, e.var))
-        return tuple(self._entries)
+        order = self._table.rows("var")
+        if not isinstance(order, range):
+            self._table.permute(order)
+        return self._table
 
     @property
     def entries(self) -> Tuple[IndexEntry, ...]:
-        return tuple(self._entries)
+        return tuple(self._table)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._table)
 
     @property
     def serialized_bytes(self) -> float:
-        return float(
-            sum(e.serialized_bytes for e in self._entries) + 128.0
-        )
+        return float(self._table.serialized_bytes + 128.0)
 
     def check_no_overlap(self) -> None:
         """Invariant: data extents within one sub-file never overlap."""
-        spans = sorted((e.offset, e.offset + e.nbytes) for e in self._entries)
-        for (a0, a1), (b0, _b1) in zip(spans, spans[1:]):
-            if b0 < a1 - 1e-6:
+        t = self._table
+        ends = list(map(operator.add, t.offset, t.nbytes))
+        order = t.rows("nbytes")
+        for prev, row in zip(order, islice(order, 1, None)):
+            if t.offset[row] < ends[prev] - 1e-6:
                 raise ValueError(
                     f"{self.file_path}: overlapping extents "
-                    f"[{a0},{a1}) and starting at {b0}"
+                    f"[{t.offset[prev]},{ends[prev]}) and starting at "
+                    f"{t.offset[row]}"
                 )
 
 
 class GlobalIndex:
     """The master index the coordinator writes at the end of output.
 
-    Maps ``var -> [(file, IndexEntry), ...]`` so any block is a single
-    lookup + direct read, "sometimes resulting in improved
-    performance" vs single-file formats (paper, Section IV-C).
+    Maps every variable block to ``(file, IndexEntry)`` so any block is
+    a single lookup + direct read, "sometimes resulting in improved
+    performance" vs single-file formats (paper, Section IV-C).  Each
+    file's entries are an :class:`EntryTable`; a finalized local
+    index's table is kept as it is, not copied.
     """
 
     def __init__(self):
-        self._by_var: Dict[str, List[Tuple[str, IndexEntry]]] = {}
-        self._files: List[str] = []
+        self._tables: Dict[str, EntryTable] = {}
+        # Built on the first query after a change: var -> (file
+        # ordinals, rows) in (file added, row) order, and per var
+        # writer -> positions in those lists.
+        self._hits: Optional[Dict[str, Tuple[List[int], List[int]]]] = None
+        self._writer_hits: Dict[str, Dict[int, List[int]]] = {}
 
-    def add_file(self, file_path: str, entries: Sequence[IndexEntry]) -> None:
-        if file_path in self._files:
+    def add_file(self, file_path: str, entries: Iterable[IndexEntry]) -> None:
+        if file_path in self._tables:
             raise ValueError(f"duplicate file {file_path!r} in global index")
-        self._files.append(file_path)
-        for e in entries:
-            self._by_var.setdefault(e.var, []).append((file_path, e))
+        self._tables[file_path] = (
+            entries if isinstance(entries, EntryTable)
+            else EntryTable(entries)
+        )
+        self._hits = None
+        self._writer_hits = {}
+
+    def _var_hits(self) -> Dict[str, Tuple[List[int], List[int]]]:
+        if self._hits is None:
+            hits: Dict[str, Tuple[List[int], List[int]]] = {}
+            for k, t in enumerate(self._tables.values()):
+                for row, var in enumerate(t.var):
+                    h = hits.get(var)
+                    if h is None:
+                        h = hits[var] = ([], [])
+                    h[0].append(k)
+                    h[1].append(row)
+            self._hits = hits
+        return self._hits
+
+    def _positions(self, var: str, writer: Optional[int]) -> Sequence:
+        """Positions in ``var``'s hit lists, optionally one writer's."""
+        files, rows = self._var_hits().get(var, ((), ()))
+        if writer is None:
+            return range(len(rows))
+        by_writer = self._writer_hits.get(var)
+        if by_writer is None:
+            tables = list(self._tables.values())
+            by_writer = self._writer_hits[var] = {}
+            for pos, (k, row) in enumerate(zip(files, rows)):
+                by_writer.setdefault(tables[k].writer[row], []).append(pos)
+        return by_writer.get(writer, ())
+
+    def _entries(self, var: str, positions) -> List[Tuple[str, IndexEntry]]:
+        files, rows = self._var_hits()[var]
+        paths = list(self._tables)
+        tables = list(self._tables.values())
+        return [(paths[files[p]], tables[files[p]][rows[p]])
+                for p in positions]
 
     @property
     def files(self) -> List[str]:
-        return list(self._files)
+        return list(self._tables)
 
     @property
     def variables(self) -> List[str]:
-        return sorted(self._by_var)
+        return sorted(self._var_hits())
 
     @property
     def n_blocks(self) -> int:
-        return sum(len(v) for v in self._by_var.values())
+        return sum(len(t) for t in self._tables.values())
 
     def entries_by_file(self) -> Dict[str, List[IndexEntry]]:
-        """``file -> [entries]``, each file's list in (offset, var) order.
+        """``file -> [entries]``, each file's list in (offset, var,
+        writer) order.
 
         The scrub/fsck walk order: deterministic regardless of the
         message interleaving that built the index.
         """
-        out: Dict[str, List[IndexEntry]] = {p: [] for p in self._files}
-        for hits in self._by_var.values():
-            for path, e in hits:
-                out[path].append(e)
-        for entries in out.values():
-            entries.sort(key=lambda e: (e.offset, e.var, e.writer))
-        return out
+        return {path: [t[row] for row in t.rows("var", "writer")]
+                for path, t in self._tables.items()}
 
     def lookup(
         self, var: str, writer: Optional[int] = None
     ) -> List[Tuple[str, IndexEntry]]:
         """All blocks of *var* (optionally one writer's)."""
-        hits = self._by_var.get(var, [])
-        if writer is None:
-            return list(hits)
-        return [(f, e) for f, e in hits if e.writer == writer]
+        positions = self._positions(var, writer)
+        return self._entries(var, positions) if positions else []
 
     def query_value_range(
         self, var: str, low: float, high: float
@@ -227,24 +399,34 @@ class GlobalIndex:
 
         Blocks without characteristics are conservatively returned.
         """
-        out = []
-        for f, e in self._by_var.get(var, []):
-            if e.characteristics is None or e.characteristics.overlaps(low, high):
-                out.append((f, e))
-        return out
+        files, rows = self._var_hits().get(var, ((), ()))
+        tables = list(self._tables.values())
+        keep = []
+        for pos, (k, row) in enumerate(zip(files, rows)):
+            t = tables[k]
+            count = t.ccount[row]
+            if count is None or (
+                count > 0 and not (high < t.cmin[row] or low > t.cmax[row])
+            ):
+                keep.append(pos)
+        return self._entries(var, keep) if keep else []
 
     def total_bytes(self, var: Optional[str] = None) -> float:
-        if var is not None:
-            return sum(e.nbytes for _, e in self._by_var.get(var, []))
+        hits = self._var_hits()
+        tables = list(self._tables.values())
+        per_var = (
+            hits.values() if var is None else [hits.get(var, ((), ()))]
+        )
         return sum(
-            e.nbytes for hits in self._by_var.values() for _, e in hits
+            tables[k].nbytes[row]
+            for files, rows in per_var
+            for k, row in zip(files, rows)
         )
 
     @property
     def serialized_bytes(self) -> float:
-        per_entry = sum(
-            e.serialized_bytes + 32.0
-            for hits in self._by_var.values()
-            for _, e in hits
+        return float(
+            sum(t.serialized_bytes + 32.0 * len(t)
+                for t in self._tables.values())
+            + 256.0
         )
-        return float(per_entry + 256.0)

@@ -10,7 +10,7 @@ inbox, distinguished by tag).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 __all__ = [
     "TAG_WRITER",
@@ -84,11 +84,16 @@ class WriteComplete:
 
 @dataclass(frozen=True)
 class IndexBody:
-    """writer -> target SC: the local index for a completed write."""
+    """writer -> target SC: the local index for a completed write.
+
+    The entries are the writer's whole output laid from ``offset``; the
+    SC indexes them from the application's columns
+    (``LocalIndex.add_output``).
+    """
 
     source_rank: int
     target_group: int
-    entries: tuple  # tuple of IndexEntry
+    offset: float
     epoch: int = 0
 
 
@@ -134,7 +139,7 @@ class ScIndex:
 
     source_group: int
     file_path: str
-    entries: tuple
+    entries: Sequence  # the finalized local index's EntryTable
     index_nbytes: float
 
 

@@ -26,6 +26,7 @@ SCs, and at most ``n_groups - 1`` adaptive writes are in flight.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -327,7 +328,7 @@ class _GroupStream:
             t_start,
             t_end,
             writer=rank,
-            blocks=self.app.data_blocks(rank, offset),
+            blocks=self.app.blocks_of(rank),
         )
         if self.traced:
             tr = self.tracer
@@ -634,7 +635,7 @@ class AdaptiveTransport(Transport):
                 offset=offset,
                 nbytes=nbytes,
                 writer=rank,
-                blocks=app.data_blocks(rank, offset),
+                blocks=app.blocks_of(rank),
                 tenant=tenant,
             )
             end = env.now
@@ -657,11 +658,10 @@ class AdaptiveTransport(Transport):
                 adaptive=True,
             )
             comm.send(rank, sc_rank[target], wc, tag=TAG_SC)
-            entries = tuple(app.index_entries(rank, offset))
             comm.send(
                 rank,
                 sc_rank[target],
-                IndexBody(rank, target, entries),
+                IndexBody(rank, target, offset),
                 tag=TAG_SC,
                 nbytes=index_nbytes,
             )
@@ -762,11 +762,10 @@ class AdaptiveTransport(Transport):
                     index_nbytes=index_nbytes,
                 )
                 comm.send(rank, sc_rank[g], wc, tag=TAG_SC)
-                entries = tuple(app.index_entries(rank, offset))
                 comm.send(
                     rank,
                     sc_rank[g],
-                    IndexBody(rank, g, entries),
+                    IndexBody(rank, g, offset),
                     tag=TAG_SC,
                     nbytes=index_nbytes,
                 )
@@ -818,7 +817,7 @@ class AdaptiveTransport(Transport):
                                 tag=TAG_COORD,
                             )
                 elif isinstance(p, IndexBody):
-                    local_index.add(p.entries)
+                    local_index.add_output(app, p.source_rank, p.offset)
                     missing_indices -= 1
                 elif isinstance(p, AdaptiveWriteStart):
                     if not stream.has_stealable:
@@ -918,7 +917,7 @@ class AdaptiveTransport(Transport):
                     state["last_arrival"] = max(
                         state["last_arrival"], t_end + hop, t_end + idx_hop
                     )
-                    local_index.add(tuple(app.index_entries(rank, offset)))
+                    local_index.add_output(app, rank, offset)
                     env.schedule_callback(hop, local_wc_arrived)
                 else:
                     _kind, target, offset = outcome
@@ -952,7 +951,7 @@ class AdaptiveTransport(Transport):
                         # index body is inbound.
                         state["missing_foreign"] += 1
                     elif isinstance(p, IndexBody):
-                        local_index.add(p.entries)
+                        local_index.add_output(app, p.source_rank, p.offset)
                         state["missing_foreign"] -= 1
                     elif isinstance(p, AdaptiveWriteStart):
                         if not stream.has_stealable:
@@ -1026,7 +1025,7 @@ class AdaptiveTransport(Transport):
                 start = env.now
                 attempt = 0
                 failure = None
-                data_blocks = app.data_blocks(rank, ws.offset)
+                blocks = app.blocks_of(rank)
                 verify_failed_once = False
                 while True:
                     f = files_at[(ws.target_group, ws.epoch)]
@@ -1048,7 +1047,7 @@ class AdaptiveTransport(Transport):
                             nbytes=nbytes,
                             writer=rank,
                             timeout=write_timeout,
-                            blocks=data_blocks,
+                            blocks=blocks,
                             tenant=tenant,
                         )
                     except OstFailedError as exc:
@@ -1091,7 +1090,7 @@ class AdaptiveTransport(Transport):
                         # target must eventually poison it (the
                         # WriteFailed path below), not spin forever.
                         if policy.read_back_verify and not verify_stored(
-                            f, data_blocks
+                            f, app.data_blocks(rank, ws.offset)
                         ):
                             if traced:
                                 tracer.end("write", cat="writer", pid=wpid,
@@ -1154,11 +1153,10 @@ class AdaptiveTransport(Transport):
                     if ws.target_group != g:
                         comm.send(rank, sc_rank[ws.target_group], wc,
                                   tag=sc_tag[ws.target_group])
-                    entries = tuple(app.index_entries(rank, ws.offset))
                     comm.send(
                         rank,
                         sc_rank[ws.target_group],
-                        IndexBody(rank, ws.target_group, entries,
+                        IndexBody(rank, ws.target_group, ws.offset,
                                   epoch=ws.epoch),
                         tag=sc_tag[ws.target_group],
                         nbytes=index_nbytes,
@@ -1355,7 +1353,7 @@ class AdaptiveTransport(Transport):
                         comm.send(me, coord, p, tag=TAG_COORD)
                 elif isinstance(p, IndexBody):
                     if p.epoch == epoch:
-                        local_index.add(p.entries)
+                        local_index.add_output(app, p.source_rank, p.offset)
                         missing_indices -= 1
                     # Stale bodies are dropped: the write is being
                     # redone against the current incarnation anyway.
@@ -1408,6 +1406,11 @@ class AdaptiveTransport(Transport):
         # ---------------- Coordinator role (Algorithm 3) -------------------
         # State is hoisted so the SC-liveness monitor (same rank) shares it.
         state: Dict[int, str] = {}
+        # Kept in step with `state` by set_state: the _WRITING groups in
+        # ascending order, which steering offers bisect instead of
+        # scanning every group, and the number of groups not _COMPLETE.
+        writing: List[int] = []
+        n_open = [0]
         cursor: Dict[int, float] = {}
         in_flight: Dict[int, bool] = {}
         target_epoch: Dict[int, int] = {}
@@ -1418,18 +1421,35 @@ class AdaptiveTransport(Transport):
         protocol_procs: List = []  # SCs, C, then adopted SCs
         coord_flags = {"outstanding": 0, "overall_sent": False}
 
+        def set_state(g: int, s: str) -> None:
+            old = state.get(g)
+            state[g] = s
+            if old == s:
+                return
+            if old == _WRITING:
+                del writing[bisect_left(writing, g)]
+            elif s == _WRITING:
+                insort(writing, g)
+            n_open[0] += (s != _COMPLETE) - (
+                old is not None and old != _COMPLETE
+            )
+
         def coord_proc():
             yield files_ready
             for g in range(n_groups):
-                state[g] = _WRITING
+                set_state(g, _WRITING)
                 target_epoch[g] = 0
                 last_seen[g] = env.now
             rr = [0]  # round-robin cursor over writing SCs
 
             def next_writing_sc(exclude: int) -> Optional[int]:
-                for step in range(n_groups):
-                    g = (rr[0] + step) % n_groups
-                    if g != exclude and state[g] == _WRITING:
+                """The round-robin pick: the first _WRITING group other
+                than ``exclude`` at or after the cursor, wrapping."""
+                n = len(writing)
+                i = bisect_left(writing, rr[0])
+                for k in range(i, i + min(n, 2)):  # skips exclude at most once
+                    g = writing[k % n]
+                    if g != exclude:
                         rr[0] = (g + 1) % n_groups
                         return g
                 return None
@@ -1474,10 +1494,7 @@ class AdaptiveTransport(Transport):
                 coord_flags["outstanding"] += 1
 
             def finished() -> bool:
-                return (
-                    all(s == _COMPLETE for s in state.values())
-                    and coord_flags["outstanding"] == 0
-                )
+                return n_open[0] == 0 and coord_flags["outstanding"] == 0
 
             def dispatch(p) -> None:
                 if isinstance(p, WriteComplete):
@@ -1507,7 +1524,7 @@ class AdaptiveTransport(Transport):
                     # Never reschedule onto a target that just failed;
                     # its SC re-announces via ScRelocated + ScComplete.
                 elif isinstance(p, ScComplete):
-                    state[p.source_group] = _COMPLETE
+                    set_state(p.source_group, _COMPLETE)
                     cursor[p.source_group] = p.final_offset
                     target_epoch[p.source_group] = p.epoch
                     last_seen[p.source_group] = env.now
@@ -1522,7 +1539,7 @@ class AdaptiveTransport(Transport):
                         )
                     try_schedule(p.source_group)
                 elif isinstance(p, ScRelocated):
-                    state[p.source_group] = _WRITING
+                    set_state(p.source_group, _WRITING)
                     target_epoch[p.source_group] = p.epoch
                     poisoned.discard(p.source_group)
                     cursor.pop(p.source_group, None)
@@ -1541,7 +1558,7 @@ class AdaptiveTransport(Transport):
                     # the SC's own ScComplete in flight — never
                     # downgrade a complete SC.
                     if state[p.source_group] == _WRITING:
-                        state[p.source_group] = _BUSY
+                        set_state(p.source_group, _BUSY)
                     coord_flags["outstanding"] -= 1
                     in_flight[p.target_group] = False
                     try_schedule(p.target_group)
@@ -1609,7 +1626,7 @@ class AdaptiveTransport(Transport):
             epoch_of[g] += 1
             sc_rank[g] = coord
             sc_tag[g] = TAG_ADOPTED_BASE + g
-            state[g] = _WRITING
+            set_state(g, _WRITING)
             target_epoch[g] = epoch_of[g]
             poisoned.discard(g)
             cursor.pop(g, None)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.groups import GroupMap
-from repro.core.index import GlobalIndex
+from repro.core.index import GlobalIndex, LocalIndex
 from repro.core.transports.base import (
     OutputResult,
     Transport,
@@ -230,9 +230,7 @@ class StaticTransport(Transport):
         def complete(m: _Member, w) -> bool:
             """Finish m's write w; False if it failed."""
             try:
-                fs.finish_write(
-                    w, blocks=app.data_blocks(m.rank, m.slot * chunk)
-                )
+                fs.finish_write(w, blocks=app.blocks_of(m.rank))
             except (OstFailedError, WriteTimeout) as exc:
                 fail(m, exc)
                 return False
@@ -367,13 +365,13 @@ class StaticTransport(Transport):
             if self.build_index:
                 index = GlobalIndex()
                 for k, path in enumerate(layout.paths):
-                    entries = [
-                        e for slot, rank in enumerate(layout.members[k])
-                        if faults is None or timings[rank] is not None
-                        for e in app.index_entries(rank, slot * chunk)
-                    ]
-                    if faults is not None and not entries:
+                    local = LocalIndex(path)
+                    for slot, rank in enumerate(layout.members[k]):
+                        if faults is None or timings[rank] is not None:
+                            local.add_output(app, rank, slot * chunk)
+                    if faults is not None and not len(local):
                         continue  # none of the file's chunks landed
+                    entries = local.finalize()
                     index.add_file(path, entries)
                     if k in fobjs:
                         fobjs[k].attach_local_index(entries)

@@ -1,13 +1,20 @@
-"""File objects in the simulated namespace."""
+"""File objects in the simulated namespace.
+
+A file's stored blocks are a columnar :class:`BlockLedger`: one row per
+block, and a :class:`StoredBlock` is a write-through view of a row,
+built only when a reader asks for one.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lustre.layout import StripeLayout
 
-__all__ = ["SimFile", "StoredBlock", "WriteRecord"]
+__all__ = ["BlockLedger", "SimFile", "StoredBlock", "WriteRecord"]
 
 
 @dataclass(frozen=True)
@@ -25,7 +32,16 @@ class WriteRecord:
         return self.end_time - self.start_time
 
 
-@dataclass
+def _column(name: str, doc: str, writable: bool = False) -> property:
+    def get(self):
+        return getattr(self._ledger, name)[self._row]
+
+    def put(self, value) -> None:
+        getattr(self._ledger, name)[self._row] = value
+
+    return property(get, put if writable else None, doc=doc)
+
+
 class StoredBlock:
     """The stored state of one variable block, as the OSTs hold it.
 
@@ -35,19 +51,131 @@ class StoredBlock:
     models a torn write (only a prefix landed), and ``corrupt`` flags
     any injected mutation — detectable or not — so detection rates can
     be measured against what really happened.
+
+    A write-through view of one row of a file's :class:`BlockLedger`,
+    built on access: setting ``checksum``, ``valid_bytes`` or
+    ``corrupt`` writes the ledger.  A view of a block that a rewrite
+    has since replaced, or that was deleted, no longer reaches the
+    file's live state.
     """
 
-    offset: float
-    nbytes: float
-    checksum: Optional[int]
-    valid_bytes: float
-    seq: int  # filesystem-wide store order (recency for the injector)
-    writer: Optional[int] = None
-    corrupt: bool = False
+    __slots__ = ("_ledger", "_row")
+
+    def __init__(self, ledger: "BlockLedger", row: int):
+        self._ledger = ledger
+        self._row = row
+
+    offset = _column("offset", "Byte offset of the block in its file.")
+    nbytes = _column("nbytes", "Block length in bytes.")
+    checksum = _column(
+        "checksum", "What a read-back computes; None if checksum-free.",
+        writable=True)
+    valid_bytes = _column(
+        "valid_bytes", "Length of the prefix that landed.", writable=True)
+    seq = _column("seq", "Filesystem-wide store order (recency).")
+    writer = _column("writer", "Rank that wrote the block, when known.")
+    corrupt = _column(
+        "corrupt", "Any injected mutation, detectable or not.",
+        writable=True)
 
     @property
     def torn(self) -> bool:
         return self.valid_bytes < self.nbytes - 1e-9
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, StoredBlock)
+                and other._ledger is self._ledger and other._row == self._row)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"StoredBlock(offset={self.offset!r}, nbytes={self.nbytes!r}, "
+                f"checksum={self.checksum!r}, "
+                f"valid_bytes={self.valid_bytes!r}, seq={self.seq!r}, "
+                f"writer={self.writer!r}, corrupt={self.corrupt!r})")
+
+
+class BlockLedger(Mapping):
+    """A file's stored blocks as columns: ``extent -> StoredBlock``.
+
+    One row per stored block in store order, across the columns
+    ``offset``, ``nbytes``, ``checksum``, ``valid_bytes``, ``seq``,
+    ``writer`` and ``corrupt``.  As a mapping it is keyed by extent
+    ``(offset, nbytes)`` and yields :class:`StoredBlock` views.  A
+    later row at the same extent replaces the earlier one (a rewrite),
+    and ``del``/``pop`` drop a block.  Storing only appends to the
+    columns; the extent map folds new rows in on the next read, so a
+    write path that nobody reads back builds no per-block object.
+    """
+
+    __slots__ = ("offset", "nbytes", "checksum", "valid_bytes", "seq",
+                 "writer", "corrupt", "_rows", "_mapped")
+
+    def __init__(self):
+        self.offset: List[float] = []
+        self.nbytes: List[float] = []
+        self.checksum: List[Optional[int]] = []
+        self.valid_bytes: List[float] = []
+        self.seq: List[int] = []
+        self.writer: List[Optional[int]] = []
+        self.corrupt: List[bool] = []
+        self._rows: Dict[Tuple[float, float], int] = {}
+        self._mapped = 0
+
+    def append(
+        self,
+        offset: float,
+        sizes: Sequence[float],
+        checksums: Sequence[Optional[int]],
+        first_seq: int,
+        writer: Optional[int] = None,
+    ) -> int:
+        """Store blocks of ``sizes`` back to back from ``offset``,
+        numbered ``first_seq``, ``first_seq + 1``, ...; returns the
+        first new row."""
+        first = len(self.offset)
+        for nb in sizes:
+            self.offset.append(offset)
+            offset += nb
+        n = len(self.offset) - first
+        self.nbytes.extend(sizes)
+        self.checksum.extend(checksums)
+        self.valid_bytes.extend(map(float, sizes))
+        self.seq.extend(range(first_seq, first_seq + n))
+        self.writer.extend(repeat(writer, n))
+        self.corrupt.extend(repeat(False, n))
+        return first
+
+    def _extents(self) -> Dict[Tuple[float, float], int]:
+        """``extent -> live row``, folding in the rows stored since."""
+        rows = self._rows
+        offs, nbs = self.offset, self.nbytes
+        for i in range(self._mapped, len(offs)):
+            rows[(offs[i], nbs[i])] = i
+        self._mapped = len(offs)
+        return rows
+
+    def views(self, first: int) -> List[StoredBlock]:
+        """Views of every row from ``first`` on, in store order."""
+        return [StoredBlock(self, i) for i in range(first, len(self.offset))]
+
+    def __getitem__(self, extent: Tuple[float, float]) -> StoredBlock:
+        return StoredBlock(self, self._extents()[extent])
+
+    def __iter__(self) -> Iterator[Tuple[float, float]]:
+        return iter(self._extents())
+
+    def __len__(self) -> int:
+        return len(self._extents())
+
+    def __delitem__(self, extent: Tuple[float, float]) -> None:
+        del self._extents()[extent]
+
+    def pop(self, extent: Tuple[float, float], *default):
+        rows = self._extents()
+        if extent not in rows and default:
+            return default[0]
+        return StoredBlock(self, rows.pop(extent))
 
 
 @dataclass
@@ -58,6 +186,8 @@ class SimFile:
     extents and timing — but it *does* store opaque per-extent payload
     tags when callers provide them, which is how the BP index layer
     round-trips metadata through "files" for the read-back path.
+    ``blocks`` is the file's :class:`BlockLedger` of stored variable
+    blocks, the integrity layer's ground truth.
     """
 
     path: str
@@ -65,9 +195,7 @@ class SimFile:
     create_time: float = 0.0
     writes: List[WriteRecord] = field(default_factory=list)
     payloads: Dict[Tuple[float, float], object] = field(default_factory=dict)
-    blocks: Dict[Tuple[float, float], StoredBlock] = field(
-        default_factory=dict
-    )
+    blocks: BlockLedger = field(default_factory=BlockLedger)
     closed: bool = False
 
     @property
@@ -100,11 +228,28 @@ class SimFile:
         this is what index rebuild (fsck) recovers the global index
         from when the master index is lost.  Transports that pay
         simulated time for the index write do so separately — this
-        only records the metadata content.
+        only records the metadata content.  ``entries`` is a sequence of
+        index entries (a finalized local index's table, kept as is).
         """
-        self.payloads[("local_index", self.path)] = (
-            "local_index", tuple(entries),
-        )
+        self.payloads[("local_index", self.path)] = ("local_index", entries)
+
+    def store_blocks(
+        self,
+        offset: float,
+        blocks: Tuple[Sequence[float], Sequence[Optional[int]]],
+        first_seq: int,
+        writer: Optional[int] = None,
+    ) -> int:
+        """Register the stored state of a run of data blocks.
+
+        ``blocks`` is ``(sizes, checksums)``: blocks laid back to back
+        from ``offset``, numbered from ``first_seq``.  A rewrite at an
+        existing extent replaces that block outright — the repair
+        semantics of a retried or fsck-reissued write.  Returns the
+        first new ledger row.
+        """
+        sizes, checksums = blocks
+        return self.blocks.append(offset, sizes, checksums, first_seq, writer)
 
     def store_block(
         self,
@@ -114,21 +259,9 @@ class SimFile:
         seq: int,
         writer: Optional[int] = None,
     ) -> StoredBlock:
-        """Register (or overwrite) the stored state of one data block.
-
-        A rewrite at the same extent replaces the block outright — the
-        repair semantics of a retried or fsck-reissued write.
-        """
-        blk = StoredBlock(
-            offset=offset,
-            nbytes=nbytes,
-            checksum=checksum,
-            valid_bytes=float(nbytes),
-            seq=seq,
-            writer=writer,
-        )
-        self.blocks[(offset, nbytes)] = blk
-        return blk
+        """Register (or overwrite) the stored state of one data block."""
+        row = self.blocks.append(offset, (nbytes,), (checksum,), seq, writer)
+        return StoredBlock(self.blocks, row)
 
     def block_at(self, offset: float, nbytes: float) -> Optional[StoredBlock]:
         """The stored block at an exact extent, or None."""
@@ -136,7 +269,7 @@ class SimFile:
 
     def stored_blocks(self) -> List[StoredBlock]:
         """Every stored data block, in (offset, nbytes) order."""
-        return [self.blocks[k] for k in sorted(self.blocks)]
+        return [blk for _, blk in sorted(self.blocks.items())]
 
     def extents(self) -> List[Tuple[float, float]]:
         """(offset, nbytes) of every write, in completion order."""

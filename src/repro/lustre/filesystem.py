@@ -46,7 +46,12 @@ from repro.units import MB
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["FileSystem", "PendingWrite"]
+__all__ = ["Blocks", "FileSystem", "PendingWrite"]
+
+#: The variable blocks one write carries: ``(sizes, checksums)``, laid
+#: back to back from the write's offset (one rank's output in the
+#: application's variable order; see ``AppKernel.blocks_of``).
+Blocks = Tuple[Sequence[float], Sequence[Optional[int]]]
 
 _FLUSH_EPS = 64.0  # bytes of drain slack considered "flushed"
 
@@ -135,7 +140,8 @@ class FileSystem:
         self._alloc_cursor = 0
         self._store_seq = 0
         # Integrity hook: called with (file, [StoredBlock]) right after
-        # a write registers its blocks.  The fault injector installs a
+        # a write registers its blocks (views built only when a hook is
+        # installed).  The fault injector installs a
         # silent-corruption model here; None means pristine storage.
         self.corrupt_hook: Optional[
             Callable[[SimFile, List[StoredBlock]], None]
@@ -281,7 +287,7 @@ class FileSystem:
         writer: Optional[int] = None,
         payload: object = None,
         timeout: Optional[float] = None,
-        blocks: Optional[Sequence[Tuple[float, float, Optional[int]]]] = None,
+        blocks: Optional[Blocks] = None,
         tenant: int = -1,
     ) -> Generator:
         """Write ``nbytes`` at ``offset`` from ``node``; returns WriteRecord.
@@ -290,9 +296,10 @@ class FileSystem:
         use :meth:`flush` for durability.  Returns the record, whose
         duration is the paper's "write time".
 
-        ``blocks`` — ``(offset, nbytes, checksum)`` triples — registers
-        the variable blocks this write carries with the storage layer
-        (see :class:`~repro.lustre.file.StoredBlock`), which is what
+        ``blocks`` — ``(sizes, checksums)`` of the variable blocks laid
+        back to back from ``offset`` — registers what this write carries
+        with the file's block ledger (see
+        :class:`~repro.lustre.file.BlockLedger`), which is what
         scrubbing and read-back verification inspect.  Blocks are
         registered only if the write completes: a failed write leaves
         no stored state, and a rewrite replaces the previous blocks.
@@ -403,7 +410,7 @@ class FileSystem:
         self,
         w: PendingWrite,
         payload: object = None,
-        blocks: Optional[Sequence[Tuple[float, float, Optional[int]]]] = None,
+        blocks: Optional[Blocks] = None,
     ) -> WriteRecord:
         """Complete a write once it has settled; returns its record.
 
@@ -444,7 +451,7 @@ class FileSystem:
         end_time: float,
         writer: Optional[int] = None,
         payload: object = None,
-        blocks: Optional[Sequence[Tuple[float, float, Optional[int]]]] = None,
+        blocks: Optional[Blocks] = None,
     ) -> WriteRecord:
         """Bookkeeping for a write whose bytes rode an aggregate flow.
 
@@ -478,8 +485,9 @@ class FileSystem:
     def _record_write(self, f, offset, nbytes, start_time, end_time,
                       writer, payload, blocks) -> WriteRecord:
         """A completed write's bookkeeping: the :class:`WriteRecord`,
-        metrics, the file's write log, stored blocks (numbered by
-        ``_store_seq``) and the corruption hook, in that order."""
+        metrics, the file's write log, stored blocks (appended to the
+        file's ledger, numbered by ``_store_seq``) and the corruption
+        hook, in that order."""
         record = WriteRecord(
             offset=offset,
             nbytes=nbytes,
@@ -492,16 +500,12 @@ class FileSystem:
             self._m_bytes_written.inc(float(nbytes))
             self._m_write_seconds.observe(end_time - start_time)
         f.record_write(record, payload=payload)
-        if blocks:
-            stored = []
-            for boff, bnb, cksum in blocks:
-                self._store_seq += 1
-                stored.append(
-                    f.store_block(boff, bnb, cksum, self._store_seq,
-                                  writer=writer)
-                )
+        if blocks is not None:
+            first = f.store_blocks(offset, blocks, self._store_seq + 1,
+                                   writer=writer)
+            self._store_seq += len(blocks[0])
             if self.corrupt_hook is not None:
-                self.corrupt_hook(f, stored)
+                self.corrupt_hook(f, f.blocks.views(first))
         return record
 
     def _withdraw_flows(self, fids: List[int]) -> float:

@@ -204,7 +204,7 @@ def _repair(machine, reader: BpReader, report: ScrubReport) -> Dict:
                 yield from fs.write(
                     f, node=0, offset=entry.offset, nbytes=entry.nbytes,
                     writer=entry.writer,
-                    blocks=[(entry.offset, entry.nbytes, entry.checksum)],
+                    blocks=((entry.nbytes,), (entry.checksum,)),
                 )
             except (OstFailedError, WriteTimeout):
                 outcome["unrepairable"] += 1

@@ -250,7 +250,8 @@ class TestWritePath:
         assert recs["b"].duration == pytest.approx(10.0, rel=1e-3)
 
 
-BLOCKS = [(0.0, 250.0, 11), (250.0, 250.0, 22)]
+# Two 250-byte blocks from the write's offset: (sizes, checksums).
+BLOCKS = ((250.0, 250.0), (11, 22))
 
 
 def _write_both_ways(osts, prepare, timeout=None):
@@ -274,7 +275,7 @@ def _write_both_ways(osts, prepare, timeout=None):
         def scenario(path=path):
             f = yield from fs.create("/f", osts=osts, stripe_size=250.0)
             yield from fs.write(f, node=1, offset=500.0, nbytes=500.0,
-                                blocks=[(500.0, 500.0, 33)])
+                                blocks=((500.0,), (33,)))
             prepare(fs)
             kw = dict(node=0, offset=0.0, nbytes=500.0, writer=3,
                       timeout=timeout)
