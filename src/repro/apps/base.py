@@ -9,7 +9,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.index import Characteristics, IndexEntry, block_checksum
+from repro.core.index import (
+    Characteristics,
+    IndexEntry,
+    PristineChecksums,
+    entry_serialized_bytes,
+)
 
 __all__ = ["Variable", "AppKernel"]
 
@@ -100,11 +105,14 @@ class AppKernel:
     columns, never as a Python object per block: :meth:`blocks_of`
     gives ``(sizes, checksums)`` for ``FileSystem.write`` and
     ``LocalIndex.add_output`` reads :attr:`var_names`,
-    :attr:`block_sizes`, :attr:`block_counts`, :meth:`block_checksums`
-    and :meth:`block_characteristics`.  The digests behind them — one
-    blake2b checksum and one sha256 characteristics digest per (rank,
-    variable) — are computed once per kernel and kept in flat per-rank
-    rows.
+    :attr:`block_sizes` and :attr:`block_counts`.  The digests — one
+    blake2b checksum (:func:`~repro.core.index.block_checksum`) and one
+    sha256 characteristics digest per (rank, variable) — are pure
+    functions of (app, rank, variable, size), so the kernel computes
+    them only when asked and keeps none: ``blocks_of`` hands over a
+    :class:`~repro.core.index.PristineChecksums`, and the ledgers that
+    store it derive a value the first time a reader needs it (DESIGN
+    §9d).
     """
 
     def __init__(self, name: str, variables: List[Variable],
@@ -125,41 +133,29 @@ class AppKernel:
             v.count for v in variables
         )
         self._no_checksums: Tuple[None, ...] = (None,) * len(variables)
-        # rank -> first row of that rank's digests in the flat columns.
-        self._cksum_row: Dict[int, int] = {}
-        self._cksums: List[int] = []
-        self._char_row: Dict[int, int] = {}
-        self._cmin: List[float] = []
-        self._cmax: List[float] = []
+        self._by_name: Dict[str, Variable] = dict(zip(names, variables))
 
     def block_checksums(self, rank: int) -> Sequence[Optional[int]]:
-        """:func:`block_checksum` of each of one rank's blocks (all None
-        when checksums are off)."""
+        """:func:`~repro.core.index.block_checksum` of each of one
+        rank's blocks, computed on access (all None when checksums are
+        off)."""
         if not self.checksums:
             return self._no_checksums
-        row = self._cksum_row.get(rank)
-        if row is None:
-            row = self._cksum_row[rank] = len(self._cksums)
-            self._cksums.extend([
-                block_checksum(name, rank, nb)
-                for name, nb in zip(self.var_names, self.block_sizes)
-            ])
-        return self._cksums[row:row + len(self.block_sizes)]
+        return PristineChecksums(self, rank)
 
-    def block_characteristics(
-        self, rank: int
-    ) -> Tuple[List[float], List[float]]:
-        """``(minima, maxima)`` of one rank's blocks; see
-        :meth:`characteristics_of`."""
-        row = self._char_row.get(rank)
-        if row is None:
-            row = self._char_row[rank] = len(self._cmin)
-            for var in self.variables:
-                lo, hi = _min_max(self._var_digest(rank, var), var)
-                self._cmin.append(lo)
-                self._cmax.append(hi)
-        end = row + len(self.block_sizes)
-        return self._cmin[row:end], self._cmax[row:end]
+    def min_max(self, rank: int, var_name: str) -> Tuple[float, float]:
+        """Synthetic ``(min, max)`` of one rank's block of a variable."""
+        var = self._by_name[var_name]
+        return _min_max(self._var_digest(rank, var), var)
+
+    @property
+    def index_nbytes(self) -> float:
+        """Serialized size of one rank's local index entries, from the
+        variable names and the checksum flag alone (no digest)."""
+        return float(sum(
+            entry_serialized_bytes(name, True, self.checksums)
+            for name in self.var_names
+        ))
 
     def blocks_of(
         self, rank: int
@@ -223,8 +219,6 @@ class AppKernel:
         tests; transports index a rank with ``LocalIndex.add_output``.
         """
         checksums = self.block_checksums(rank)
-        if with_characteristics:
-            lo, hi = self.block_characteristics(rank)
         entries: List[IndexEntry] = []
         offset = base_offset
         for i, var in enumerate(self.variables):
@@ -235,7 +229,7 @@ class AppKernel:
                     offset=offset,
                     nbytes=var.nbytes,
                     characteristics=(
-                        Characteristics(lo[i], hi[i], var.count)
+                        self.characteristics_of(rank, var)
                         if with_characteristics else None
                     ),
                     checksum=checksums[i],

@@ -13,7 +13,10 @@ characteristics min/max/count) and builds an :class:`IndexEntry` only
 when a reader indexes or iterates it.  :class:`LocalIndex` fills one
 table — from entries, or straight from an application's per-rank
 columns (:meth:`LocalIndex.add_output`), which is how transports index
-a rank's output without building a Python object per block.
+a rank's output without building a Python object per block.  Rows from
+an application are *pristine*: their checksum and min/max are pure
+functions of (app, writer, variable, nbytes), so the table records
+``PRISTINE`` and derives the digests the first time a reader asks.
 :class:`GlobalIndex` keeps each file's finalized table as it is and
 builds its per-variable and per-writer lookup maps on the first query
 after a change.
@@ -36,12 +39,68 @@ __all__ = [
     "EntryTable",
     "LocalIndex",
     "GlobalIndex",
+    "PRISTINE",
+    "PristineChecksums",
     "block_checksum",
+    "entry_serialized_bytes",
 ]
 
 _ENTRY_HEADER_BYTES = 64.0  # serialized per-entry overhead
 _CHAR_BYTES = 24.0  # serialized characteristics block
 _CKSUM_BYTES = 8.0  # serialized per-block checksum
+
+
+class _Pristine:
+    """The type of :data:`PRISTINE`; pickles and copies as itself."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "PRISTINE"
+
+    def __repr__(self) -> str:
+        return "PRISTINE"
+
+
+#: Marks a ledger cell whose value is still the application's own
+#: digest of the block (not yet computed, never overwritten).
+PRISTINE = _Pristine()
+
+
+class PristineChecksums(Sequence):
+    """One rank's block checksums as an application defines them.
+
+    ``app`` is an :class:`~repro.apps.base.AppKernel` with checksums on;
+    item ``j`` is :func:`block_checksum` of the rank's ``j``-th variable
+    block, computed on access and not kept.  What
+    ``AppKernel.blocks_of`` hands the storage layer, whose
+    ``BlockLedger`` stores the rows as :data:`PRISTINE` and keeps only
+    ``(app, rank)`` as their provenance.
+    """
+
+    __slots__ = ("app", "rank")
+
+    def __init__(self, app, rank: int):
+        self.app = app
+        self.rank = rank
+
+    def __len__(self) -> int:
+        return len(self.app.var_names)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[k] for k in range(*j.indices(len(self)))]
+        app = self.app
+        return block_checksum(app.var_names[j], self.rank, app.block_sizes[j])
+
+
+def entry_serialized_bytes(var: str, characteristics: bool,
+                           checksum: bool) -> float:
+    """Serialized size of one index entry of variable ``var``."""
+    extra = _CHAR_BYTES if characteristics else 0.0
+    if checksum:
+        extra += _CKSUM_BYTES
+    return _ENTRY_HEADER_BYTES + len(var) + extra
 
 
 def block_checksum(var: str, writer: int, nbytes: float) -> int:
@@ -122,12 +181,10 @@ class IndexEntry:
     def __post_init__(self):
         if self.offset < 0 or self.nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
-        extra = _CHAR_BYTES if self.characteristics is not None else 0.0
-        if self.checksum is not None:
-            extra += _CKSUM_BYTES
-        object.__setattr__(
-            self, "_serialized", _ENTRY_HEADER_BYTES + len(self.var) + extra
-        )
+        object.__setattr__(self, "_serialized", entry_serialized_bytes(
+            self.var, self.characteristics is not None,
+            self.checksum is not None,
+        ))
 
     @property
     def serialized_bytes(self) -> float:
@@ -142,20 +199,36 @@ class EntryTable(Sequence):
     checksum[i])``; ``ccount[i] is None`` marks an entry without
     characteristics.  Indexing or iterating the table builds those
     entries afresh, equal to the ones that went in.
+
+    Rows appended from an application (:meth:`add_output`) are
+    pristine: the table keeps one reference to the application, and
+    its ``writer``/``var``/``nbytes`` columns are the provenance.  The
+    checksum and min/max of such a row hold :data:`PRISTINE` until a
+    reader needs them.  Indexing or iterating a row computes that
+    row's digests; reading the ``checksum``, ``cmin`` or ``cmax``
+    column computes every pending row.  Either way the value is
+    written into the column, so it is computed once.  Nothing else
+    computes a digest: appending, sorting, :meth:`permute` and
+    :attr:`serialized_bytes` leave pristine cells as they are.
     """
 
-    __slots__ = ("var", "writer", "offset", "nbytes", "checksum",
-                 "cmin", "cmax", "ccount")
+    __slots__ = ("var", "writer", "offset", "nbytes", "_checksum",
+                 "_cmin", "_cmax", "ccount", "_app")
+
+    #: The per-row columns, in the order :meth:`permute` moves them.
+    _COLUMNS = ("var", "writer", "offset", "nbytes", "_checksum",
+                "_cmin", "_cmax", "ccount")
 
     def __init__(self, entries: Iterable[IndexEntry] = ()):
         self.var: List[str] = []
         self.writer: List[int] = []
         self.offset: List[float] = []
         self.nbytes: List[float] = []
-        self.checksum: List[Optional[int]] = []
-        self.cmin: List[float] = []
-        self.cmax: List[float] = []
+        self._checksum: List = []
+        self._cmin: List = []
+        self._cmax: List = []
         self.ccount: List[Optional[int]] = []
+        self._app = None  # the application of the pristine rows
         for e in entries:
             self.append(e)
 
@@ -164,27 +237,89 @@ class EntryTable(Sequence):
         self.writer.append(e.writer)
         self.offset.append(e.offset)
         self.nbytes.append(e.nbytes)
-        self.checksum.append(e.checksum)
+        self._checksum.append(e.checksum)
         ch = e.characteristics
         if ch is None:
-            self.cmin.append(0.0)
-            self.cmax.append(0.0)
+            self._cmin.append(0.0)
+            self._cmax.append(0.0)
             self.ccount.append(None)
         else:
-            self.cmin.append(ch.minimum)
-            self.cmax.append(ch.maximum)
+            self._cmin.append(ch.minimum)
+            self._cmax.append(ch.maximum)
             self.ccount.append(ch.count)
+
+    def add_output(self, app, rank: int, base_offset: float) -> None:
+        """Append one rank's pristine rows laid back to back from
+        ``base_offset`` (see :meth:`LocalIndex.add_output`)."""
+        if self._app is not app:
+            if self._app is not None:
+                self._materialise()  # one application per table
+            self._app = app
+        sizes = app.block_sizes
+        n = len(sizes)
+        self.var.extend(app.var_names)
+        self.writer.extend(repeat(rank, n))
+        offset = base_offset
+        for nb in sizes:
+            self.offset.append(offset)
+            offset += nb
+        self.nbytes.extend(sizes)
+        self._checksum.extend(
+            repeat(PRISTINE, n) if app.checksums else app.block_checksums(rank)
+        )
+        self._cmin.extend(repeat(PRISTINE, n))
+        self._cmax.extend(repeat(PRISTINE, n))
+        self.ccount.extend(app.block_counts)
+
+    # -- digests on demand -------------------------------------------------
+    def _resolve(self, i: int) -> None:
+        """Compute row ``i``'s pristine cells into the columns."""
+        var, rank = self.var[i], self.writer[i]
+        if self._checksum[i] is PRISTINE:
+            self._checksum[i] = block_checksum(var, rank, self.nbytes[i])
+        if self._cmin[i] is PRISTINE:
+            self._cmin[i], self._cmax[i] = self._app.min_max(rank, var)
+
+    def _materialise(self) -> None:
+        """Compute every pending pristine cell."""
+        if self._app is None:
+            return
+        for i, lo in enumerate(self._cmin):
+            if lo is PRISTINE or self._checksum[i] is PRISTINE:
+                self._resolve(i)
+        self._app = None
+
+    @property
+    def checksum(self) -> List[Optional[int]]:
+        """Per-row content checksums (None: checksum-free)."""
+        self._materialise()
+        return self._checksum
+
+    @property
+    def cmin(self) -> List[float]:
+        """Per-row characteristics minima."""
+        self._materialise()
+        return self._cmin
+
+    @property
+    def cmax(self) -> List[float]:
+        """Per-row characteristics maxima."""
+        self._materialise()
+        return self._cmax
 
     def __len__(self) -> int:
         return len(self.var)
 
     def __getitem__(self, i: int) -> IndexEntry:
         count = self.ccount[i]  # raises IndexError past the end
+        if self._app is not None and (self._cmin[i] is PRISTINE
+                                      or self._checksum[i] is PRISTINE):
+            self._resolve(i)
         return IndexEntry(
             self.var[i], self.writer[i], self.offset[i], self.nbytes[i],
             None if count is None
-            else Characteristics(self.cmin[i], self.cmax[i], count),
-            self.checksum[i],
+            else Characteristics(self._cmin[i], self._cmax[i], count),
+            self._checksum[i],
         )
 
     def __iter__(self) -> Iterator[IndexEntry]:
@@ -202,8 +337,9 @@ class EntryTable(Sequence):
         return order
 
     def permute(self, order: Sequence) -> None:
-        """Reorder every column to ``order`` (a permutation of rows)."""
-        for name in self.__slots__:
+        """Reorder every column to ``order`` (a permutation of rows);
+        pristine cells move with their rows."""
+        for name in self._COLUMNS:
             col = getattr(self, name)
             col[:] = [col[i] for i in order]
 
@@ -215,7 +351,7 @@ class EntryTable(Sequence):
             _ENTRY_HEADER_BYTES * n
             + sum(map(len, self.var))
             + _CHAR_BYTES * (n - self.ccount.count(None))
-            + _CKSUM_BYTES * (n - self.checksum.count(None))
+            + _CKSUM_BYTES * (n - self._checksum.count(None))
         )
 
 
@@ -226,7 +362,7 @@ class LocalIndex:
     group's own); :meth:`finalize` sorts and seals, mirroring the SC's
     "sort and merge the index pieces" step.  The entries live in one
     :class:`EntryTable`; :meth:`add_output` appends one rank's whole
-    output from the application's cached per-rank columns.
+    output as pristine rows, computing no digest.
     """
 
     def __init__(self, file_path: str):
@@ -247,26 +383,14 @@ class LocalIndex:
         """Index one rank's output laid back to back from ``base_offset``.
 
         ``app`` is an :class:`~repro.apps.base.AppKernel`: its variable
-        names, block sizes and counts are shared by every rank, and its
-        per-rank checksums and characteristics are computed once per
-        (rank, variable) and cached.  Equal to ``add(
-        app.index_entries(rank, base_offset))`` without the objects.
+        names, block sizes and counts are shared by every rank, and the
+        rank's checksums and characteristics are left pristine, to be
+        derived when a reader asks.  Equal to ``add(
+        app.index_entries(rank, base_offset))`` without the objects or
+        the digests.
         """
         self._check_open()
-        t = self._table
-        sizes = app.block_sizes
-        t.var.extend(app.var_names)
-        t.writer.extend(repeat(rank, len(sizes)))
-        offset = base_offset
-        for nb in sizes:
-            t.offset.append(offset)
-            offset += nb
-        t.nbytes.extend(sizes)
-        t.checksum.extend(app.block_checksums(rank))
-        lo, hi = app.block_characteristics(rank)
-        t.cmin.extend(lo)
-        t.cmax.extend(hi)
-        t.ccount.extend(app.block_counts)
+        self._table.add_output(app, rank, base_offset)
 
     def finalize(self) -> EntryTable:
         """Sort by (offset, var) and seal; returns the entry table,
@@ -401,12 +525,16 @@ class GlobalIndex:
         """
         files, rows = self._var_hits().get(var, ((), ()))
         tables = list(self._tables.values())
+        cols: Dict[int, tuple] = {}  # file ordinal -> its three columns
         keep = []
         for pos, (k, row) in enumerate(zip(files, rows)):
-            t = tables[k]
-            count = t.ccount[row]
+            c = cols.get(k)
+            if c is None:
+                t = tables[k]
+                c = cols[k] = (t.ccount, t.cmin, t.cmax)
+            count = c[0][row]
             if count is None or (
-                count > 0 and not (high < t.cmin[row] or low > t.cmax[row])
+                count > 0 and not (high < c[1][row] or low > c[2][row])
             ):
                 keep.append(pos)
         return self._entries(var, keep) if keep else []

@@ -56,7 +56,7 @@ from repro.core.transports.base import (
     OutputResult,
     Transport,
     TransportRun,
-    WriterTiming,
+    WriterTimings,
 )
 from repro.errors import (
     OstFailedError,
@@ -115,8 +115,8 @@ class _GroupStream:
     Completion bookkeeping is centralized here: OST-span trace and
     stored-block registration (via
     :meth:`~repro.lustre.filesystem.FileSystem.record_aggregated_write`),
-    the writer's wait/index/write trace spans, its
-    :class:`~repro.core.transports.base.WriterTiming`, and finally a
+    the writer's wait/index/write trace spans, its row in the run's
+    :class:`~repro.core.transports.base.WriterTimings`, and finally a
     ``notify(rank, outcome)`` callback the owning protocol uses to
     send (or synchronously account) the completion messages.  Outcomes
     are ``("done", t_start, t_end, offset)`` for members written
@@ -354,14 +354,7 @@ class _GroupStream:
                       "offset": float(offset), "adaptive": False},
             )
             tr.end("write", cat="writer", pid=wpid, tid=wtid, ts=t_end)
-        self.timings[rank] = WriterTiming(
-            rank=rank,
-            start=t_start,
-            end=t_end,
-            nbytes=self.nbytes,
-            target_group=self.g,
-            adaptive=False,
-        )
+        self.timings.set(rank, t_start, t_end, self.nbytes, self.g)
         self.notify(rank, ("done", t_start, t_end, offset))
 
 
@@ -504,9 +497,7 @@ class AdaptiveTransport(Transport):
         comm = SimComm(env, n_ranks, latency=machine.spec.latency)
         comm.faults = faults
         nbytes = app.per_process_bytes
-        index_nbytes = float(
-            sum(e.serialized_bytes for e in app.index_entries(0, 0.0))
-        )
+        index_nbytes = app.index_nbytes
         # Control-plane flight times, shared by both healthy modes so
         # batched bookkeeping reproduces the reference's arrival
         # arithmetic bit-for-bit: `hop` is one 64-byte control message,
@@ -531,7 +522,7 @@ class AdaptiveTransport(Transport):
         files_at: Dict[tuple, object] = {}  # (group, epoch) -> SimFile
         paths_at: Dict[tuple, str] = {}
         epoch_of = [0] * n_groups
-        timings: List[Optional[WriterTiming]] = [None] * n_ranks
+        timings = WriterTimings(n_ranks)
         stats = {
             "adaptive_writes": 0,
             "busy_bounces": 0,
@@ -641,14 +632,7 @@ class AdaptiveTransport(Transport):
             end = env.now
             if traced:
                 tracer.end("write", cat="writer", pid=wpid, tid=wtid)
-            timings[rank] = WriterTiming(
-                rank=rank,
-                start=start,
-                end=end,
-                nbytes=nbytes,
-                target_group=target,
-                adaptive=True,
-            )
+            timings.set(rank, start, end, nbytes, target, adaptive=True)
             wc = WriteComplete(
                 source_rank=rank,
                 source_group=g,
@@ -1131,14 +1115,8 @@ class AdaptiveTransport(Transport):
                                 )
                         break
                 if failure is None:
-                    timings[rank] = WriterTiming(
-                        rank=rank,
-                        start=start,
-                        end=env.now,
-                        nbytes=nbytes,
-                        target_group=ws.target_group,
-                        adaptive=ws.adaptive,
-                    )
+                    timings.set(rank, start, env.now, nbytes,
+                                ws.target_group, ws.adaptive)
                     wc = WriteComplete(
                         source_rank=rank,
                         source_group=g,
@@ -1812,7 +1790,7 @@ class AdaptiveTransport(Transport):
                 write_time=write_end - open_end,
                 flush_time=flush_end - flush_start,
                 close_time=close_end - flush_end,
-                per_writer=[t for t in timings if t is not None],
+                per_writer=timings,
                 files=sorted(
                     paths_at.get((g, epoch_of[g]), _sub_file_path(g, 0))
                     for g in range(n_groups)

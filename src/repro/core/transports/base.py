@@ -13,6 +13,7 @@ Timing follows the paper's measurement protocol:
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -29,6 +30,7 @@ __all__ = [
     "TransportRun",
     "OutputResult",
     "WriterTiming",
+    "WriterTimings",
 ]
 
 
@@ -53,9 +55,97 @@ class WriterTiming:
         return self.nbytes / d if d > 0 else float("inf")
 
 
+class WriterTimings(Sequence):
+    """One run's per-writer timings as per-rank columns.
+
+    A transport sizes it to the communicator and calls :meth:`set` as
+    each writer lands (a later call for the same rank replaces the
+    earlier one).  As a sequence it is the timed writers in rank order;
+    indexing or iterating builds a :class:`WriterTiming` equal to the
+    one the transport described.  ``start[r] is None`` marks a rank
+    with no timing.
+    """
+
+    __slots__ = ("start", "end", "nbytes", "target_group", "adaptive",
+                 "_ranks")
+
+    def __init__(self, n_ranks: int = 0):
+        self.start: List[Optional[float]] = [None] * n_ranks
+        self.end: List[float] = [0.0] * n_ranks
+        self.nbytes: List[float] = [0.0] * n_ranks
+        self.target_group: List[int] = [-1] * n_ranks
+        self.adaptive: List[bool] = [False] * n_ranks
+        self._ranks: Optional[List[int]] = None  # timed ranks, cached
+
+    def set(self, rank: int, start: float, end: float, nbytes: float,
+            target_group: int = -1, adaptive: bool = False) -> None:
+        """Record (or replace) ``rank``'s timing."""
+        if self.start[rank] is None:
+            self._ranks = None
+        self.start[rank] = start
+        self.end[rank] = end
+        self.nbytes[rank] = nbytes
+        self.target_group[rank] = target_group
+        self.adaptive[rank] = adaptive
+
+    def has(self, rank: int) -> bool:
+        """Has ``rank`` a timing?"""
+        return self.start[rank] is not None
+
+    @property
+    def ranks(self) -> List[int]:
+        """The timed ranks, ascending."""
+        if self._ranks is None:
+            self._ranks = [r for r, t in enumerate(self.start)
+                           if t is not None]
+        return self._ranks
+
+    def durations(self) -> List[float]:
+        """``end - start`` per timed writer, in rank order."""
+        start, end = self.start, self.end
+        return [end[r] - start[r] for r in self.ranks]
+
+    def bandwidths(self) -> List[float]:
+        """:attr:`WriterTiming.bandwidth` per timed writer."""
+        nbytes = self.nbytes
+        return [nbytes[r] / d if d > 0 else float("inf")
+                for r, d in zip(self.ranks, self.durations())]
+
+    def total_bytes(self) -> float:
+        """Σ nbytes over the timed writers, in rank order."""
+        nbytes = self.nbytes
+        return sum(nbytes[r] for r in self.ranks)
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, i: int) -> WriterTiming:
+        r = self.ranks[i]
+        return WriterTiming(r, self.start[r], self.end[r], self.nbytes[r],
+                            self.target_group[r], self.adaptive[r])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.ranks)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (WriterTimings, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"WriterTimings({list(self)!r})"
+
+
 @dataclass
 class OutputResult:
-    """Everything one output operation produced."""
+    """Everything one output operation produced.
+
+    ``per_writer`` is the timed writers in rank order, as the
+    :class:`WriterTimings` columns the transport filled; iterating it
+    builds one :class:`WriterTiming` per writer.
+    """
 
     transport: str
     n_writers: int
@@ -64,7 +154,7 @@ class OutputResult:
     write_time: float
     flush_time: float
     close_time: float
-    per_writer: List[WriterTiming] = field(default_factory=list)
+    per_writer: WriterTimings = field(default_factory=WriterTimings)
     files: List[str] = field(default_factory=list)
     index: Optional[GlobalIndex] = None
     n_adaptive_writes: int = 0
@@ -91,11 +181,11 @@ class OutputResult:
 
     @property
     def per_writer_bandwidths(self) -> np.ndarray:
-        return np.array([w.bandwidth for w in self.per_writer])
+        return np.array(self.per_writer.bandwidths())
 
     @property
     def per_writer_durations(self) -> np.ndarray:
-        return np.array([w.duration for w in self.per_writer])
+        return np.array(self.per_writer.durations())
 
     @property
     def imbalance_factor(self) -> float:
@@ -120,7 +210,7 @@ class OutputResult:
                 f"{len(self.per_writer)} writer timings for "
                 f"{self.n_writers} writers"
             )
-        written = sum(w.nbytes for w in self.per_writer)
+        written = self.per_writer.total_bytes()
         if abs(written - self.total_bytes) > max(1.0, 1e-6 * self.total_bytes):
             raise ValueError(
                 f"writer bytes {written} != total {self.total_bytes}"

@@ -33,7 +33,7 @@ from repro.core.transports.base import (
     OutputResult,
     Transport,
     TransportRun,
-    WriterTiming,
+    WriterTimings,
 )
 from repro.errors import OstFailedError, TransportError, WriteTimeout
 from repro.sim.events import AllSettled
@@ -173,7 +173,7 @@ class StaticTransport(Transport):
         pre_wait = self._pre_write(machine)
         tr = env.tracer
         chunk = app.per_process_bytes
-        timings: List[Optional[WriterTiming]] = [None] * machine.n_ranks
+        timings = WriterTimings(machine.n_ranks)
         fobjs: Dict[int, object] = {}
         lost_files = set()  # files whose creator died before creating them
         phase: Dict[str, float] = {}
@@ -237,10 +237,8 @@ class StaticTransport(Transport):
             if tr is not None:
                 pid, tid = thread(m.rank)
                 tr.end("write", cat="writer", pid=pid, tid=tid)
-            timings[m.rank] = WriterTiming(
-                m.rank, w.start, env.now, chunk,
-                target_group=layout.target_group(m.lane.k, m.slot),
-            )
+            timings.set(m.rank, w.start, env.now, chunk,
+                        target_group=layout.target_group(m.lane.k, m.slot))
             return True
 
         def play(lane: _Lane) -> None:
@@ -367,7 +365,7 @@ class StaticTransport(Transport):
                 for k, path in enumerate(layout.paths):
                     local = LocalIndex(path)
                     for slot, rank in enumerate(layout.members[k]):
-                        if faults is None or timings[rank] is not None:
+                        if faults is None or timings.has(rank):
                             local.add_output(app, rank, slot * chunk)
                     if faults is not None and not len(local):
                         continue  # none of the file's chunks landed
@@ -384,7 +382,7 @@ class StaticTransport(Transport):
                 write_time=phase["write_end"] - open_end,
                 flush_time=phase["flush_end"] - phase["write_end"],
                 close_time=phase["close_end"] - phase["flush_end"],
-                per_writer=[t for t in timings if t is not None],
+                per_writer=timings,
                 files=[layout.paths[k] for k in sorted(fobjs)],
                 index=index,
                 extra=dict(layout.extra),
@@ -408,7 +406,7 @@ class StaticTransport(Transport):
         # as the cache: bytes a fail-stop destroyed before they drained
         # are subtracted from the completed writes.
         cache_lost = float(machine.pool.bytes_lost.sum())
-        written = float(sum(w.nbytes for w in result.per_writer))
+        written = float(result.per_writer.total_bytes())
         bytes_durable = max(0.0, written - cache_lost)
         bytes_lost = result.total_bytes - bytes_durable
         result.extra.update(bytes_durable=bytes_durable, bytes_lost=bytes_lost,

@@ -2,19 +2,26 @@
 
 A file's stored blocks are a columnar :class:`BlockLedger`: one row per
 block, and a :class:`StoredBlock` is a write-through view of a row,
-built only when a reader asks for one.
+built only when a reader asks for one.  Its completed writes are a
+columnar :class:`WriteLog`, whose :class:`WriteRecord` objects are
+likewise built on access.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from collections.abc import Mapping
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.index import PRISTINE, PristineChecksums
 from repro.lustre.layout import StripeLayout
 
-__all__ = ["BlockLedger", "SimFile", "StoredBlock", "WriteRecord"]
+__all__ = ["BlockLedger", "SimFile", "StoredBlock", "WriteLog",
+           "WriteRecord"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,56 @@ class WriteRecord:
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
+
+
+class WriteLog(SequenceABC):
+    """A file's completed writes, in completion order, as columns.
+
+    One flat list holds ``offset, nbytes, start_time, end_time,
+    writer`` per write back to back, so a file costs one list however
+    many writes it takes; indexing or iterating builds a
+    :class:`WriteRecord` equal to the one the write returned.
+    """
+
+    __slots__ = ("_rows",)
+
+    _WIDTH = 5
+
+    def __init__(self):
+        self._rows: list = []
+
+    def add(self, offset: float, nbytes: float, start_time: float,
+            end_time: float, writer: Optional[int]) -> None:
+        """Log one completed write."""
+        self._rows += (offset, nbytes, start_time, end_time, writer)
+
+    @property
+    def offset(self) -> list:
+        return self._rows[0::self._WIDTH]
+
+    @property
+    def nbytes(self) -> list:
+        return self._rows[1::self._WIDTH]
+
+    def __len__(self) -> int:
+        return len(self._rows) // self._WIDTH
+
+    def __getitem__(self, i: int) -> WriteRecord:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("write log index out of range")
+        k = (i % n) * self._WIDTH
+        return WriteRecord(*self._rows[k:k + self._WIDTH])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (WriteLog, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"WriteLog({list(self)!r})"
 
 
 def _column(name: str, doc: str, writable: bool = False) -> property:
@@ -67,9 +124,15 @@ class StoredBlock:
 
     offset = _column("offset", "Byte offset of the block in its file.")
     nbytes = _column("nbytes", "Block length in bytes.")
-    checksum = _column(
-        "checksum", "What a read-back computes; None if checksum-free.",
-        writable=True)
+    @property
+    def checksum(self) -> Optional[int]:
+        """What a read-back computes; None if checksum-free."""
+        return self._ledger.checksum_at(self._row)
+
+    @checksum.setter
+    def checksum(self, value: Optional[int]) -> None:
+        self._ledger._checksum[self._row] = value
+
     valid_bytes = _column(
         "valid_bytes", "Length of the prefix that landed.", writable=True)
     seq = _column("seq", "Filesystem-wide store order (recency).")
@@ -106,21 +169,33 @@ class BlockLedger(Mapping):
     and ``del``/``pop`` drop a block.  Storing only appends to the
     columns; the extent map folds new rows in on the next read, so a
     write path that nobody reads back builds no per-block object.
+
+    Checksums handed over as a
+    :class:`~repro.core.index.PristineChecksums` are stored as
+    :data:`~repro.core.index.PRISTINE`.  The ledger keeps their
+    provenance as two flat int columns, the first row and the rank of
+    each such run, plus one reference to the application.  A pristine
+    checksum is computed, and written into the column, the first time
+    it is read: through a view, :meth:`checksum_at` or the
+    ``checksum`` column.  Setting a view's checksum overrides it.
     """
 
-    __slots__ = ("offset", "nbytes", "checksum", "valid_bytes", "seq",
-                 "writer", "corrupt", "_rows", "_mapped")
+    __slots__ = ("offset", "nbytes", "_checksum", "valid_bytes", "seq",
+                 "writer", "corrupt", "_rows", "_mapped", "_app",
+                 "_run_first", "_run_rank")
 
     def __init__(self):
         self.offset: List[float] = []
         self.nbytes: List[float] = []
-        self.checksum: List[Optional[int]] = []
+        self._checksum: List = []
         self.valid_bytes: List[float] = []
         self.seq: List[int] = []
         self.writer: List[Optional[int]] = []
         self.corrupt: List[bool] = []
         self._rows: Dict[Tuple[float, float], int] = {}
         self._mapped = 0
+        # Provenance of the pristine runs, made on the first one.
+        self._app = self._run_first = self._run_rank = None
 
     def append(
         self,
@@ -139,12 +214,47 @@ class BlockLedger(Mapping):
             offset += nb
         n = len(self.offset) - first
         self.nbytes.extend(sizes)
-        self.checksum.extend(checksums)
+        if type(checksums) is PristineChecksums:
+            if self._app is not checksums.app:
+                if self._app is not None:
+                    self._materialise()  # one application per ledger
+                self._app = checksums.app
+                self._run_first, self._run_rank = [], []
+            self._run_first.append(first)
+            self._run_rank.append(checksums.rank)
+            self._checksum.extend(repeat(PRISTINE, n))
+        else:
+            self._checksum.extend(checksums)
         self.valid_bytes.extend(map(float, sizes))
         self.seq.extend(range(first_seq, first_seq + n))
         self.writer.extend(repeat(writer, n))
         self.corrupt.extend(repeat(False, n))
         return first
+
+    def checksum_at(self, row: int) -> Optional[int]:
+        """Row ``row``'s checksum, computing a pristine one."""
+        value = self._checksum[row]
+        if value is PRISTINE:
+            k = bisect_right(self._run_first, row) - 1
+            value = self._checksum[row] = PristineChecksums(
+                self._app, self._run_rank[k]
+            )[row - self._run_first[k]]
+        return value
+
+    def _materialise(self) -> None:
+        """Compute every pristine checksum still pending."""
+        if self._app is None:
+            return
+        for row, value in enumerate(self._checksum):
+            if value is PRISTINE:
+                self.checksum_at(row)
+        self._app = self._run_first = self._run_rank = None
+
+    @property
+    def checksum(self) -> List[Optional[int]]:
+        """Per-row stored checksums (None: checksum-free)."""
+        self._materialise()
+        return self._checksum
 
     def _extents(self) -> Dict[Tuple[float, float], int]:
         """``extent -> live row``, folding in the rows stored since."""
@@ -187,13 +297,15 @@ class SimFile:
     tags when callers provide them, which is how the BP index layer
     round-trips metadata through "files" for the read-back path.
     ``blocks`` is the file's :class:`BlockLedger` of stored variable
-    blocks, the integrity layer's ground truth.
+    blocks, the integrity layer's ground truth, and ``writes`` its
+    :class:`WriteLog`: both columnar, building a :class:`StoredBlock`
+    or :class:`WriteRecord` only when a reader asks for one.
     """
 
     path: str
     layout: StripeLayout
     create_time: float = 0.0
-    writes: List[WriteRecord] = field(default_factory=list)
+    writes: WriteLog = field(default_factory=WriteLog)
     payloads: Dict[Tuple[float, float], object] = field(default_factory=dict)
     blocks: BlockLedger = field(default_factory=BlockLedger)
     closed: bool = False
@@ -203,19 +315,23 @@ class SimFile:
         """Bytes from 0 to the end of the furthest extent written."""
         if not self.writes:
             return 0.0
-        return max(w.offset + w.nbytes for w in self.writes)
+        w = self.writes
+        return max(map(operator.add, w.offset, w.nbytes))
 
     @property
     def bytes_written(self) -> float:
         """Total bytes written (extents may overlap; they all count)."""
-        return sum(w.nbytes for w in self.writes)
+        return sum(self.writes.nbytes)
 
-    def record_write(self, record: WriteRecord, payload: object = None) -> None:
+    def record_write(self, offset: float, nbytes: float, start_time: float,
+                     end_time: float, writer: Optional[int] = None,
+                     payload: object = None) -> None:
+        """Append one completed write to :attr:`writes`."""
         if self.closed:
             raise ValueError(f"{self.path}: write after close")
-        self.writes.append(record)
+        self.writes.add(offset, nbytes, start_time, end_time, writer)
         if payload is not None:
-            self.payloads[(record.offset, record.nbytes)] = payload
+            self.payloads[(offset, nbytes)] = payload
 
     def payload_at(self, offset: float, nbytes: float) -> object:
         """The payload tag stored for an exact extent, or None."""
@@ -273,4 +389,4 @@ class SimFile:
 
     def extents(self) -> List[Tuple[float, float]]:
         """(offset, nbytes) of every write, in completion order."""
-        return [(w.offset, w.nbytes) for w in self.writes]
+        return list(zip(self.writes.offset, self.writes.nbytes))

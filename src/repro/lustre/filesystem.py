@@ -416,7 +416,8 @@ class FileSystem:
 
         A failed flow or an expired timer withdraws the write's
         remaining flows and raises, as :meth:`write` documents;
-        otherwise the write is recorded (:meth:`_record_write`) at now.
+        otherwise the write is recorded (:meth:`_record_write`) at now
+        and its record built from the handle.
         """
         timer = w.timer
         if w.wait is not None and not w.wait.ok:
@@ -436,10 +437,10 @@ class FileSystem:
                 )
             if not timer.processed:
                 timer.cancel()
-        return self._record_write(
-            w.f, w.offset, w.nbytes, w.start, self.env.now, w.writer,
-            payload, blocks,
-        )
+        end = self.env.now
+        self._record_write(w.f, w.offset, w.nbytes, w.start, end, w.writer,
+                           payload, blocks)
+        return WriteRecord(w.offset, w.nbytes, w.start, end, w.writer)
 
     def record_aggregated_write(
         self,
@@ -452,7 +453,7 @@ class FileSystem:
         writer: Optional[int] = None,
         payload: object = None,
         blocks: Optional[Blocks] = None,
-    ) -> WriteRecord:
+    ) -> None:
         """Bookkeeping for a write whose bytes rode an aggregate flow.
 
         The batched adaptive protocol moves a whole group's data as one
@@ -461,7 +462,8 @@ class FileSystem:
         ``ost.service`` span at the member's actual (possibly past)
         start/end instants, then the bookkeeping tail :meth:`write`
         shares — with no fabric interaction: the carrying flow already
-        moved the bytes.
+        moved the bytes.  Builds no record: the write is a row of the
+        file's :class:`~repro.lustre.file.WriteLog`.
         """
         tr = self.env.tracer
         if tr is not None:
@@ -478,35 +480,26 @@ class FileSystem:
                 )
                 tr.end("ost.service", cat="ost", pid=f"ost/{ost}", tid=tid,
                        ts=end_time)
-        return self._record_write(
+        self._record_write(
             f, offset, nbytes, start_time, end_time, writer, payload, blocks
         )
 
     def _record_write(self, f, offset, nbytes, start_time, end_time,
-                      writer, payload, blocks) -> WriteRecord:
-        """A completed write's bookkeeping: the :class:`WriteRecord`,
-        metrics, the file's write log, stored blocks (appended to the
-        file's ledger, numbered by ``_store_seq``) and the corruption
-        hook, in that order."""
-        record = WriteRecord(
-            offset=offset,
-            nbytes=nbytes,
-            start_time=start_time,
-            end_time=end_time,
-            writer=writer,
-        )
+                      writer, payload, blocks) -> None:
+        """A completed write's bookkeeping: metrics, the file's write
+        log, stored blocks (appended to the file's ledger, numbered by
+        ``_store_seq``) and the corruption hook, in that order."""
         if self._m_writes is not None:
             self._m_writes.inc()
             self._m_bytes_written.inc(float(nbytes))
             self._m_write_seconds.observe(end_time - start_time)
-        f.record_write(record, payload=payload)
+        f.record_write(offset, nbytes, start_time, end_time, writer, payload)
         if blocks is not None:
             first = f.store_blocks(offset, blocks, self._store_seq + 1,
                                    writer=writer)
             self._store_seq += len(blocks[0])
             if self.corrupt_hook is not None:
                 self.corrupt_hook(f, f.blocks.views(first))
-        return record
 
     def _withdraw_flows(self, fids: List[int]) -> float:
         """Cancel whichever of *fids* are still in flight; bytes undelivered."""

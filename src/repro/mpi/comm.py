@@ -78,6 +78,9 @@ class SimComm:
         Communicator size.
     latency:
         alpha-beta model for control messages.
+
+    A rank's inbox is made on the first message sent to it or the
+    first receive it posts, so ranks that never talk cost nothing.
     """
 
     def __init__(
@@ -91,7 +94,7 @@ class SimComm:
         self.env = env
         self.n_ranks = n_ranks
         self.latency = latency if latency is not None else MessageLatencyModel()
-        self._inboxes = [_Inbox() for _ in range(n_ranks)]
+        self._inboxes: Dict[int, _Inbox] = {}
         self._barriers: Dict[str, Tuple[int, Event]] = {}
         self.messages_sent = 0
         self.messages_by_rank: Dict[int, int] = {}
@@ -102,6 +105,12 @@ class SimComm:
     def _check_rank(self, rank: int, what: str = "rank") -> None:
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"{what} {rank} out of range [0, {self.n_ranks})")
+
+    def _inbox(self, rank: int) -> _Inbox:
+        box = self._inboxes.get(rank)
+        if box is None:
+            box = self._inboxes[rank] = _Inbox()
+        return box
 
     # -- point to point ------------------------------------------------------
     def send(
@@ -142,7 +151,7 @@ class SimComm:
                 sent_at=sent_at,
                 delivered_at=self.env.now,
             )
-            self._inboxes[dest].deliver(msg)
+            self._inbox(dest).deliver(msg)
             tr = self.env.tracer
             if tr is not None:
                 # One complete span per message, send -> delivery.
@@ -172,11 +181,12 @@ class SimComm:
         self._check_rank(rank)
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        return self._inboxes[rank].post_recv(self.env, source, tag)
+        return self._inbox(rank).post_recv(self.env, source, tag)
 
     def inbox_size(self, rank: int) -> int:
         self._check_rank(rank)
-        return len(self._inboxes[rank].pending)
+        box = self._inboxes.get(rank)
+        return 0 if box is None else len(box.pending)
 
     # -- collectives -----------------------------------------------------------
     def barrier(self, rank: int, name: str = "default", n: Optional[int] = None):

@@ -48,6 +48,17 @@ class Deadlock(RuntimeError):
         self.processes = list(processes)
 
 
+class _Callback(Event):
+    """The calendar entry :meth:`Environment.schedule_callback` returns:
+    an already-succeeded event that calls ``fn()`` when it fires."""
+
+    __slots__ = ("fn",)
+
+
+def _fire(ev: _Callback) -> None:
+    ev.fn()
+
+
 class Environment:
     """Owns simulated time and the pending-event calendar.
 
@@ -175,10 +186,11 @@ class Environment:
         entry fires into a dead closure and, under heavy churn, piles
         thousands of tombstones onto one simulated instant.
         """
-        ev = Event(self)
+        ev = _Callback(self)
         ev._ok = True
         ev._value = None
-        ev.add_callback(lambda _ev: fn())
+        ev.fn = fn
+        ev.callbacks.append(_fire)
         self._schedule(ev, delay=delay, priority=priority)
         return ev
 

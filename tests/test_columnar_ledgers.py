@@ -10,7 +10,9 @@ state as per-file columns and build ``IndexEntry``/``Characteristics``/
   indices used to be, over random block sets (checksum-free apps and
   entries without characteristics included);
 * a ``StoredBlock`` is a write-through view of its ledger row;
-* storing and indexing 10,000 blocks creates no per-block object.
+* storing and indexing 10,000 blocks creates no per-block object;
+* a whole 1,024-rank adaptive run and MPI-IO run leave no per-rank
+  object alive: write records, writer timings and digests are columns.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from repro.core.index import (
     LocalIndex,
     block_checksum,
 )
+from repro.core.transports import AdaptiveTransport, MpiIoTransport
 from repro.lustre.file import SimFile
 from repro.lustre.layout import StripeLayout
+from repro.machines import jaguar
 
 
 # -- the object-per-entry reference -----------------------------------------
@@ -296,3 +300,29 @@ def test_entry_path_keeps_no_per_block_objects():
         return f, local, index
 
     assert _growth(fill) <= MAX_GROWTH
+
+
+# -- no per-rank objects in a whole run --------------------------------------
+RUN_RANKS = 1024
+RUN_OSTS = 32
+#: Objects a run may leave alive per output file (its write log,
+#: ledger and index columns), well under one per rank: a write record
+#: and a writer timing kept per rank grow either run by ~2,000.
+PER_FILE = 32
+
+
+@pytest.mark.parametrize("make", [AdaptiveTransport, MpiIoTransport],
+                         ids=["adaptive", "mpiio"])
+def test_whole_run_keeps_no_per_rank_objects(make):
+    machine = jaguar(n_osts=RUN_OSTS).build(n_ranks=RUN_RANKS, seed=1)
+    app = AppKernel("gc", [Variable(f"v{i}", (1024,)) for i in range(4)])
+    result = None
+
+    def fill():
+        nonlocal result
+        result = make().run(machine, app, output_name="gc")
+        return result
+
+    growth = _growth(fill)
+    assert [w.rank for w in result.per_writer] == list(range(RUN_RANKS))
+    assert growth <= PER_FILE * len(result.files) + MAX_GROWTH

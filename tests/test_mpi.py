@@ -75,6 +75,28 @@ class TestPointToPoint:
         assert got == ["right"]
         assert comm.inbox_size(0) == 1  # the tag-3 message still queued
 
+    def test_inboxes_are_made_on_first_use(self, env):
+        comm = make_comm(env, n=1 << 20)  # a million ranks cost nothing
+        got = []
+
+        def receiver():
+            msg = yield comm.recv(7)
+            got.append(msg.payload)
+
+        def sender():
+            comm.send(3, 9, "queued")
+            comm.send(3, 7, "taken")
+            if False:
+                yield
+
+        assert comm.inbox_size(5) == 0
+        env.process(receiver())
+        env.process(sender())
+        env.run()
+        assert got == ["taken"]
+        assert comm.inbox_size(9) == 1 and comm.inbox_size(3) == 0
+        assert sorted(comm._inboxes) == [7, 9]  # never the sender's
+
     def test_source_matching(self, env):
         comm = make_comm(env)
         got = []
