@@ -466,12 +466,15 @@ class FlowNetwork:
         self._src_counts = np.zeros(self.n_sources, dtype=np.int64)
         # Read-only copy of `_counts` for the sink pool (see _settle).
         self._counts_snap: Optional[np.ndarray] = None
-        # Flow-set generation vs. the generation the current rate
-        # allocation was computed for: when they match and sink
-        # capacities are unchanged, a settle can skip reallocation.
-        # The active-slot index is cached per generation too.
+        # Flow-set and tenant-limits generations vs. the generations
+        # the current rate allocation was computed for: when both match
+        # and sink capacities are unchanged, a settle can skip
+        # reallocation.  The active-slot index is cached per flow-set
+        # generation too.
         self._flowset_gen = 0
         self._alloc_gen = -1
+        self._limits_gen = 0
+        self._alloc_limits_gen = 0
         self._act_gen = -1
         self._act = np.empty(0, dtype=np.intp)
         self._last_caps: Optional[np.ndarray] = None
@@ -512,6 +515,10 @@ class FlowNetwork:
         # (bit-identity when QoS is disabled).
         self._tenant_limits: Optional[np.ndarray] = None
         self._tenant_throttle_rate: Optional[np.ndarray] = None
+        # The shadow uncapped allocation of the last QoS pass, as
+        # ``(flow-set generation, sink caps, rates)``: it depends on
+        # nothing else, so _qos_rates reuses it while both stand.
+        self._shadow: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         self.tenant_served: Optional[np.ndarray] = None
         self.tenant_throttled: Optional[np.ndarray] = None
         self.total_bytes_delivered = 0.0
@@ -565,34 +572,42 @@ class FlowNetwork:
         tagged with tenant ``t``; ``inf`` entries leave a tenant
         unconstrained.  The cap composes with max-min fairness as an
         equal per-flow split of the tenant budget, so within a tenant
-        flows stay mutually fair.  Installing limits invalidates the
-        current allocation (the skip-reallocation fast path keys on the
-        flow set and sink capacities only) and requests a settle, so a
-        limit change takes effect at the end of the current instant.
+        flows stay mutually fair.  Limits different from the installed
+        ones bump the limits generation, so the settle requested here
+        reallocates and the change takes effect at the end of the
+        current instant.  Limits equal to the installed ones (``None``
+        again, or an ``array_equal`` array) keep the current allocation
+        and throttle rate: the settle still runs, takes the
+        skip-reallocation path and re-arms the completion timer from
+        the bytes left now, exactly as a forced reallocation to the
+        same rates would.  Negative or NaN limits raise ``ValueError``.
 
         Byte ledgers (``tenant_served`` / ``tenant_throttled``)
         accumulate across calls while the tenant count is stable; they
         survive a ``set_tenant_limits(None)`` so post-run accounting
         can still read them.
         """
-        if limits is None:
-            self._tenant_limits = None
-            self._tenant_throttle_rate = None
-        else:
+        if limits is not None:
             limits = np.asarray(limits, dtype=np.float64).copy()
-            if (limits < 0).any():
-                raise ValueError("tenant limits must be non-negative")
+            if np.isnan(limits).any() or (limits < 0).any():
+                raise ValueError("tenant limits must be non-negative, not NaN")
+        old = self._tenant_limits
+        if limits is None:
+            same = old is None
+        else:
+            same = old is not None and np.array_equal(limits, old)
+        if not same:
             self._tenant_limits = limits
-            n = len(limits)
-            if self.tenant_served is None or len(self.tenant_served) != n:
-                self.tenant_served = np.zeros(n, dtype=np.float64)
-                self.tenant_throttled = np.zeros(n, dtype=np.float64)
-            self._tenant_throttle_rate = np.zeros(n, dtype=np.float64)
-        # Force the next settle through a real reallocation: the
-        # fast-path guard (_alloc_gen == _flowset_gen, caps unchanged)
-        # cannot see a limit change.
-        self._alloc_gen = -1
-        self._shares_valid = False
+            if limits is None:
+                self._tenant_throttle_rate = None
+            else:
+                n = len(limits)
+                if self.tenant_served is None or len(self.tenant_served) != n:
+                    self.tenant_served = np.zeros(n, dtype=np.float64)
+                    self.tenant_throttled = np.zeros(n, dtype=np.float64)
+                self._tenant_throttle_rate = np.zeros(n, dtype=np.float64)
+            self._limits_gen += 1
+            self._shares_valid = False
         self._request_settle()
 
     def tenant_accounting(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -1011,6 +1026,7 @@ class FlowNetwork:
             self._shares_valid = False
             self._dirty_sinks.clear()
             self._alloc_gen = self._flowset_gen
+            self._alloc_limits_gen = self._limits_gen
             if self._tenant_throttle_rate is not None:
                 self._tenant_throttle_rate[:] = 0.0
         else:
@@ -1018,14 +1034,17 @@ class FlowNetwork:
             changed = None if last is None else (caps != last).nonzero()[0]
             if (
                 self._alloc_gen == self._flowset_gen
+                and self._alloc_limits_gen == self._limits_gen
                 and changed is not None
                 and not changed.size
             ):
-                # Neither the flow set nor any capacity changed since
-                # the current allocation was computed (a pool transition
-                # timer fired early, or an out-of-band invalidate was a
-                # no-op): existing rates are still the max-min
-                # allocation, so skip straight to re-arming the timer.
+                # Neither the flow set, the tenant limits nor any
+                # capacity changed since the current allocation was
+                # computed (a pool transition timer fired early, an
+                # out-of-band invalidate was a no-op, or a QoS tick
+                # pushed the limits already in force): existing rates
+                # are still the allocation, so skip straight to
+                # re-arming the timer.
                 rates = self._rate[act_slots]
                 reallocated = False
             else:
@@ -1099,6 +1118,7 @@ class FlowNetwork:
                 self._share_dst = share_dst
         self._dirty_sinks.clear()
         self._alloc_gen = self._flowset_gen
+        self._alloc_limits_gen = self._limits_gen
         self._last_caps = caps.copy()
         self.realloc_count += 1
         if self._m_realloc_batch is not None:
@@ -1121,10 +1141,14 @@ class FlowNetwork:
         aggregate never exceeds its budget.  A shadow uncapped pass
         prices the throttling: the per-tenant rate gap between the two
         allocations integrates (in :meth:`_advance_only`) into the
-        ``tenant_throttled`` byte ledger.  The incremental patch path
-        is bypassed entirely — tenant caps couple sinks through the
-        tenant budget, so the per-sink decomposition it relies on does
-        not hold.
+        ``tenant_throttled`` byte ledger.  The shadow pass depends only
+        on the flow set and the sink capacities (flow caps and tenant
+        tags are fixed at :meth:`start_flow`), so it is memoized on the
+        flow-set generation and the caps and reused while both stand;
+        a limit change alone reruns only the capped pass.  The
+        incremental patch path is bypassed entirely — tenant caps
+        couple sinks through the tenant budget, so the per-sink
+        decomposition it relies on does not hold.
         """
         limits = self._tenant_limits
         n_tenants = len(limits)
@@ -1132,10 +1156,17 @@ class FlowNetwork:
         fcap = self._fcap[act_slots]
         ten = self._tenant[act_slots]
         tagged = ten >= 0
-        uncapped, _ = _max_min_shares(
-            src, dst, self._cap_src, caps, fcap,
-            counts_src=self._src_counts, counts_dst=counts,
-        )
+        memo = self._shadow
+        if (memo is not None and memo[0] == self._flowset_gen
+                and np.array_equal(memo[1], caps)):
+            uncapped = memo[2]
+        else:
+            uncapped, _ = _max_min_shares(
+                src, dst, self._cap_src, caps, fcap,
+                counts_src=self._src_counts, counts_dst=counts,
+            )
+            uncapped.flags.writeable = False
+            self._shadow = (self._flowset_gen, caps.copy(), uncapped)
         eff = fcap.copy()
         if tagged.any():
             tcnt = np.bincount(ten[tagged], minlength=n_tenants)
