@@ -3,7 +3,10 @@
 This module wires :mod:`repro.interference.markov` chains onto a live
 machine.  It keeps the two layers' current values and pushes their
 product into the OST pool whenever either changes (each push triggers
-a fabric resettle, so running jobs feel the change immediately).
+a fabric resettle, so running jobs feel the change immediately).  A
+push writes only what changed: one OST for a per-OST transition, the
+whole field for a global one, and one push for the instant in which
+every chain enters.
 """
 
 from __future__ import annotations
@@ -68,7 +71,18 @@ def production_noise(machine_name: str) -> NoisePreset:
 
 
 class ProductionNoise:
-    """Live noise bound to one machine."""
+    """Live noise bound to one machine.
+
+    The field is ``per_ost * global`` on the drain stage and
+    ``per_ost * global**gamma`` on the ingest stage (see :meth:`_push`).
+    :meth:`start` launches one chain per OST plus one global chain.
+    All N+1 enter their first state in the same instant; each entry
+    writes only its own slot, and the whole field is pushed once, when
+    the last chain has entered.  After that a per-OST transition
+    pushes its own OST (one pool entry, one stale sink) and a global
+    transition pushes the whole field.  Every push settles the fabric
+    synchronously, so a running flow never sees a stale rate.
+    """
 
     def __init__(self, machine: "Machine", preset: NoisePreset,
                  stream: str = "noise"):
@@ -79,13 +93,17 @@ class ProductionNoise:
         self._global = 1.0
         self._stream = stream
         self._started = False
+        # Chains still to make their first entry; the field is pushed
+        # when this reaches zero.
+        self._entering = 0
 
     def _soften(self, mult: float) -> float:
         a = self.preset.intensity
         return 1.0 - a * (1.0 - mult)
 
-    def _push(self) -> None:
-        """Push the composite field into the pool.
+    def _push(self, ost: Optional[int] = None) -> None:
+        """Push the composite field into the pool: all of it, or only
+        OST ``ost``'s entry (the same floats the full push writes there).
 
         Both layers hit the drain (disks) at full depth.  The ingest
         (OSS/RPC) stage sees per-OST hot spots at full depth too —
@@ -96,19 +114,31 @@ class ProductionNoise:
         """
         pool = self.machine.pool
         gamma = pool.config.ingest_noise_exponent
-        pool.set_load_multiplier(
-            self._per_ost * self._global,
-            ingest_mult=self._per_ost * self._global**gamma,
-        )
+        per = self._per_ost if ost is None else self._per_ost[ost]
+        g = self._global
+        pool.set_load_multiplier(per * g, osts=ost, ingest_mult=per * g**gamma)
+
+    def _entering_batch(self) -> bool:
+        """Count one chain's first entry; True while that entry belongs
+        to the start's batch, whose last member pushes the whole field.
+        """
+        if not self._entering:
+            return False
+        self._entering -= 1
+        if not self._entering:
+            self._push()
+        return True
 
     def _apply_global(self, mult: float) -> None:
         self._global = self._soften(mult)
-        self._push()
+        if not self._entering_batch():
+            self._push()
 
     def _make_ost_apply(self, ost: int):
         def apply(mult: float) -> None:
             self._per_ost[ost] = self._soften(mult)
-            self._push()
+            if not self._entering_batch():
+                self._push(ost)
 
         return apply
 
@@ -138,6 +168,7 @@ class ProductionNoise:
         self._started = True
         m = self.machine
         rngs = m.rngs
+        self._entering = m.pool.n_sinks + 1
         m.env.process(
             self.preset.global_mod.run_chain(
                 m, self._apply_global, rngs.get(f"{self._stream}.global")

@@ -259,7 +259,7 @@ class OstPool:
     def set_load_multiplier(
         self,
         mult: np.ndarray | float,
-        osts: Optional[np.ndarray] = None,
+        osts: "np.ndarray | int | None" = None,
         ingest_mult: "np.ndarray | float | None" = None,
     ) -> None:
         """Set the external-load multipliers; triggers a fabric resettle.
@@ -272,31 +272,31 @@ class OstPool:
         interference reaches cache-absorbed writes only at reduced
         depth, while callers modelling OSS-local contention can pass
         the full-depth value.
+
+        ``osts`` (an index, index array or mask; all OSTs when None)
+        selects the entries written.  Both values are checked to fit
+        those entries and to lie in (0, 1] before anything is written,
+        so a rejected call (NaN included) leaves the pool as it was.
+        Only the written entries are marked stale, so a one-OST update
+        costs one sink's rate refresh at the next settle.
         """
-        old_load = self.load_mult.copy()
-        old_ingest = self.ingest_mult.copy()
-        if osts is None:
-            self.load_mult[:] = mult
-        else:
-            self.load_mult[osts] = mult
-        if np.any(self.load_mult <= 0) or np.any(self.load_mult > 1.0 + 1e-9):
-            raise ValueError("load multipliers must be in (0, 1]")
-        if ingest_mult is None:
-            ingest_mult = (
-                np.asarray(mult, dtype=np.float64)
-                ** self.config.ingest_noise_exponent
-            )
-        if osts is None:
-            self.ingest_mult[:] = ingest_mult
-        else:
-            self.ingest_mult[osts] = ingest_mult
-        if np.any(self.ingest_mult <= 0) or np.any(
-            self.ingest_mult > 1.0 + 1e-9
-        ):
-            raise ValueError("ingest multipliers must be in (0, 1]")
-        self._mark_stale(
-            (self.load_mult != old_load) | (self.ingest_mult != old_ingest)
+        load = np.asarray(mult, dtype=np.float64)
+        ingest = (
+            load ** self.config.ingest_noise_exponent
+            if ingest_mult is None
+            else np.asarray(ingest_mult, dtype=np.float64)
         )
+        which = slice(None) if osts is None else osts
+        shape = np.shape(self.load_mult[which])
+        load = np.broadcast_to(load, shape)
+        ingest = np.broadcast_to(ingest, shape)
+        for name, value in (("load", load), ("ingest", ingest)):
+            # Written as a negation so NaN fails the check too.
+            if not np.all((value > 0) & (value <= 1.0 + 1e-9)):
+                raise ValueError(f"{name} multipliers must be in (0, 1]")
+        self.load_mult[which] = load
+        self.ingest_mult[which] = ingest
+        self._mark_stale(which)
         if self._on_change is not None:
             self._on_change()
 
