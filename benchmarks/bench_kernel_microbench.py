@@ -6,7 +6,7 @@ as mysteriously slow benchmark sessions:
 
 * **events/sec** — the DES calendar loop: many processes yielding
   timeouts (one calendar event per hop, exercising the Timeout
-  allocation path, ``Environment.step``/``run`` and the heap).
+  allocation path, ``Environment.run`` and the heap).
 * **settles/sec (steady)** — fabric settles with an unchanged flow
   set and unchanged capacities (the "timer fired, nothing moved"
   case the fabric can skip reallocation for).

@@ -86,7 +86,7 @@ def pytest_addoption(parser):
         "(append-only JSON-lines journal; re-running the suite with "
         "the same DIR resumes finished cells bit-identically.  "
         "Equivalent to setting REPRO_JOURNAL; inspect progress with "
-        "python -m repro.tools.serve status --state-dir DIR)",
+        "python -m repro.tools.bench_report --partial DIR)",
     )
 
 

@@ -30,7 +30,6 @@ Quick start::
     print(result.aggregate_bandwidth / 1e9, "GB/s")
 """
 
-from repro.core.api import write_output
 from repro.core.middleware import Adios
 from repro.machines import franklin, jaguar, xtp
 
@@ -41,6 +40,5 @@ __all__ = [
     "__version__",
     "franklin",
     "jaguar",
-    "write_output",
     "xtp",
 ]

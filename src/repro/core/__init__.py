@@ -18,8 +18,7 @@ This package is the paper's contribution, built on the substrates in
   with local indices, merged global index and per-variable data
   characteristics.
 
-Entry point: :class:`repro.core.middleware.Adios` or the functional
-:mod:`repro.core.api`.
+Entry point: :class:`repro.core.middleware.Adios`.
 """
 
 from repro.core.index import (

@@ -167,26 +167,6 @@ class ScrubReport:
             "ok": self.ok,
         }
 
-    def render(self) -> str:
-        head = (
-            f"scrub: {self.n_blocks} blocks in {self.n_files} files, "
-            + ", ".join(
-                f"{self.counts.get(s, 0)} {s}"
-                for s in BLOCK_STATUSES
-                if self.counts.get(s, 0)
-            )
-        )
-        lines = [head]
-        for b in self.bad:
-            lines.append(
-                f"  {b.status:<9} {b.file} var={b.var!r} "
-                f"writer={b.writer} off={b.offset:.0f} "
-                f"nbytes={b.nbytes:.0f}"
-            )
-        for path in self.missing_files:
-            lines.append(f"  missing file {path}")
-        return "\n".join(lines)
-
 
 def rebuild_global_index(
     fs: "FileSystem", files: Iterable[str]

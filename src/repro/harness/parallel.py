@@ -27,8 +27,7 @@ on the benchmark suite sets ``REPRO_JOBS`` for everything below it.
 
 Checkpointing engages when ``REPRO_JOURNAL=DIR`` names a journal state
 directory (set by ``--journal`` on the experiment CLI and benchmark
-suite, and by ``repro.tools.serve``).
-With a journal active even serial execution routes through the
+suite).  With a journal active even serial execution routes through the
 scheduler so every completed cell survives a crash.  ``REPRO_JOB_TIMEOUT``
 (seconds) and ``REPRO_JOB_RETRIES`` tune the per-job wall-clock budget
 and the retry cap for crashed/hung workers.
@@ -169,7 +168,7 @@ def parallel_map(
 
     from repro.service.job import describe_fn, make_job
     from repro.service.journal import journal_in
-    from repro.service.scheduler import Scheduler, get_progress_hook
+    from repro.service.scheduler import Scheduler
 
     base_label = label if label is not None else describe_fn(fn)[0]
     specs = [
@@ -187,7 +186,6 @@ def parallel_map(
         policy=policy,
         job_timeout=_env_float("REPRO_JOB_TIMEOUT"),
         journal=journal_in(state_dir) if state_dir else None,
-        progress=get_progress_hook(),
     )
     return scheduler.run(specs, label=base_label)
 

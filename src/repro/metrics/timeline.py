@@ -46,10 +46,3 @@ class WriterTimeline:
         """Ranks slower than ``factor``x the median."""
         med = float(np.median(self.durations))
         return np.nonzero(self.durations > factor * med)[0].tolist()
-
-    def speed_ratio_data_equivalent(self) -> float:
-        """How much more data the fastest target could have absorbed
-        than the slowest in the same time (the paper notes ~2x even at
-        imbalance 1.22... this is simply the imbalance factor viewed
-        as a throughput ratio for equal byte counts)."""
-        return self.imbalance_factor

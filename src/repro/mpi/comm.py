@@ -95,7 +95,6 @@ class SimComm:
         self.n_ranks = n_ranks
         self.latency = latency if latency is not None else MessageLatencyModel()
         self._inboxes: Dict[int, _Inbox] = {}
-        self._barriers: Dict[str, Tuple[int, Event]] = {}
         self.messages_sent = 0
         self.messages_by_rank: Dict[int, int] = {}
         # Optional fault hook (a FaultInjector): consulted per send for
@@ -187,58 +186,3 @@ class SimComm:
         self._check_rank(rank)
         box = self._inboxes.get(rank)
         return 0 if box is None else len(box.pending)
-
-    # -- collectives -----------------------------------------------------------
-    def barrier(self, rank: int, name: str = "default", n: Optional[int] = None):
-        """Generator: block until all *n* participants arrive.
-
-        Distinct synchronization points must use distinct ``name``s (or
-        a generation suffix) — like MPI, barriers on one communicator
-        must be called in the same order by all participants.
-        """
-        self._check_rank(rank)
-        count = self.n_ranks if n is None else n
-        entry = self._barriers.get(name)
-        if entry is None:
-            release = Event(self.env)
-            arrived = 1
-        else:
-            arrived, release = entry
-            arrived += 1
-        if arrived == count:
-            self._barriers.pop(name, None)
-            # All present: release everyone after a tree latency.
-            delay = self.latency.tree_collective(0.0, count)
-            self.env.schedule_callback(delay, lambda: release.succeed())
-        else:
-            self._barriers[name] = (arrived, release)
-        yield release
-
-    def bcast(self, rank: int, root: int, value: Any = None, name: str = "bcast"):
-        """Generator: broadcast ``value`` from root; returns it on all ranks.
-
-        Implemented as a named rendezvous with tree-collective timing.
-        """
-        self._check_rank(rank)
-        self._check_rank(root, "root")
-        key = f"__bcast__{name}"
-        entry = self._barriers.get(key)
-        if entry is None:
-            entry = [0, Event(self.env), None]
-        arrived, release, stored = entry
-        arrived += 1
-        if rank == root:
-            stored = value
-        if arrived == self.n_ranks:
-            self._barriers.pop(key, None)
-            delay = self.latency.tree_collective(
-                _CONTROL_MSG_BYTES, self.n_ranks
-            )
-            payload = stored
-            self.env.schedule_callback(
-                delay, lambda: release.succeed(payload)
-            )
-        else:
-            self._barriers[key] = [arrived, release, stored]
-        result = yield release
-        return result

@@ -95,12 +95,6 @@ class QosConfig:
     def ceilings(self) -> np.ndarray:
         return np.array([c.ceiling for c in self.contracts])
 
-    def tenant_index(self, name: str) -> int:
-        for i, c in enumerate(self.contracts):
-            if c.name == name:
-                return i
-        raise KeyError(f"unknown tenant {name!r}")
-
 
 def check_admission(config: QosConfig, pool) -> float:
     """Admit the contract set against the pool's guaranteed capacity.

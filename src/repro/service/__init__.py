@@ -8,7 +8,9 @@ retry/timeout budgets and dead-worker adoption
 fsync'd JSON-lines journal (:mod:`~repro.service.journal`) so an
 interrupted sweep resumes bit-identically.  The user-facing entry
 points are :mod:`repro.harness.parallel` (which routes through this
-package) and the ``python -m repro.tools.serve`` daemon/client.
+package), ``python -m repro.tools.experiment ... --journal DIR`` for a
+resumable sweep and ``python -m repro.tools.bench_report --partial
+DIR`` for its progress.
 """
 
 from repro.service.job import JobSpec, job_id, make_job, repro_command

@@ -185,7 +185,7 @@ def _base_label(label: str) -> str:
 
 
 def summarize(state_dir: str) -> dict:
-    """Progress summary of a journal for status/partial rendering.
+    """Progress summary of a journal for ``bench_report --partial``.
 
     Per cell (plan label): planned/done/pending/retried/failed counts,
     jobs adopted from dead workers, plus elapsed seconds over completed
@@ -249,7 +249,7 @@ def summarize(state_dir: str) -> dict:
 
 # -- the sweep's state directory -----------------------------------------
 #
-# REPRO_JOURNAL names it (``--journal`` and ``serve run`` set the
+# REPRO_JOURNAL names it (the experiment CLI's ``--journal`` sets the
 # variable, and worker processes and subcommands inherit it); unset
 # means no checkpointing.  One Journal instance is kept per directory
 # so many scheduler batches in one sweep share a single replay.

@@ -55,35 +55,14 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, JobFailure
 from repro.service.job import JobSpec, repro_command
 from repro.service.journal import Journal, decode_result, encode_result
 from repro.session import Session, activate, active_session, isolate
 
-__all__ = [
-    "Scheduler",
-    "SchedulerStats",
-    "get_progress_hook",
-    "set_progress_hook",
-]
-
-# Process-wide progress hook (the serve daemon installs one so nested
-# run_samples batches report into its status file); consulted at
-# scheduler construction.
-_progress_hook: Optional[Callable[["SchedulerStats"], None]] = None
-
-
-def set_progress_hook(
-    fn: Optional[Callable[["SchedulerStats"], None]]
-) -> None:
-    global _progress_hook
-    _progress_hook = fn
-
-
-def get_progress_hook() -> Optional[Callable[["SchedulerStats"], None]]:
-    return _progress_hook
+__all__ = ["Scheduler", "SchedulerStats"]
 
 
 @dataclass
@@ -100,15 +79,6 @@ class SchedulerStats:
     respawns: int = 0
     checkpoint_bytes: int = 0
     serial_fallback: bool = False
-    label: str = ""
-
-    def merge(self, other: "SchedulerStats") -> None:
-        for f in (
-            "jobs", "done", "failed", "restored", "retries",
-            "adoptions", "timeouts", "respawns", "checkpoint_bytes",
-        ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-        self.serial_fallback = self.serial_fallback or other.serial_fallback
 
 
 def _worker_main(conn, session: Optional[Session]) -> None:
@@ -197,9 +167,7 @@ class Scheduler:
     budget in seconds (``None`` = unbounded); ``policy`` supplies the
     retry count and backoff curve (defaults to the fault subsystem's
     :class:`~repro.faults.RetryPolicy`); ``max_respawns`` bounds
-    replacement workers per batch (default ``2 * n_workers``);
-    ``progress`` is an optional callback invoked with the live
-    :class:`SchedulerStats` after every state change.
+    replacement workers per batch (default ``2 * n_workers``).
     """
 
     def __init__(
@@ -209,7 +177,6 @@ class Scheduler:
         job_timeout: Optional[float] = None,
         journal: Optional[Journal] = None,
         max_respawns: Optional[int] = None,
-        progress: Optional[Callable[[SchedulerStats], None]] = None,
     ):
         if policy is None:
             from repro.faults import RetryPolicy
@@ -222,12 +189,10 @@ class Scheduler:
         self.max_respawns = (
             2 * self.n_workers if max_respawns is None else max_respawns
         )
-        self.progress = progress
         self.stats = SchedulerStats()
-        self._metrics_bound = False
         self._m: Dict[str, Any] = {}
         # Adoption events per job id, folded into the job's eventual
-        # "done" journal record so status/partial views can attribute
+        # "done" journal record so the partial view can attribute
         # worker deaths to cells.
         self._adopted_jobs: Dict[str, int] = {}
 
@@ -253,10 +218,6 @@ class Scheduler:
         inst = self._m.get(name)
         if inst is not None:
             inst.inc(n)
-
-    def _notify(self) -> None:
-        if self.progress is not None:
-            self.progress(self.stats)
 
     # -- journal helpers ---------------------------------------------------
     def _checkpoint(self, spec: JobSpec, attempt: int, result,
@@ -341,7 +302,7 @@ class Scheduler:
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate job ids in batch")
         self._resolve_metrics()
-        self.stats = SchedulerStats(jobs=len(jobs), label=label)
+        self.stats = SchedulerStats(jobs=len(jobs))
 
         results: Dict[str, Any] = {}
         aux: Dict[str, tuple] = {}
@@ -366,7 +327,6 @@ class Scheduler:
                 self._count("restored")
             else:
                 todo.append(spec)
-        self._notify()
 
         if todo:
             if self.n_workers <= 1 or len(todo) <= 1:
@@ -382,7 +342,6 @@ class Scheduler:
             for job_id in ids:
                 session.absorb(*aux.get(job_id, (None, None)))
 
-        self._notify()
         if failures:
             raise failures[0]
         return [results[job_id] for job_id in ids]
@@ -412,14 +371,12 @@ class Scheduler:
                 failures.append(
                     self._failure(spec, "raised", text, cause=exc)
                 )
-                self._notify()
                 continue
             elapsed = time.monotonic() - t0
             results[spec.job_id] = result
             self.stats.done += 1
             self._count("done")
             self._checkpoint(spec, 0, result, events, metrics, elapsed)
-            self._notify()
 
     # -- pool path ---------------------------------------------------------
     def _spawn(self, ctx) -> _Shard:
@@ -498,7 +455,6 @@ class Scheduler:
                     self.stats.respawns += 1
                     self._count("respawns")
                     shards.append(self._spawn(ctx))
-                self._notify()
 
             def finish(shard: _Shard, msg) -> None:
                 kind = msg[0]
@@ -533,7 +489,6 @@ class Scheduler:
                         spec, "raised in its worker", tb or text,
                         cause=cause,
                     ))
-                self._notify()
 
             while True:
                 now = time.monotonic()

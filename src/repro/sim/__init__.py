@@ -35,7 +35,7 @@ from repro.sim.events import (
 )
 from repro.sim.process import Interrupt, Mailbox, Process, ProcessKilled
 from repro.sim.engine import Deadlock, Environment, SimulationError, StopSimulation
-from repro.sim.queues import PriorityStore, Resource, Store
+from repro.sim.queues import Resource
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -48,13 +48,11 @@ __all__ = [
     "EventAborted",
     "Interrupt",
     "Mailbox",
-    "PriorityStore",
     "Process",
     "ProcessKilled",
     "Resource",
     "RngRegistry",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

@@ -15,7 +15,7 @@ __all__ = ["Environment", "StopSimulation", "SimulationError", "Deadlock"]
 
 
 class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Environment.run` early."""
+    """Raise from an event callback to halt :meth:`Environment.run`."""
 
 
 class SimulationError(RuntimeError):
@@ -82,7 +82,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self._live: set = set()  # processes spawned but not yet finished
         self.strict = strict
         self._crashed: Optional[SimulationError] = None
@@ -118,11 +117,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event construction ----------------------------------------------
     def event(self) -> Event:
@@ -234,27 +228,6 @@ class Environment:
             heapq.heappop(q)
         return q[0][0] if q else float("inf")
 
-    def step(self) -> None:
-        """Process exactly one event."""
-        q = self._queue
-        pop = heapq.heappop
-        while q and q[0][3]._cancelled:
-            pop(q)
-        if not q:
-            raise StopSimulation("calendar empty")
-        t, _prio, _seq, event = pop(q)
-        if t > self._now:
-            self._now = t
-        elif t < self._now - 1e-12:
-            raise RuntimeError(
-                f"time went backwards: event at {t} < now {self._now}"
-            )
-        callbacks, event.callbacks = event.callbacks, None
-        for fn in callbacks:
-            fn(event)
-            if self._crashed is not None:
-                raise self._crashed
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the calendar drains, *until* time passes, or event fires.
 
@@ -278,7 +251,7 @@ class Environment:
                     f"until={stop_time} is in the past (now={self._now})"
                 )
 
-        # The hot loop: equivalent to peek()+step() per iteration, but
+        # The hot loop: peek() and fire one event per iteration, but
         # with the heap scanned once, the heap/pop lookups hoisted, and
         # the stop-event check reduced to a slot load.  The simulation
         # spends most of its wall-clock here.

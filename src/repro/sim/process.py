@@ -154,7 +154,6 @@ class Process(Event):
 
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         env = self.env
-        env._active_process = self
         try:
             if throw is not None:
                 target = self.generator.throw(throw)
@@ -170,8 +169,6 @@ class Process(Event):
             if env.strict:
                 env._crash(self, exc)
             return
-        finally:
-            env._active_process = None
 
         if not isinstance(target, Event):
             err = TypeError(

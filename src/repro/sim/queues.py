@@ -1,138 +1,21 @@
-"""Waitable containers: Store, PriorityStore, Resource.
+"""Waitable container: Resource.
 
-These are the blocking building blocks the control plane uses:
-mailboxes for the simulated MPI layer and admission tokens for the
-metadata server are all stores/resources underneath.
+A counted resource with FIFO admission; the metadata server's
+admission tokens are one (MPI mailboxes are not: they live in
+:mod:`repro.mpi.comm`).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["Store", "PriorityStore", "Resource"]
-
-
-class Store:
-    """Unbounded (or bounded) FIFO queue of Python objects.
-
-    ``put(item)`` and ``get()`` both return events to be yielded; gets
-    block while empty, puts block while at capacity.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> list:
-        """Snapshot of queued items (for inspection/tests)."""
-        return list(self._items)
-
-    def put(self, item: Any) -> Event:
-        ev = Event(self.env)
-        if len(self._items) < self.capacity:
-            self._enqueue(item)
-            ev.succeed(item)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._dequeue())
-            self._admit_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: an item, or None when empty."""
-        if not self._items:
-            return None
-        item = self._dequeue()
-        self._admit_putter()
-        return item
-
-    # -- internals ------------------------------------------------------
-    def _enqueue(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def _dequeue(self) -> Any:
-        return self._items.popleft()
-
-    def _admit_putter(self) -> None:
-        if self._putters and len(self._items) < self.capacity:
-            ev, item = self._putters.popleft()
-            self._enqueue(item)
-            ev.succeed(item)
-
-
-class PriorityStore(Store):
-    """Store delivering the smallest item first (heap ordering)."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> list:
-        return sorted(self._heap)
-
-    def _enqueue(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            heapq.heappush(self._heap, item)
-
-    def _dequeue(self) -> Any:
-        return heapq.heappop(self._heap)
-
-    def try_get(self) -> Optional[Any]:
-        if not self._heap:
-            return None
-        item = self._dequeue()
-        self._admit_putter()
-        return item
-
-    def get(self) -> Event:
-        ev = Event(self.env)
-        if self._heap:
-            ev.succeed(self._dequeue())
-            self._admit_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def put(self, item: Any) -> Event:
-        ev = Event(self.env)
-        if len(self._heap) < self.capacity:
-            self._enqueue(item)
-            ev.succeed(item)
-        else:
-            self._putters.append((ev, item))
-        return ev
+__all__ = ["Resource"]
 
 
 class Resource:

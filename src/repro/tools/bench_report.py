@@ -23,6 +23,12 @@ gate fails::
     python -m repro.tools.bench_report --baseline /tmp/committed \\
         --gate kernel.events_per_sec=0.70 \\
         --gate scale.adaptive_8192_seconds=0.70
+
+Partial mode renders a resumable sweep's progress (live or after a
+crash) from the journal ``experiment --journal DIR`` writes; a
+directory without a journal exits 1::
+
+    python -m repro.tools.bench_report --partial DIR
 """
 
 from __future__ import annotations
@@ -141,12 +147,11 @@ def render_markdown(records: List[dict], changed_only: bool = False) -> str:
 def partial_records(state_dir: str) -> List[dict]:
     """An in-progress sweep journal as benchmark-shaped records.
 
-    Bridges ``repro.tools.serve`` state dirs into this tool: each
+    Bridges ``experiment --journal`` directories into this tool: each
     sweep cell becomes one record whose metrics are its
     done/pending/retried/adopted/failed counts and elapsed seconds, so
-    the
-    existing :func:`render_markdown` renders a progress table for a
-    run that is still going (or died and awaits resume).
+    the existing :func:`render_markdown` renders a progress table for
+    a run that is still going (or died and awaits resume).
     """
     from repro.service.journal import summarize
 
@@ -273,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the progress of an in-flight (or interrupted) "
         "resumable sweep from its journal instead of finished "
         "results: per-cell done/pending/retried/adopted/failed counts "
-        "from "
-        "STATE_DIR/journal.jsonl (see repro.tools.serve)",
+        "from STATE_DIR/journal.jsonl (written by repro.tools.experiment "
+        "--journal STATE_DIR); exit 1 if there is no journal",
     )
     return parser
 
@@ -282,6 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.partial:
+        from repro.service.journal import JOURNAL_NAME
+
+        if not (pathlib.Path(args.partial) / JOURNAL_NAME).exists():
+            print(f"no journal in {args.partial}", file=sys.stderr)
+            return 1
         records = partial_records(args.partial)
         print(render_markdown(records))
         if args.json:

@@ -13,18 +13,27 @@ a result whose ``failure_report()`` names cells that absorbed a
 ``TransportError``-aborted partial output.  ``--fail-fast`` stops at
 the first failing artifact instead of rendering the rest.
 
-``--journal DIR`` checkpoints every completed cell to an append-only
-journal; rerunning the same command resumes from it (see DESIGN.md
-§14 and ``python -m repro.tools.serve`` for the daemon form).
+``--journal DIR`` makes the run a resumable sweep: every completed
+cell is checkpointed to ``DIR/journal.jsonl`` (append-only JSON-lines,
+fsync per record), and rerunning the same command after any crash,
+SIGKILL included, restores the finished cells bit-identically and
+recomputes only the rest (see DESIGN.md §14).  ``DIR/manifest.json``
+pins the sweep's scale and seed; a rerun asking for others exits
+rather than recompute every cell while looking like a resume.
+``python -m repro.tools.bench_report --partial DIR`` renders a live or
+interrupted sweep's progress.  ``REPRO_JOB_TIMEOUT`` (seconds) and
+``REPRO_JOB_RETRIES`` set the per-job wall-clock budget and the retry
+cap for crashed or hung workers.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 from repro.harness.experiment import Scale, metrics_to, trace_to
 
@@ -105,7 +114,7 @@ OWN_FAULT_PLANS = frozenset({"resilience", "qos"})
 
 
 def run_artifact(name: str, scale: Scale, seed: int):
-    """Render artifact ``name``; the one entry both CLIs call.
+    """Run artifact ``name`` and return its result object.
 
     An artifact in :data:`OWN_FAULT_PLANS` runs with ``REPRO_FAULTS``
     hidden, so an inherited plan cannot reach its fault-free baseline;
@@ -132,6 +141,44 @@ def artifact_failures(result) -> list:
     if not callable(report):
         return []
     return [str(x) for x in report()]
+
+
+MANIFEST_NAME = "manifest.json"
+
+
+def _check_manifest(state_dir: str, names: List[str], scale: str,
+                    seed: int) -> None:
+    """Create or validate ``manifest.json`` in a journal directory.
+
+    Job ids hash the cell's spec and seed, so resuming with a
+    different scale or seed would not *corrupt* anything — it would
+    silently recompute everything while looking like a resume.  That
+    is always a mistake, so mismatches are rejected with a pointer at
+    a fresh directory.  A different artifact list is fine (ids are
+    per cell) and is merged into the manifest.
+    """
+    path = os.path.join(state_dir, MANIFEST_NAME)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):
+        manifest = {"artifacts": [], "scale": scale, "seed": seed}
+    for key, value in (("scale", scale), ("seed", seed)):
+        if manifest.get(key) != value:
+            raise SystemExit(
+                f"error: journal {state_dir!r} was created with "
+                f"{key}={manifest.get(key)!r} but this run asks for "
+                f"{value!r}; resuming would recompute every cell. "
+                "Use a fresh --journal DIR (or delete this one)."
+            )
+    merged = sorted(set(manifest.get("artifacts", [])) | set(names))
+    if merged != manifest.get("artifacts"):
+        manifest["artifacts"] = merged
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal", metavar="DIR", default=None,
         help="checkpoint every completed sweep cell to DIR (append-only "
         "JSON-lines journal; rerunning the same command resumes from "
-        "it, bit-identically.  Equivalent to setting REPRO_JOURNAL)",
+        "it, bit-identically; a rerun with another --scale or --seed "
+        "is rejected).  Watch progress with repro.tools.bench_report "
+        "--partial DIR",
     )
     parser.add_argument(
         "--fail-fast", action="store_true",
@@ -203,7 +252,10 @@ def main(argv=None) -> int:
         # Propagate via the environment so every run_samples call below
         # (and in any worker-side nesting) picks the same job count up.
         os.environ["REPRO_JOBS"] = str(args.jobs)
+    names = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
     if args.journal is not None:
+        os.makedirs(args.journal, exist_ok=True)
+        _check_manifest(args.journal, names, args.scale, args.seed)
         os.environ["REPRO_JOURNAL"] = args.journal
     if args.faults is not None:
         # Same propagation trick: machine builds (local and in worker
@@ -212,7 +264,6 @@ def main(argv=None) -> int:
 
         FaultPlan.from_json(args.faults)  # fail fast on a bad plan
         os.environ["REPRO_FAULTS"] = args.faults
-    names = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
 
     failures = []
 

@@ -198,63 +198,3 @@ class TestPointToPoint:
         assert comm.messages_sent == 3
         assert comm.messages_by_rank[0] == 2
         assert comm.messages_by_rank[3] == 1
-
-
-class TestCollectives:
-    def test_barrier_blocks_until_all(self, env):
-        comm = make_comm(env, n=3)
-        release_times = []
-
-        def participant(rank, delay):
-            yield env.timeout(delay)
-            yield from comm.barrier(rank, name="b0")
-            release_times.append((rank, env.now))
-
-        env.process(participant(0, 1))
-        env.process(participant(1, 5))
-        env.process(participant(2, 3))
-        env.run()
-        times = [t for _, t in release_times]
-        assert len(set(times)) == 1
-        assert times[0] >= 5.0
-
-    def test_sequential_barriers_need_names(self, env):
-        comm = make_comm(env, n=2)
-        log = []
-
-        def participant(rank):
-            for gen in range(3):
-                yield from comm.barrier(rank, name=f"gen{gen}")
-                log.append((gen, rank))
-
-        env.process(participant(0))
-        env.process(participant(1))
-        env.run()
-        assert [g for g, _ in log] == [0, 0, 1, 1, 2, 2]
-
-    def test_partial_barrier(self, env):
-        comm = make_comm(env, n=4)
-        done = []
-
-        def participant(rank):
-            yield from comm.barrier(rank, name="sub", n=2)
-            done.append(rank)
-
-        env.process(participant(0))
-        env.process(participant(1))
-        env.run()
-        assert sorted(done) == [0, 1]
-
-    def test_bcast_delivers_root_value(self, env):
-        comm = make_comm(env, n=3)
-        got = []
-
-        def participant(rank):
-            v = yield from comm.bcast(rank, root=1,
-                                      value=("data" if rank == 1 else None))
-            got.append((rank, v))
-
-        for r in range(3):
-            env.process(participant(r))
-        env.run()
-        assert sorted(got) == [(0, "data"), (1, "data"), (2, "data")]

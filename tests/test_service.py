@@ -13,7 +13,8 @@ Pins the tentpole contracts of :mod:`repro.service`:
   sample seed, and a reproduction one-liner (:class:`JobFailure`);
 * a sweep process SIGKILLed mid-run resumes from its journal and the
   final results are bit-identical to an uninterrupted run;
-* the ``repro.tools.serve`` daemon/client CLI drives all of the above.
+* ``repro.tools.experiment --journal`` drives all of the above from the
+  CLI, and ``repro.tools.bench_report --partial`` renders its progress.
 """
 
 import json
@@ -424,93 +425,110 @@ class TestCrashResume:
         assert len({r["job"] for r in records}) == 6
 
 
-class TestServeCli:
+def _counter(path, name):
+    with open(path) as fh:
+        for inst in json.load(fh)["metrics"]:
+            if inst["name"] == name:
+                return inst["state"]
+    raise KeyError(name)
+
+
+def _kinds(state):
+    return [r["kind"] for r in replay(os.path.join(state, JOURNAL_NAME))[0]]
+
+
+class TestJournalCli:
+    """``experiment --journal`` is the resumable sweep CLI."""
+
     def _run(self, argv):
-        from repro.tools.serve import main
+        from repro.tools.experiment import main
 
         return main(argv)
 
-    def test_run_status_and_resume(self, tmp_path, capsys):
+    def test_rerun_resumes_without_recompute(self, tmp_path, capsys):
         state = str(tmp_path / "state")
-        out = str(tmp_path / "results.json")
-        rc = self._run([
-            "run", "fig1", "--state-dir", state, "--scale", "smoke",
-            "--out", out,
-        ])
-        assert rc == 0
-        with open(out) as fh:
-            results = json.load(fh)
-        assert results["artifacts"]["fig1"]["ok"]
-        assert results["artifacts"]["fig1"]["data"]
-        with open(os.path.join(state, "status.json")) as fh:
-            assert json.load(fh)["state"] == "done"
+        m1, m2 = str(tmp_path / "m1.json"), str(tmp_path / "m2.json")
+        argv = ["fig1", "--scale", "smoke", "--journal", state]
+        assert self._run(argv + ["--metrics", m1]) == 0
+        first = capsys.readouterr().out
+        kinds = _kinds(state)
+        assert self._run(argv + ["--metrics", m2]) == 0
+        second = capsys.readouterr().out
 
-        assert self._run(["status", "--state-dir", state]) == 0
-        text = capsys.readouterr().out
-        assert "fig1[" in text and "pending" in text
+        done = _counter(m1, "sched.jobs_done")
+        assert done == 6
+        assert _counter(m2, "sched.jobs_restored") == done
+        assert _counter(m2, "sched.jobs_done") == 0
+        # A resume plans each batch again but checkpoints nothing new.
+        appended = _kinds(state)[len(kinds):]
+        assert appended and set(appended) == {"plan"}
 
-        # Re-running the same command resumes: identical output data.
-        out2 = str(tmp_path / "results2.json")
-        assert self._run([
-            "run", "fig1", "--state-dir", state, "--scale", "smoke",
-            "--out", out2,
-        ]) == 0
-        with open(out2) as fh:
-            again = json.load(fh)
-        assert again["artifacts"]["fig1"]["data"] == \
-            results["artifacts"]["fig1"]["data"]
+        def steady(text):
+            return [line for line in text.splitlines()
+                    if "s wall]" not in line
+                    and not line.startswith("[metrics:")]
 
-    def test_artifacts_with_their_own_plans_never_see_repro_faults(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.faults import two_ost_failure_plan
-        from repro.tools.experiment import ARTIFACTS
-
-        plan = tmp_path / "plan.json"
-        two_ost_failure_plan().save_json(str(plan))
-        monkeypatch.setenv("REPRO_FAULTS", str(plan))
-        seen = {}
-
-        def stub(name):
-            def run(scale, seed):
-                seen[name] = os.environ.get("REPRO_FAULTS")
-                return SimpleNamespace(render=lambda: name)
-            return run
-
-        for name in ("resilience", "fig3"):
-            monkeypatch.setitem(ARTIFACTS, name, stub(name))
-        assert self._run([
-            "run", "resilience", "fig3", "--state-dir",
-            str(tmp_path / "state"), "--scale", "smoke",
-        ]) == 0
-        # resilience pairs faulted runs with a fault-free baseline, so
-        # an inherited plan must not reach it; fig3 still gets it.
-        assert seen == {"resilience": None, "fig3": str(plan)}
-        assert os.environ["REPRO_FAULTS"] == str(plan)
+        assert steady(second) == steady(first)
 
     def test_manifest_rejects_parameter_drift(self, tmp_path):
         state = str(tmp_path / "state")
         assert self._run([
-            "run", "fig1", "--state-dir", state, "--scale", "smoke",
+            "fig1", "--scale", "smoke", "--journal", state,
         ]) == 0
-        with pytest.raises(SystemExit, match="seed"):
-            self._run([
-                "run", "fig1", "--state-dir", state, "--scale", "smoke",
-                "--seed", "1",
-            ])
+        n_lines = len(_kinds(state))
+        for drift, key in ((["--seed", "1"], "seed"),
+                           (["--scale", "small"], "scale")):
+            with pytest.raises(SystemExit, match=key) as exc:
+                self._run(["fig1", "--scale", "smoke", "--journal",
+                           state] + drift)
+            assert "fresh --journal" in str(exc.value)
+        assert len(_kinds(state)) == n_lines  # nothing recomputed
+
+    def test_other_artifacts_merge_into_the_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.tools.experiment import ARTIFACTS
+
+        for name in ("fig3", "table1"):
+            monkeypatch.setitem(
+                ARTIFACTS, name,
+                lambda scale, seed, name=name: SimpleNamespace(
+                    render=lambda: name
+                ),
+            )
+        state = str(tmp_path / "state")
+        for name in ("fig3", "table1"):
+            assert self._run([name, "--scale", "smoke", "--journal",
+                              state]) == 0
+        with open(os.path.join(state, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert manifest["artifacts"] == ["fig3", "table1"]
+        assert (manifest["scale"], manifest["seed"]) == ("smoke", 0)
 
     def test_bench_report_partial(self, tmp_path, capsys):
         from repro.tools.bench_report import main as bench_main
 
         state = str(tmp_path / "state")
         assert self._run([
-            "run", "fig1", "--state-dir", state, "--scale", "smoke",
+            "fig1", "--scale", "smoke", "--journal", state,
         ]) == 0
         capsys.readouterr()
         assert bench_main(["--partial", state]) == 0
         text = capsys.readouterr().out
         assert "| fig1[" in text
         assert "| (total) | done |" in text
+
+    def test_bench_report_partial_without_a_journal_fails(
+        self, tmp_path, capsys
+    ):
+        from repro.tools.bench_report import main as bench_main
+
+        missing = str(tmp_path / "nowhere")
+        assert bench_main(["--partial", missing]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"no journal in {missing}"
+        assert captured.out == ""
+        assert not os.path.exists(missing)  # the read stays read-only
 
 
 class TestRunSamplesJournalEnv:

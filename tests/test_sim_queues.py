@@ -1,152 +1,13 @@
-"""Unit tests for Store / PriorityStore / Resource."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Environment, PriorityStore, Resource, Store
+from repro.sim import Environment, Resource
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            v = yield store.get()
-            got.append(v)
-
-        store.put("hello")
-        env.process(consumer(env))
-        env.run()
-        assert got == ["hello"]
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            v = yield store.get()
-            got.append((env.now, v))
-
-        def producer(env):
-            yield env.timeout(4)
-            yield store.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [(4.0, "late")]
-
-    def test_fifo_order(self, env):
-        store = Store(env)
-        for i in range(5):
-            store.put(i)
-        got = []
-
-        def consumer(env):
-            for _ in range(5):
-                got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_bounded_put_blocks(self, env):
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env):
-            yield store.put("a")
-            log.append(("a", env.now))
-            yield store.put("b")
-            log.append(("b", env.now))
-
-        def consumer(env):
-            yield env.timeout(10)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert log == [("a", 0.0), ("b", 10.0)]
-
-    def test_try_get(self, env):
-        store = Store(env)
-        assert store.try_get() is None
-        store.put(1)
-        assert store.try_get() == 1
-        assert store.try_get() is None
-
-    def test_len_and_items(self, env):
-        store = Store(env)
-        store.put("x")
-        store.put("y")
-        assert len(store) == 2
-        assert store.items == ["x", "y"]
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
-    def test_waiting_getter_bypasses_queue(self, env):
-        """An item handed to a blocked getter never enters the queue."""
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-
-        def producer(env):
-            yield store.put("direct")
-
-        env.process(producer(env))
-        env.run()
-        assert got == ["direct"]
-        assert len(store) == 0
-
-
-class TestPriorityStore:
-    def test_min_first(self, env):
-        store = PriorityStore(env)
-        for v in (5, 1, 3):
-            store.put(v)
-        got = []
-
-        def consumer(env):
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [1, 3, 5]
-
-    def test_try_get_and_len(self, env):
-        store = PriorityStore(env)
-        assert store.try_get() is None
-        store.put(9)
-        store.put(2)
-        assert len(store) == 2
-        assert store.try_get() == 2
-
-    def test_tuple_priorities(self, env):
-        store = PriorityStore(env)
-        store.put((2, "low"))
-        store.put((1, "high"))
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [(1, "high")]
 
 
 class TestResource:
