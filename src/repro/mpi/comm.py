@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.net.latency import MessageLatencyModel
@@ -20,16 +19,20 @@ ANY_TAG = -1
 _CONTROL_MSG_BYTES = 64.0  # default on-wire size of a control message
 
 
-@dataclass(frozen=True)
 class Message:
-    """A delivered message."""
+    """A delivered message (a plain record, one per delivery)."""
 
-    source: int
-    dest: int
-    tag: int
-    payload: Any
-    sent_at: float
-    delivered_at: float
+    __slots__ = ("source", "dest", "tag", "payload", "sent_at",
+                 "delivered_at")
+
+    def __init__(self, source: int, dest: int, tag: int, payload: Any,
+                 sent_at: float, delivered_at: float):
+        self.source = source
+        self.dest = dest
+        self.tag = tag
+        self.payload = payload
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
 
 
 class _Inbox:
@@ -119,39 +122,34 @@ class SimComm:
         payload: Any,
         tag: int = 0,
         nbytes: float = _CONTROL_MSG_BYTES,
-    ) -> Event:
-        """Asynchronous send; the returned event fires at delivery.
+    ) -> None:
+        """Asynchronous send: the message lands in ``dest``'s inbox
+        after the modelled latency (MPI_Isend-and-forget).
 
-        Callers normally do not wait on it (MPI_Isend-and-forget); the
-        message lands in ``dest``'s inbox after the modelled latency.
+        Returns nothing; a message costs one calendar entry, its
+        delivery.
         """
         self._check_rank(source, "source")
         self._check_rank(dest, "dest")
-        sent_at = self.env.now
+        env = self.env
+        sent_at = env.now
         self.messages_sent += 1
         self.messages_by_rank[source] = self.messages_by_rank.get(source, 0) + 1
         delay = self.latency.point_to_point(nbytes)
-        done = Event(self.env)
         if self.faults is not None:
             extra = self.faults.perturb_send(source, dest)
             if extra is None:
                 # Dropped on the wire: sends are fire-and-forget, so the
-                # message simply never arrives (the returned event stays
-                # pending forever — nobody waits on it).
-                return done
+                # message simply never arrives.
+                return
             delay += extra
 
         def deliver() -> None:
-            msg = Message(
-                source=source,
-                dest=dest,
-                tag=tag,
-                payload=payload,
-                sent_at=sent_at,
-                delivered_at=self.env.now,
+            now = env.now
+            self._inbox(dest).deliver(
+                Message(source, dest, tag, payload, sent_at, now)
             )
-            self._inbox(dest).deliver(msg)
-            tr = self.env.tracer
+            tr = env.tracer
             if tr is not None:
                 # One complete span per message, send -> delivery.
                 name = (
@@ -165,13 +163,11 @@ class SimComm:
                     pid="mpi",
                     tid=f"rank {dest}",
                     ts=sent_at,
-                    dur=self.env.now - sent_at,
+                    dur=now - sent_at,
                     args={"source": source, "dest": dest, "tag": tag},
                 )
-            done.succeed(msg)
 
-        self.env.schedule_callback(delay, deliver)
-        return done
+        env.schedule_callback(delay, deliver)
 
     def recv(
         self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG

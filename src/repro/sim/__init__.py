@@ -34,7 +34,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Interrupt, Mailbox, Process, ProcessKilled
-from repro.sim.engine import Deadlock, Environment, SimulationError, StopSimulation
+from repro.sim.engine import Deadlock, Environment, SimulationError
 from repro.sim.queues import Resource
 from repro.sim.rng import RngRegistry
 
@@ -53,6 +53,5 @@ __all__ = [
     "Resource",
     "RngRegistry",
     "SimulationError",
-    "StopSimulation",
     "Timeout",
 ]

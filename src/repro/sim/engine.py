@@ -11,11 +11,7 @@ from repro.sim.process import Process
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.tracer import Tracer
 
-__all__ = ["Environment", "StopSimulation", "SimulationError", "Deadlock"]
-
-
-class StopSimulation(Exception):
-    """Raise from an event callback to halt :meth:`Environment.run`."""
+__all__ = ["Environment", "SimulationError", "Deadlock"]
 
 
 class SimulationError(RuntimeError):
@@ -48,15 +44,32 @@ class Deadlock(RuntimeError):
         self.processes = list(processes)
 
 
-class _Callback(Event):
-    """The calendar entry :meth:`Environment.schedule_callback` returns:
-    an already-succeeded event that calls ``fn()`` when it fires."""
+class _Callback:
+    """The calendar entry :meth:`Environment.schedule_callback` returns.
 
-    __slots__ = ("fn",)
+    Not an :class:`Event`: nothing waits on it, so it carries only the
+    callable, whether it has fired (``processed``) and whether it was
+    withdrawn (:meth:`cancel`).  The run loop calls ``fn()`` directly.
+    """
 
+    __slots__ = ("fn", "processed", "_cancelled")
 
-def _fire(ev: _Callback) -> None:
-    ev.fn()
+    def __init__(self, fn: Callable[[], None]):
+        self.fn = fn
+        self.processed = False
+        self._cancelled = False
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    def cancel(self) -> "_Callback":
+        """Withdraw the entry; a no-op the second time, an error once
+        it has fired (as :meth:`Event.cancel`)."""
+        if self.processed:
+            raise RuntimeError(f"{self!r} already processed")
+        self._cancelled = True
+        return self
 
 
 class Environment:
@@ -80,7 +93,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0, strict: bool = True):
         self._now = float(initial_time)
-        self._queue: list = []  # heap of (time, priority, seq, event)
+        self._queue: list = []  # heap of (time, priority, seq, entry)
         self._seq = 0
         self._live: set = set()  # processes spawned but not yet finished
         self.strict = strict
@@ -165,28 +178,30 @@ class Environment:
 
     def schedule_callback(
         self, delay: float, fn: Callable[[], None], priority: int = 1
-    ) -> Event:
+    ) -> _Callback:
         """Run a plain callable at ``now + delay`` (no process needed).
 
         Used by the flow network to arm its single "next state change"
-        timer.  Returns the underlying event, which supports
-        :meth:`~repro.sim.events.Event.cancel`: a cancelled timer is
-        discarded lazily when the calendar reaches it (the heap entry
-        is skipped without advancing the clock), so the calendar stays
-        a plain heap and cancelling the last pending event leaves it
-        genuinely empty.  Callers that re-arm often (the flow network)
-        should cancel the superseded event — a cancelled entry is one
-        tuple skipped during a heap pop, whereas an uncancelled stale
-        entry fires into a dead closure and, under heavy churn, piles
-        thousands of tombstones onto one simulated instant.
+        timer.  Returns a handle with ``processed`` and ``cancel()``
+        (not an :class:`Event`: nothing can wait on it).  It takes one
+        sequence number like any event, so ties on time and priority
+        fire in schedule order across handles and events.  A cancelled
+        timer is discarded lazily when the calendar reaches it (the
+        heap entry is skipped without advancing the clock), so the
+        calendar stays a plain heap and cancelling the last pending
+        entry leaves it genuinely empty.  Callers that re-arm often
+        (the flow network) should cancel the superseded handle — a
+        cancelled entry is one tuple skipped during a heap pop, whereas
+        an uncancelled stale entry fires into a dead closure and, under
+        heavy churn, piles thousands of tombstones onto one simulated
+        instant.
         """
-        ev = _Callback(self)
-        ev._ok = True
-        ev._value = None
-        ev.fn = fn
-        ev.callbacks.append(_fire)
-        self._schedule(ev, delay=delay, priority=priority)
-        return ev
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid delay {delay!r}")
+        handle = _Callback(fn)
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, handle))
+        return handle
 
     def _crash(self, process: Process, cause: BaseException) -> None:
         if self._crashed is None:
@@ -251,41 +266,47 @@ class Environment:
                     f"until={stop_time} is in the past (now={self._now})"
                 )
 
-        # The hot loop: peek() and fire one event per iteration, but
+        # The hot loop: peek() and fire one entry per iteration, but
         # with the heap scanned once, the heap/pop lookups hoisted, and
         # the stop-event check reduced to a slot load.  The simulation
         # spends most of its wall-clock here.
         q = self._queue
         pop = heapq.heappop
-        try:
-            while q:
-                while q and q[0][3]._cancelled:
-                    pop(q)
-                if not q:
-                    break
-                t = q[0][0]
-                if t > stop_time:
-                    self._now = stop_time
-                    return None
-                event = pop(q)[3]
-                if t > self._now:
-                    self._now = t
-                elif t < self._now - 1e-12:
-                    raise RuntimeError(
-                        f"time went backwards: event at {t} < "
-                        f"now {self._now}"
-                    )
-                callbacks, event.callbacks = event.callbacks, None
-                for fn in callbacks:
-                    fn(event)
-                    if self._crashed is not None:
-                        raise self._crashed
-                if stop_event is not None and stop_event.callbacks is None:
-                    if stop_event._ok:
-                        return stop_event._value
-                    raise stop_event._value
-        except StopSimulation:
-            pass
+        callback = _Callback
+        while q:
+            while q and q[0][3]._cancelled:
+                pop(q)
+            if not q:
+                break
+            t = q[0][0]
+            if t > stop_time:
+                self._now = stop_time
+                return None
+            event = pop(q)[3]
+            if t > self._now:
+                self._now = t
+            elif t < self._now - 1e-12:
+                raise RuntimeError(
+                    f"time went backwards: event at {t} < "
+                    f"now {self._now}"
+                )
+            if event.__class__ is callback:
+                # A handle cannot be the stop event, so firing one
+                # leaves the stop check's answer as it was.
+                event.processed = True
+                event.fn()
+                if self._crashed is not None:
+                    raise self._crashed
+                continue
+            callbacks, event.callbacks = event.callbacks, None
+            for fn in callbacks:
+                fn(event)
+                if self._crashed is not None:
+                    raise self._crashed
+            if stop_event is not None and stop_event.callbacks is None:
+                if stop_event._ok:
+                    return stop_event._value
+                raise stop_event._value
         if stop_event is not None:
             raise Deadlock(
                 self.unfinished_processes(),

@@ -13,10 +13,12 @@ the vectorized flow network in :mod:`repro.net.fabric`; events only carry
 control-plane occurrences (message deliveries, completions, state
 changes), so allocation cost is not the bottleneck.
 
-:meth:`Event.cancel` is the supported way to withdraw a superseded
-calendar entry (e.g. the flow network's re-armed "next state change"
-timer): the heap entry is skipped lazily at pop time, so cancellation
-is O(1) and leaves no tombstone to fire into a stale closure.
+:meth:`Event.cancel` (and ``cancel`` on the handle that
+:meth:`~repro.sim.engine.Environment.schedule_callback` returns, e.g.
+the flow network's re-armed "next state change" timer) is the
+supported way to withdraw a superseded calendar entry: the heap entry
+is skipped lazily at pop time, so cancellation is O(1) and leaves no
+tombstone to fire into a stale closure.
 """
 
 from __future__ import annotations
@@ -171,8 +173,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid delay {delay!r}")
         # Inlined Event.__init__ + Environment._schedule: a timeout is
         # born triggered-and-scheduled, and this constructor is the
         # single hottest allocation site in the kernel (every process

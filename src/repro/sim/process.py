@@ -68,11 +68,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         env._live.add(self)
         # Bootstrap: resume once at the current sim time.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        init.add_callback(self._start)
-        env._schedule(init)
+        env.schedule_callback(0.0, self._start)
 
     @property
     def is_alive(self) -> bool:
@@ -135,7 +131,7 @@ class Process(Event):
         self.env._live.discard(self)
 
     # -- kernel resume paths --------------------------------------------
-    def _start(self, _init: Event) -> None:
+    def _start(self) -> None:
         if self.triggered:  # killed before its first step
             return
         self._step()

@@ -198,3 +198,49 @@ class TestPointToPoint:
         assert comm.messages_sent == 3
         assert comm.messages_by_rank[0] == 2
         assert comm.messages_by_rank[3] == 1
+
+
+class _DropOdd:
+    """A stand-in fault hook: drops every odd-numbered send, delays the
+    rest by 1 s."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def perturb_send(self, source, dest):
+        self.calls += 1
+        return None if self.calls % 2 == 0 else 1.0
+
+
+class TestCalendarCost:
+    def test_send_returns_none_and_costs_one_entry(self, env):
+        comm = make_comm(env)
+        before = env.events_scheduled
+        assert comm.send(0, 1, "x") is None
+        assert env.events_scheduled == before + 1
+        env.run()
+        # Delivery schedules nothing further when nobody is waiting.
+        assert env.events_scheduled == before + 1
+        assert comm.inbox_size(1) == 1
+
+    def test_dropped_message_costs_no_entry(self, env):
+        comm = make_comm(env)
+        comm.faults = _DropOdd()
+        before = env.events_scheduled
+        for i in range(4):
+            assert comm.send(0, 1, i) is None
+        assert comm.messages_sent == 4
+        assert env.events_scheduled == before + 2
+        env.run()
+        assert env.now == pytest.approx(1.0 + 1e-6)
+        assert comm.inbox_size(1) == 2
+        got = []
+
+        def receiver():
+            for _ in range(2):
+                msg = yield comm.recv(1)
+                got.append(msg.payload)
+
+        env.process(receiver())
+        env.run()
+        assert got == [0, 2]

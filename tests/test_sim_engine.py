@@ -272,3 +272,120 @@ class TestDeadlockDetection:
 
 def _ticker_once(env):
     yield env.timeout(2)
+
+
+class TestCallbackHandles:
+    """``schedule_callback`` entries: slotted handles, not events."""
+
+    def test_ties_fire_in_schedule_order_across_kinds(self, env):
+        order = []
+        env.schedule_callback(1.0, lambda: order.append("cb1"))
+        env.timeout(1.0).add_callback(lambda _ev: order.append("ev1"))
+        env.schedule_callback(1.0, lambda: order.append("cb2"))
+        env.timeout(1.0).add_callback(lambda _ev: order.append("ev2"))
+        # A lower priority number fires first at one instant, whatever
+        # the schedule order; equal priorities keep schedule order.
+        env.schedule_callback(1.0, lambda: order.append("urgent"), priority=0)
+        env.run()
+        assert order == ["urgent", "cb1", "ev1", "cb2", "ev2"]
+
+    def test_cancelled_handle_neither_fires_nor_moves_clock(self, env):
+        hits = []
+        env.schedule_callback(1.0, lambda: hits.append(env.now))
+        late = env.schedule_callback(5.0, lambda: hits.append(env.now))
+        late.cancel()
+        assert late.cancelled and not late.processed
+        env.run()
+        assert hits == [1.0]
+        assert env.now == 1.0
+
+    def test_peek_skips_cancelled_handle(self, env):
+        first = env.schedule_callback(1.0, lambda: None)
+        env.schedule_callback(3.0, lambda: None)
+        first.cancel()
+        assert env.peek() == 3.0
+
+    def test_cancel_twice_is_noop_and_after_firing_raises(self, env):
+        h = env.schedule_callback(1.0, lambda: None)
+        h.cancel()
+        h.cancel()
+        assert h.cancelled
+        fired = env.schedule_callback(1.0, lambda: None)
+        env.run()
+        with pytest.raises(RuntimeError, match="already processed"):
+            fired.cancel()
+
+    def test_processed_flips_when_handle_fires(self, env):
+        seen = []
+        h = env.schedule_callback(2.0, lambda: seen.append(h.processed))
+        assert not h.processed
+        env.run(until=1.0)
+        assert not h.processed
+        env.run()
+        assert h.processed
+        assert seen == [True]  # already set while fn runs, as for events
+
+    def test_each_handle_is_one_scheduled_event(self, env):
+        before = env.events_scheduled
+        handles = [env.schedule_callback(float(i), lambda: None)
+                   for i in range(5)]
+        assert env.events_scheduled == before + 5
+        handles[0].cancel()
+        env.run()
+        assert env.events_scheduled == before + 5
+
+    def test_raising_callback_propagates_out_of_run(self, env):
+        def boom():
+            raise KeyError("boom")
+
+        env.schedule_callback(1.0, boom)
+        env.schedule_callback(2.0, lambda: None)
+        with pytest.raises(KeyError, match="boom"):
+            env.run()
+        assert env.now == 1.0
+
+    def test_process_bootstrap_is_one_entry(self, env):
+        def body(env):
+            yield env.timeout(1)
+
+        before = env.events_scheduled
+        p = env.process(body(env))
+        assert env.events_scheduled == before + 1
+        env.run()
+        assert not p.is_alive
+        # bootstrap, the timeout, and the process's own completion
+        assert env.events_scheduled == before + 3
+
+
+class TestDelayValidation:
+    """A NaN delay compares False against everything, so it used to
+    slip past the ``delay < 0`` check and corrupt the heap order."""
+
+    @pytest.mark.parametrize("delay", [float("nan"), -1.0, -1e-9])
+    def test_timeout_rejects(self, env, delay):
+        with pytest.raises(ValueError, match="invalid delay"):
+            env.timeout(delay)
+        assert env.events_scheduled == 0
+
+    @pytest.mark.parametrize("delay", [float("nan"), -1.0, -1e-9])
+    def test_schedule_callback_rejects(self, env, delay):
+        with pytest.raises(ValueError, match="invalid delay"):
+            env.schedule_callback(delay, lambda: None)
+        assert env.events_scheduled == 0
+
+    def test_nan_among_valid_entries_leaves_order_intact(self, env):
+        fired = []
+        for t in (3.0, 1.0, 2.0):
+            env.timeout(t).add_callback(
+                lambda _ev, t=t: fired.append((t, env.now)))
+        with pytest.raises(ValueError):
+            env.timeout(float("nan"))
+        env.run()
+        assert fired == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+
+    def test_zero_and_infinite_delays_allowed(self, env):
+        env.timeout(0.0)
+        env.schedule_callback(0, lambda: None)
+        env.schedule_callback(float("inf"), lambda: None)
+        env.run(until=10.0)
+        assert env.now == 10.0
