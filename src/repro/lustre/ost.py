@@ -308,73 +308,55 @@ class OstPool:
         responsible for erroring in-flight fabric flows; the pool only
         manages storage-side state.
         """
-        i = int(ost)
-        self.faults_active = True
-        self.state[i] = OstState.FAILED
-        self.fault_mult[i] = 0.0
-        self._ingest_gate[i] = 0.0
-        lost = float(self.cache_level[i])
-        self.bytes_lost[i] += lost
-        self.cache_level[i] = 0.0
-        self._full[i] = False
-        self._mark_stale(i)
-        mi = self._registry()
-        if mi is not None:
-            mi.counter("ost.state_changes", to="failed", ost=i).inc()
-            mi.counter("ost.bytes_lost", ost=i).inc(lost)
-        if self._on_change is not None:
-            self._on_change()
-        return lost
+        return self._transition(ost, OstState.FAILED, 0.0, 0.0, "failed")
 
     def hang_ost(self, ost: int) -> None:
         """Hang a target: ingest and drain stop, cache contents held."""
-        i = int(ost)
-        self.faults_active = True
-        self.state[i] = OstState.HUNG
-        self.fault_mult[i] = 0.0
-        self._ingest_gate[i] = 0.0
-        self._mark_stale(i)
-        mi = self._registry()
-        if mi is not None:
-            mi.counter("ost.state_changes", to="hung", ost=i).inc()
-        if self._on_change is not None:
-            self._on_change()
+        self._transition(ost, OstState.HUNG, 0.0, 0.0, "hung")
 
     def brownout_ost(self, ost: int, factor: float) -> None:
         """Scale a target's drain bandwidth by ``factor`` (DEGRADED)."""
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"brownout factor must be in (0, 1], got {factor}")
-        i = int(ost)
-        self.faults_active = True
-        self.state[i] = OstState.DEGRADED
-        self.fault_mult[i] = float(factor)
-        self._ingest_gate[i] = 1.0
-        self._mark_stale(i)
-        mi = self._registry()
-        if mi is not None:
-            mi.counter("ost.state_changes", to="degraded", ost=i).inc()
-        if self._on_change is not None:
-            self._on_change()
+        self._transition(ost, OstState.DEGRADED, float(factor), 1.0,
+                         "degraded")
 
     def recover_ost(self, ost: int) -> None:
         """Return a target to UP (a failed target comes back empty)."""
+        self._transition(ost, OstState.UP, 1.0, 1.0, "up")
+
+    def _transition(self, ost: int, state: int, fault_mult: float,
+                    ingest_gate: float, to: str) -> float:
+        """Move one target to ``state``; returns the cached bytes lost.
+
+        Every state change but a recovery marks the pool as having
+        seen faults; only a fail-stop loses the cache.
+        """
         i = int(ost)
-        self.state[i] = OstState.UP
-        self.fault_mult[i] = 1.0
-        self._ingest_gate[i] = 1.0
+        if state != OstState.UP:
+            self.faults_active = True
+        self.state[i] = state
+        self.fault_mult[i] = fault_mult
+        self._ingest_gate[i] = ingest_gate
+        lost = 0.0
+        if state == OstState.FAILED:
+            lost = float(self.cache_level[i])
+            self.bytes_lost[i] += lost
+            self.cache_level[i] = 0.0
+            self._full[i] = False
         self._mark_stale(i)
         mi = self._registry()
         if mi is not None:
-            mi.counter("ost.state_changes", to="up", ost=i).inc()
+            mi.counter("ost.state_changes", to=to, ost=i).inc()
+            if state == OstState.FAILED:
+                mi.counter("ost.bytes_lost", ost=i).inc(lost)
         if self._on_change is not None:
             self._on_change()
+        return lost
 
     def healthy(self) -> np.ndarray:
         """Boolean mask of targets accepting writes (UP or DEGRADED)."""
         return self.state <= OstState.DEGRADED
-
-    def is_failed(self, ost: int) -> bool:
-        return self.state[int(ost)] == OstState.FAILED
 
     # -- SinkPool protocol -------------------------------------------------
     def _mark_stale(self, which) -> None:

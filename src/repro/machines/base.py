@@ -165,11 +165,7 @@ class MachineSpec:
             # bit-identical by construction.
             from repro.telemetry import OnlineMonitor
 
-            machine.monitor = OnlineMonitor(
-                machine, registry=env.metrics, detector="auto",
-                mode="settle",
-            )
-            machine.monitor.install()
+            machine.monitor = OnlineMonitor(machine, env.metrics)
         from repro.faults import FaultInjector, resolve_fault_plan
 
         plan = resolve_fault_plan(faults)

@@ -46,7 +46,7 @@ from repro.errors import OstFailedError
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Environment
+    from repro.sim.engine import Environment, _Callback
 
 __all__ = [
     "FlowNetwork",
@@ -93,11 +93,6 @@ class FlowStats:
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
-
-    @property
-    def mean_rate(self) -> float:
-        d = self.duration
-        return self.nbytes / d if d > 0 else float("inf")
 
 
 class SinkPool(Protocol):
@@ -489,11 +484,13 @@ class FlowNetwork:
         # cheaper than gathering the affected subset.
         self._incr_max_dirty = max(4, self.n_sinks // 8)
         self._sink_lut = np.full(self.n_sinks, -1, dtype=np.intp)
-        # Deferred-settle and timer calendar entries (cancelled via
-        # Event.cancel when superseded — no tombstones left in the heap).
+        # Deferred-settle and timer calendar entries: the handles
+        # ``env.schedule_callback`` returns.  A superseded one is
+        # withdrawn with ``cancel()``; the calendar skips it when its
+        # heap entry comes up, so it never fires into a stale closure.
         self._settle_pending = False
-        self._settle_event: Optional[Event] = None
-        self._timer_event: Optional[Event] = None
+        self._settle_event: Optional[_Callback] = None
+        self._timer_event: Optional[_Callback] = None
         # Rate-change watchers (see watch_flow), in registration-order
         # columns -- fid, callback, slot, last notified rate, live flag
         # -- so a settle scans them with one fancy-index + compare;

@@ -7,7 +7,7 @@ monitoring side of the tracing/monitoring split.  See DESIGN.md §12.
 
 from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.monitor import OnlineMonitor, PoolSample, snapshot_machine
-from repro.telemetry.profiler import Profiler, profiling
+from repro.telemetry.profiler import Profiler, format_report, profiling
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -27,6 +27,7 @@ __all__ = [
     "Profiler",
     "Series",
     "StragglerDetector",
+    "format_report",
     "profiling",
     "render_dashboard",
     "snapshot_machine",

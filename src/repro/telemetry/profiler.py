@@ -1,41 +1,42 @@
 """Wall-clock self-profiler: where does the *simulator's* time go?
 
-ROADMAP item 5 observed that the adaptive transport at 8192 procs
-costs 7.3s of real time against MPI-IO's 1.4s and asked for a
-breakdown.  This profiler attributes real (``perf_counter``) time to
-simulator subsystems:
+This profiler attributes real (``perf_counter``) time to simulator
+layers:
 
-==============  ======================================================
-``engine``      the calendar loop itself (heap pops, dispatch)
-``fabric.settle``  flow-network settles: max-min reallocation, pool
-                integration, completion bookkeeping
-``protocol``    simulation-process bodies — transport protocol code
-                (writers, sub-coordinators, steering), interference
-                generators, background jobs
-``protocol.stream``  the batched transport's group-stream callbacks
-                (boundary timers, rate-change re-predictions, member
-                completion bookkeeping) which run outside any process
-``tracer``      trace-event recording, when a tracer is attached
-``other``       real time outside ``env.run`` (index assembly, result
-                construction, harness code) — total minus the above
-==============  ======================================================
+===================  ==================================================
+``engine``           the calendar loop itself (heap pops, dispatch)
+``fabric.settle``    flow-network settles: max-min reallocation, pool
+                     integration, completion bookkeeping
+``protocol``         simulation-process bodies — transport protocol
+                     code (writers, sub-coordinators, steering),
+                     interference generators, background jobs
+``protocol.stream``  the adaptive transport's group-stream callbacks
+                     (boundary timers, rate-change re-predictions,
+                     member completion bookkeeping), which run outside
+                     any process
+``other``            real time outside ``env.run`` (index assembly,
+                     result construction, harness code) — total minus
+                     the above
+===================  ==================================================
 
 Attribution is exclusive (stack-based): settle time spent inside a
-process step counts as ``fabric.settle``, not ``protocol``.
+process step counts as ``fabric.settle``, not ``protocol``, and a
+tracer's records count toward the layer that makes them.
 
-Cost model: profiling is **opt-in per run**.  While no profiler is
-installed anywhere in the process, ``Process._step`` and the tracer
-record methods are their original, unpatched functions — zero cost.
-:meth:`Profiler.install` class-patches them (reference-counted;
-restored on the last :meth:`uninstall`) with wrappers that resolve
-the owning environment's ``env.profiler`` attribute, so concurrent
-unprofiled environments in the same process still skip in one
-attribute check.  ``env.run`` and ``fabric._settle`` are wrapped as
-per-instance attributes — no other environment even sees them.
+Cost model: profiling is **opt-in per run**, one machine at a time.
+``env.run`` and the machine's ``fabric._settle`` are wrapped as
+per-instance attributes.  The class-level boundaries in
+:func:`_boundaries` are patched by :meth:`Profiler.install` with a
+wrapper that reads ``self.env.profiler``, so an unprofiled environment
+in the same process skips in one attribute check, and
+:meth:`Profiler.uninstall` restores each from its ``__wrapped__``.
+While no profiler is installed the classes hold their original
+functions — zero cost.
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -43,18 +44,62 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machines.base import Machine
 
-__all__ = ["Profiler", "profiling"]
+__all__ = ["Profiler", "format_report", "profiling"]
 
-SECTIONS = ("engine", "fabric.settle", "protocol", "protocol.stream",
-            "tracer")
+SECTIONS = ("engine", "fabric.settle", "protocol", "protocol.stream")
 
-# _GroupStream entry points that run as plain calendar/watcher
-# callbacks, outside any Process._step (which would otherwise absorb
-# them into ``protocol``).
-_STREAM_METHODS = (
-    "begin", "_on_timer", "_on_rate_change", "_on_flow_done",
-    "_on_lane_done",
-)
+
+def _boundaries() -> tuple:
+    """The class-level layer boundaries, as ``(class, method, section)``.
+
+    Imported on use, so loading the telemetry package loads no
+    simulator layer.
+    """
+    from repro.core.transports.adaptive import _GroupStream
+    from repro.sim.process import Process
+
+    # _GroupStream's entry points run as plain calendar and watcher
+    # callbacks, outside any Process._step (which would otherwise
+    # absorb them into ``protocol``).
+    return (
+        (Process, "_step", "protocol"),
+        (_GroupStream, "begin", "protocol.stream"),
+        (_GroupStream, "_on_timer", "protocol.stream"),
+        (_GroupStream, "_on_rate_change", "protocol.stream"),
+        (_GroupStream, "_on_flow_done", "protocol.stream"),
+        (_GroupStream, "_on_lane_done", "protocol.stream"),
+    )
+
+
+def _boundary(fn, section: str):
+    """Time the method ``fn`` as ``section`` when its environment is
+    profiled."""
+
+    @functools.wraps(fn)
+    def timed(self, *args, **kwargs):
+        prof = self.env.profiler
+        if prof is None:
+            return fn(self, *args, **kwargs)
+        prof.push(section)
+        try:
+            return fn(self, *args, **kwargs)
+        finally:
+            prof.pop()
+
+    return timed
+
+
+def _timed(bound_method, prof: "Profiler", section: str):
+    """Time every call of one instance's ``bound_method`` as ``section``."""
+
+    def timed(*args, **kwargs):
+        prof.push(section)
+        try:
+            return bound_method(*args, **kwargs)
+        finally:
+            prof.pop()
+
+    return timed
 
 
 class Profiler:
@@ -65,7 +110,7 @@ class Profiler:
         self.calls: Dict[str, int] = {}
         self.wall_total: Optional[float] = None
         self._stack: List[list] = []  # [name, t0, child_time]
-        self._machines: List["Machine"] = []
+        self._machine: Optional["Machine"] = None
 
     # -- core accounting -------------------------------------------------
     def push(self, name: str) -> None:
@@ -79,36 +124,32 @@ class Profiler:
         if self._stack:
             self._stack[-1][2] += dt
 
-    @contextmanager
-    def section(self, name: str):
-        self.push(name)
-        try:
-            yield
-        finally:
-            self.pop()
-
     # -- wiring ----------------------------------------------------------
     def install(self, machine: "Machine") -> None:
-        """Attach to a machine's environment, fabric and tracer."""
+        """Attach to a machine; raises if any profiler is installed."""
+        table = _boundaries()
+        if any(hasattr(getattr(cls, meth), "__wrapped__")
+               for cls, meth, _ in table):
+            raise RuntimeError("a profiler is already installed")
         env = machine.env
-        if env.profiler is not None:
-            raise RuntimeError("environment already has a profiler")
         env.profiler = self
-        env.run = _wrapped(env.run, self, "engine")
+        env.run = _timed(env.run, self, "engine")
         fabric = machine.fs.fabric
-        fabric._settle = _wrapped(fabric._settle, self, "fabric.settle")
-        _patch_classes()
-        self._machines.append(machine)
+        fabric._settle = _timed(fabric._settle, self, "fabric.settle")
+        for cls, meth, section in table:
+            setattr(cls, meth, _boundary(getattr(cls, meth), section))
+        self._machine = machine
 
-    def uninstall(self, machine: "Machine") -> None:
-        if machine not in self._machines:
+    def uninstall(self) -> None:
+        machine, self._machine = self._machine, None
+        if machine is None:
             return
-        self._machines.remove(machine)
+        for cls, meth, _ in _boundaries():
+            setattr(cls, meth, getattr(cls, meth).__wrapped__)
         env = machine.env
         env.profiler = None
         env.__dict__.pop("run", None)  # restore the class method
         machine.fs.fabric.__dict__.pop("_settle", None)
-        _unpatch_classes()
 
     # -- reporting -------------------------------------------------------
     def to_dict(self) -> dict:
@@ -125,125 +166,25 @@ class Profiler:
             out["other_seconds"] = float(max(self.wall_total - tracked, 0.0))
         return out
 
-    def report(self) -> str:
-        """Flame-table text rendering, widest section first."""
-        d = self.to_dict()
-        total = d.get("wall_seconds", d["tracked_seconds"]) or 1e-12
-        rows = sorted(
-            d["sections"].items(), key=lambda kv: -kv[1]["seconds"]
+
+def format_report(d: dict) -> str:
+    """Flame-table text of a :meth:`Profiler.to_dict`, widest first."""
+    total = d.get("wall_seconds", d["tracked_seconds"]) or 1e-12
+    rows = sorted(d["sections"].items(), key=lambda kv: -kv[1]["seconds"])
+    lines = [f"{'subsystem':<14} {'seconds':>9} {'calls':>10} {'share':>7}"]
+    lines.append("-" * len(lines[0]))
+    for name, s in rows:
+        lines.append(
+            f"{name:<14} {s['seconds']:>9.3f} {s['calls']:>10d} "
+            f"{100.0 * s['seconds'] / total:>6.1f}%"
         )
-        lines = [f"{'subsystem':<14} {'seconds':>9} {'calls':>10} {'share':>7}"]
-        lines.append("-" * len(lines[0]))
-        for name, s in rows:
-            lines.append(
-                f"{name:<14} {s['seconds']:>9.3f} {s['calls']:>10d} "
-                f"{100.0 * s['seconds'] / total:>6.1f}%"
-            )
-        if "other_seconds" in d:
-            lines.append(
-                f"{'other':<14} {d['other_seconds']:>9.3f} {'-':>10} "
-                f"{100.0 * d['other_seconds'] / total:>6.1f}%"
-            )
-            lines.append(f"{'total':<14} {d['wall_seconds']:>9.3f}")
-        return "\n".join(lines)
-
-
-def _wrapped(bound_method, prof: Profiler, name: str):
-    def timed(*args, **kwargs):
-        prof.push(name)
-        try:
-            return bound_method(*args, **kwargs)
-        finally:
-            prof.pop()
-
-    return timed
-
-
-# -- class patches (refcounted; zero cost while not installed) ------------
-_patch_depth = 0
-_saved = {}
-
-
-def _patch_classes() -> None:
-    global _patch_depth
-    _patch_depth += 1
-    if _patch_depth > 1:
-        return
-    from repro.sim.process import Process
-    from repro.trace.tracer import Tracer
-
-    _saved["step"] = orig_step = Process._step
-
-    def profiled_step(self, send=None, throw=None):
-        prof = self.env.profiler
-        if prof is None:
-            return orig_step(self, send, throw)
-        prof.push("protocol")
-        try:
-            return orig_step(self, send, throw)
-        finally:
-            prof.pop()
-
-    Process._step = profiled_step
-
-    for meth in ("begin", "end", "complete", "instant", "counter"):
-        _saved[meth] = _make_traced(Tracer, meth)
-
-    from repro.core.transports.adaptive import _GroupStream
-
-    for meth in _STREAM_METHODS:
-        _saved["stream." + meth] = _make_stream_profiled(_GroupStream, meth)
-
-
-def _make_traced(cls, meth: str):
-    orig = getattr(cls, meth)
-
-    def profiled(self, *args, **kwargs):
-        env = self._env
-        prof = env.profiler if env is not None else None
-        if prof is None:
-            return orig(self, *args, **kwargs)
-        prof.push("tracer")
-        try:
-            return orig(self, *args, **kwargs)
-        finally:
-            prof.pop()
-
-    setattr(cls, meth, profiled)
-    return orig
-
-
-def _make_stream_profiled(cls, meth: str):
-    orig = getattr(cls, meth)
-
-    def profiled(self, *args, **kwargs):
-        prof = self.env.profiler
-        if prof is None:
-            return orig(self, *args, **kwargs)
-        prof.push("protocol.stream")
-        try:
-            return orig(self, *args, **kwargs)
-        finally:
-            prof.pop()
-
-    setattr(cls, meth, profiled)
-    return orig
-
-
-def _unpatch_classes() -> None:
-    global _patch_depth
-    _patch_depth -= 1
-    if _patch_depth > 0:
-        return
-    from repro.sim.process import Process
-    from repro.trace.tracer import Tracer
-    from repro.core.transports.adaptive import _GroupStream
-
-    Process._step = _saved.pop("step")
-    for meth in ("begin", "end", "complete", "instant", "counter"):
-        setattr(Tracer, meth, _saved.pop(meth))
-    for meth in _STREAM_METHODS:
-        setattr(_GroupStream, meth, _saved.pop("stream." + meth))
+    if "other_seconds" in d:
+        lines.append(
+            f"{'other':<14} {d['other_seconds']:>9.3f} {'-':>10} "
+            f"{100.0 * d['other_seconds'] / total:>6.1f}%"
+        )
+        lines.append(f"{'total':<14} {d['wall_seconds']:>9.3f}")
+    return "\n".join(lines)
 
 
 @contextmanager
@@ -260,4 +201,4 @@ def profiling(machine: "Machine", profiler: Optional[Profiler] = None):
         yield prof
     finally:
         prof.wall_total = (prof.wall_total or 0.0) + perf_counter() - t0
-        prof.uninstall(machine)
+        prof.uninstall()

@@ -106,7 +106,7 @@ def run_demo_cell(
         prof_dict = prof.to_dict()
     else:
         transport.run(machine, _apps()[app_name]())
-    detector = machine.monitor.detector if machine.monitor else None
+    detector = machine.monitor.detector
     return reg, detector, ground_truth, prof_dict
 
 
@@ -188,14 +188,9 @@ def main(argv=None) -> int:
             print(f"  detected: {hits or 'none'}; missed: "
                   f"{misses or 'none'}; false alarms: {extra or 'none'}")
     if profile_dict is not None:
-        from repro.telemetry.profiler import Profiler
+        from repro.telemetry.profiler import format_report
 
-        prof = Profiler()
-        for name, s in profile_dict["sections"].items():
-            prof.self_time[name] = s["seconds"]
-            prof.calls[name] = s["calls"]
-        prof.wall_total = profile_dict.get("wall_seconds")
-        print("\nself-profile:\n" + prof.report())
+        print("\nself-profile:\n" + format_report(profile_dict))
 
     if args.json:
         with open(args.json, "w") as fh:

@@ -1,12 +1,15 @@
-"""Caller-owned load recordings with the timer-mode online monitor,
-plus their headline use: showing that adaptive IO balances
-storage-target usage where MPI-IO leaves stragglers.
+"""Load recordings from the online monitor's per-OST series, plus their
+headline use: showing that adaptive IO balances storage-target usage
+where MPI-IO leaves stragglers.
 
-``OnlineMonitor(mode="timer", keep_samples=True, max_samples=None)``
-samples the pool on an exact cadence (each sample forces fabric
-accounting up to now), keeps every sample, and can be stopped,
-restarted and cleared.  The balance statistics below are computed
-here from its samples.
+A machine built with a registry carries a settle-hook
+:class:`~repro.telemetry.OnlineMonitor` that samples ``ost.inflow`` and
+``ost.streams`` at settles at least ``interval`` simulated seconds
+apart.  The machines here set the interval to zero, so every settle —
+every instant the per-OST flow state can change — is a sample.  The
+balance statistics below are computed from those series, weighting
+each sample by the simulated time to the next one (the last by the
+time to the end of the run), which makes them exact time averages.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from repro.apps import AppKernel, Variable
 from repro.core.transports import AdaptiveTransport, MpiIoTransport
 from repro.machines import jaguar
-from repro.telemetry import OnlineMonitor
+from repro.telemetry import MetricsRegistry
 from repro.units import MB
 
 
@@ -23,38 +26,61 @@ def app(mb=16.0):
     return AppKernel("r", [Variable("x", shape=(int(mb * MB / 8),))])
 
 
-def recorder(machine, interval=1.0):
-    return OnlineMonitor(machine, interval=interval, mode="timer",
-                         keep_samples=True, max_samples=None)
+def build(n_ranks=32, n_osts=8, seed=0, **kw):
+    """A machine whose monitor records every settle, undecimated."""
+    m = jaguar(n_osts=n_osts).build(
+        n_ranks=n_ranks, seed=seed, metrics=MetricsRegistry(), **kw
+    )
+    m.monitor.interval, m.monitor.max_samples = 0.0, 10**9
+    return m
+
+
+class Recording:
+    """One machine's monitor series as ``(samples, OSTs)`` matrices."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        inflow = self.field("ost.inflow")
+        self.times = np.array([t for _, t, _ in inflow[0]]) if inflow \
+            else np.zeros(0)
+        self.weights = np.diff(self.times, append=machine.env.now)
+
+    def field(self, name):
+        reg = self.machine.env.metrics
+        out = []
+        for i in range(self.machine.pool.n_sinks):
+            s = reg.find("series", name, ost=i)
+            if s is not None:
+                out.append(s.samples)
+        return out
+
+    def matrix(self, name):
+        cols = self.field(name)
+        if not cols or not cols[0]:
+            raise ValueError("no samples recorded")
+        return np.array([[v for _, _, v in col] for col in cols]).T
 
 
 def record_run(transport, n_ranks=32, n_osts=8, seed=0, slow=None):
-    m = jaguar(n_osts=n_osts).build(n_ranks=n_ranks, seed=seed)
+    m = build(n_ranks=n_ranks, n_osts=n_osts, seed=seed)
     m.fs.max_stripe_count = max(2, n_osts // 4)
     if slow is not None:
         m.pool.set_load_multiplier(0.1, osts=np.array(slow))
-    rec = recorder(m, interval=0.05)
-    rec.start()
     res = transport.run(m, app(), output_name="out")
-    rec.stop()
-    return rec, res
+    return Recording(m), res
 
 
 # -- balance statistics over a recording ----------------------------------
-def _stack(rec, field):
-    if not rec.samples:
-        raise ValueError("no samples recorded")
-    return np.vstack([getattr(s, field) for s in rec.samples])
-
-
 def busy_fraction(rec):
-    """Per-OST fraction of samples with at least one active stream."""
-    return (_stack(rec, "stream_counts") > 0).mean(axis=0)
+    """Per-OST fraction of recorded time with at least one active
+    stream."""
+    busy = (rec.matrix("ost.streams") > 0).astype(float)
+    return busy.T @ rec.weights / rec.weights.sum()
 
 
 def jain_fairness(rec):
     """Jain's index of mean per-OST inflow: 1.0 = perfectly even use."""
-    share = _stack(rec, "inflow").mean(axis=0)
+    share = rec.matrix("ost.inflow").T @ rec.weights / rec.weights.sum()
     return float(share.sum() ** 2 / (len(share) * (share**2).sum()))
 
 
@@ -62,37 +88,29 @@ def straggler_window(rec, threshold=0.5):
     """Seconds during which fewer than ``threshold`` of the OSTs that
     were ever used are still active — the long tail where a few
     stragglers hold the job."""
-    if len(rec.samples) < 2:
+    if len(rec.times) < 2:
         return 0.0
-    counts = _stack(rec, "stream_counts")
+    counts = rec.matrix("ost.streams")
     ever_used = (counts > 0).any(axis=0)
     active_now = (counts[:, ever_used] > 0).sum(axis=1)
     live = np.nonzero(active_now > 0)[0]
     if live.size == 0:
         return 0.0
-    window = active_now[live[0]: live[-1] + 1]
-    return float((window < threshold * ever_used.sum()).sum() * rec.interval)
+    span = slice(live[0], live[-1] + 1)
+    tail = active_now[span] < threshold * ever_used.sum()
+    return float(rec.weights[span][tail].sum())
 
 
-class TestTimerMonitorMechanics:
+class TestMonitorSeries:
     def test_samples_accumulate(self):
         rec, _ = record_run(AdaptiveTransport())
-        assert len(rec.samples) >= 5
-        assert _stack(rec, "inflow").shape == (len(rec.samples), 8)
-        times = [s.time for s in rec.samples]
-        # exact cadence: one sample per interval from the start
-        assert times == pytest.approx(
-            [0.05 * k for k in range(len(times))]
-        )
-
-    def test_validation(self):
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        with pytest.raises(ValueError):
-            recorder(m, interval=0)
-        rec = recorder(m)
-        rec.start()
-        with pytest.raises(RuntimeError):
-            rec.start()
+        n = len(rec.times)
+        assert n >= 5
+        assert rec.matrix("ost.inflow").shape == (n, 8)
+        assert rec.matrix("ost.streams").shape == (n, 8)
+        # a non-decreasing timeline within the run
+        assert (rec.weights >= 0).all()
+        assert 0.0 <= rec.times[0] and rec.times[-1] <= rec.machine.env.now
 
     def test_busy_fraction_bounds(self):
         rec, _ = record_run(AdaptiveTransport())
@@ -103,102 +121,55 @@ class TestTimerMonitorMechanics:
     def test_summary_fields(self):
         rec, _ = record_run(AdaptiveTransport())
         assert 0 < jain_fairness(rec) <= 1.0
-        assert _stack(rec, "inflow").sum(axis=1).max() > 0
-        for s in rec.samples:
-            assert s.cache_fill.shape == s.state.shape == (8,)
-
-
-class TestStopAndRestart:
-    def test_stop_cancels_pending_wakeup(self):
-        """stop() must not leave the sampler parked on one more
-        timeout: the calendar drains immediately and no extra sample
-        lands an interval later."""
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        rec = recorder(m, interval=0.5)
-        rec.start()
-        m.env.run(until=1.6)  # samples at t=0, 0.5, 1.0, 1.5
-        n_before = len(rec.samples)
-        rec.stop()
-        # The cancellation kick fires at the current instant; nothing
-        # remains at t=2.0 where the next sample would have landed.
-        assert m.env.peek() <= m.env.now
-        m.env.run()
-        assert m.env.now < 2.0  # clock never reached the next wakeup
-        assert len(rec.samples) == n_before
-
-    def test_stop_is_idempotent(self):
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        rec = recorder(m, interval=0.5)
-        rec.start()
-        m.env.run(until=1.0)
-        rec.stop()
-        rec.stop()  # second stop: no-op, no crash
-
-    def test_stop_before_first_wakeup(self):
-        """stop() immediately after start() — the sampler has not even
-        bootstrapped yet, so there is nothing suspended to interrupt."""
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        rec = recorder(m, interval=0.5)
-        rec.start()
-        rec.stop()
-        m.env.run()
-        assert len(rec.samples) == 0
-
-    def test_restart_after_stop(self):
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        rec = recorder(m, interval=0.25)
-        rec.start()
-        m.env.run(until=1.0)
-        rec.stop()
-        n_window1 = len(rec.samples)
-        assert n_window1 >= 4
-        rec.start()  # resume: a fresh sampling window
-        m.env.run(until=2.0)
-        rec.stop()
-        assert len(rec.samples) > n_window1
-        rec.clear()
-        assert len(rec.samples) == 0
+        assert rec.matrix("ost.inflow").sum(axis=1).max() > 0
+        for name in ("ost.cache_fill", "ost.state"):
+            assert rec.matrix(name).shape == (len(rec.times), 8)
 
 
 class TestEdgeCases:
     def test_empty_samples_errors_are_clear(self):
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        rec = recorder(m)
-        assert rec.samples == []
+        m = build(n_ranks=4, n_osts=4)
+        rec = Recording(m)
+        assert len(rec.times) == 0
         for fn in (busy_fraction, jain_fairness):
             with pytest.raises(ValueError, match="no samples"):
                 fn(rec)
         assert straggler_window(rec) == 0.0
 
     def test_straggler_window_single_sample(self):
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        rec = recorder(m, interval=0.5)
-        rec.start()
-        m.env.run(until=0.1)  # sample at t=0 only
-        rec.stop()
-        assert len(rec.samples) == 1
+        m = build()
+        m.monitor.interval = 1e3  # longer than the run
+        AdaptiveTransport().run(m, app(), output_name="out")
+        rec = Recording(m)
+        assert len(rec.times) == 1
         assert straggler_window(rec) == 0.0
 
     def test_straggler_window_never_used_osts(self):
-        """A machine that never writes: every sample is all-idle, so
-        no OST was ever used and the window is zero."""
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        rec = recorder(m, interval=0.5)
-        rec.start()
+        """A machine that never writes: load-multiplier pushes still
+        settle the fabric, every sample is all-idle, so no OST was ever
+        used and the window is zero."""
+        m = build(n_ranks=4, n_osts=4)
+
+        def pushes():
+            for k in range(4):
+                yield m.env.timeout(0.5)
+                m.pool.set_load_multiplier(0.5 + 0.1 * k)
+
+        m.env.process(pushes())
         m.env.run(until=2.1)
-        rec.stop()
-        assert len(rec.samples) >= 4
+        rec = Recording(m)
+        assert len(rec.times) >= 4
         assert straggler_window(rec) == 0.0
         assert straggler_window(rec, threshold=1.0) == 0.0
 
     def test_straggler_window_threshold_one(self):
         """threshold=1.0 counts every live sample where at least one
-        used OST is idle; it is bounded by the live span."""
+        used OST is idle; it is bounded by the recorded span."""
         rec, _ = record_run(AdaptiveTransport(), seed=4)
         w_half = straggler_window(rec, 0.5)
         w_full = straggler_window(rec, 1.0)
         assert 0.0 <= w_half <= w_full
-        assert w_full <= len(rec.samples) * rec.interval
+        assert w_full <= rec.weights.sum()
 
 
 class TestBalanceStory:
@@ -231,24 +202,19 @@ class TestBalanceStory:
 
 class TestAbortedRuns:
     def test_recorder_stops_cleanly_when_transport_raises(self):
-        """A faulted run that aborts mid-write must leave the monitor
-        in a consistent, stoppable state: samples up to the abort are
-        kept, stop() cancels the pending wakeup, and the sample matrix
+        """A faulted run that aborts mid-write leaves consistent
+        series: samples up to the abort are kept and the sample matrix
         stays rectangular."""
         from repro.errors import TransportError
         from repro.faults import two_ost_failure_plan
 
         plan = two_ost_failure_plan(osts=(0, 1), at=0.05)
-        m = jaguar(n_osts=8).build(n_ranks=32, seed=0, faults=plan)
+        m = build(faults=plan)
         m.fs.max_stripe_count = 2
-        rec = recorder(m, interval=0.01)
-        rec.start()
+        m.monitor.interval = 0.01
         with pytest.raises(TransportError):
             MpiIoTransport(build_index=False).run(m, app(), "out")
-        rec.stop()
-        assert len(rec.samples) >= 1
-        assert _stack(rec, "inflow").shape == (len(rec.samples), 8)
+        rec = Recording(m)
+        assert len(rec.times) >= 1
+        assert rec.matrix("ost.inflow").shape == (len(rec.times), 8)
         jain_fairness(rec)  # must not raise on a partial run
-        # restartable after an abort, like any windowed recording
-        rec.start()
-        rec.stop()

@@ -22,9 +22,11 @@ from repro.telemetry import (
     OnlineMonitor,
     Profiler,
     StragglerDetector,
+    format_report,
     profiling,
     render_dashboard,
 )
+from repro.telemetry.profiler import _boundaries
 from repro.units import MB
 
 
@@ -289,53 +291,36 @@ class TestStragglerDetector:
 
 # -- monitor --------------------------------------------------------------
 class TestOnlineMonitor:
-    def _machine(self, registry=None):
+    def _machine(self, registry):
         m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        return m, OnlineMonitor(
-            m, registry=registry, interval=1.0,
-            keep_samples=True, max_samples=4,
-        )
-
-    def test_validation(self):
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        with pytest.raises(ValueError):
-            OnlineMonitor(m, interval=0.0)
-        with pytest.raises(ValueError):
-            OnlineMonitor(m, mode="polling")
-        with pytest.raises(ValueError):
-            OnlineMonitor(m, max_samples=1)
-        mon = OnlineMonitor(m)
-        with pytest.raises(RuntimeError):
-            mon.start()  # settle-mode monitors install(), not start()
-        timer = OnlineMonitor(m, mode="timer")
-        with pytest.raises(RuntimeError):
-            timer.install()
+        mon = OnlineMonitor(m, registry)
+        mon.interval, mon.max_samples = 1.0, 4
+        return m, mon
 
     def test_doubling_decimation_bounds_samples(self):
         reg = MetricsRegistry()
-        m, mon = self._machine(registry=reg)
+        m, mon = self._machine(reg)
         reg.bind(m.env)
         for k in range(32):
-            mon._record(float(k), settle=True)
+            mon._record(float(k))
         # The interval doubled (a whole number of times) and the
         # stored timeline stayed within the budget.
         assert mon.interval > 1.0
         assert math.log2(mon.interval).is_integer()
-        assert len(mon.samples) <= 4
         series = reg.find("series", "ost.inflow", ost=0)
         assert len(series.samples) <= 4
         # Decimation keeps a strictly increasing timeline.
-        times = [s.time for s in mon.samples]
+        times = [t for _, t, _ in series.samples]
         assert times == sorted(times)
 
     def test_decimation_only_thins_current_run(self):
         reg = MetricsRegistry()
-        m, mon = self._machine(registry=reg)
+        m, mon = self._machine(reg)
         reg.bind(m.env)
         s = reg.series("ost.inflow", ost=0)
         s.samples.append((99, 0.0, 1.0))  # a prior run's sample
         for k in range(8):
-            mon._record(float(k), settle=True)
+            mon._record(float(k))
         assert (99, 0.0, 1.0) in s.samples
 
     def test_settle_mode_records_ambiently_during_run(self):
@@ -363,12 +348,34 @@ class TestOnlineMonitor:
 
 
 # -- profiler -------------------------------------------------------------
+def _boundary_functions():
+    return [getattr(cls, meth) for cls, meth, _ in _boundaries()]
+
+
+def _profiled_cell(transport, profile: bool):
+    """A noisy cell's full result document, optionally profiled."""
+    from repro.interference import install_production_noise
+    from tests.test_static_goldens import _app, _result_doc, _spec
+
+    machine = _spec().build(n_ranks=32, seed=3)
+    install_production_noise(machine, live=True)
+    if profile:
+        with profiling(machine) as prof:
+            res = transport.run(machine, _app(), output_name="out")
+        assert prof.calls["fabric.settle"] > 0
+    else:
+        res = transport.run(machine, _app(), output_name="out")
+    return (_result_doc(machine, res), machine.env.now,
+            machine.env.events_scheduled)
+
+
 class TestProfiler:
     def test_sections_and_exclusive_attribution(self):
         prof = Profiler()
-        with prof.section("engine"):
-            with prof.section("fabric.settle"):
-                pass
+        prof.push("engine")
+        prof.push("fabric.settle")
+        prof.pop()
+        prof.pop()
         d = prof.to_dict()
         assert d["sections"]["engine"]["calls"] == 1
         assert d["sections"]["fabric.settle"]["calls"] == 1
@@ -377,35 +384,72 @@ class TestProfiler:
         assert d["tracked_seconds"] == pytest.approx(total)
 
     def test_profiled_run_attributes_time(self):
-        from repro.sim.process import Process
-
-        orig_step = Process._step
+        pristine = _boundary_functions()
         m = jaguar(n_osts=4).build(n_ranks=8, seed=0)
         with profiling(m) as prof:
-            assert Process._step is not orig_step
+            assert all(hasattr(f, "__wrapped__")
+                       for f in _boundary_functions())
             AdaptiveTransport(n_osts_used=4).run(
                 m, small_app(), output_name="out"
             )
         d = prof.to_dict()
         assert d["sections"]["engine"]["seconds"] > 0
         assert d["sections"]["protocol"]["seconds"] > 0
+        assert d["sections"]["protocol.stream"]["calls"] > 0
         assert d["sections"]["fabric.settle"]["calls"] > 0
         assert d["wall_seconds"] >= d["tracked_seconds"] * 0.99
-        report = prof.report()
+        report = format_report(d)
         assert "protocol" in report and "total" in report
-        # Patches are refcounted away: the class is pristine again.
-        assert Process._step is orig_step
+        # Every boundary is restored: the classes are pristine again.
+        assert _boundary_functions() == pristine
         assert m.env.profiler is None
+        assert "run" not in vars(m.env)
+        assert "_settle" not in vars(m.fs.fabric)
+
+    @pytest.mark.parametrize("transport", ["adaptive", "mpiio"])
+    def test_profiling_is_bit_identical(self, transport):
+        """The profiler reads wall clocks only: every float of the
+        result, the final clock and the event count are unchanged."""
+        from repro.core.transports import MpiIoTransport
+
+        make = {"adaptive": lambda: AdaptiveTransport(n_osts_used=8),
+                "mpiio": MpiIoTransport}[transport]
+        assert (_profiled_cell(make(), profile=True)
+                == _profiled_cell(make(), profile=False))
+
+    def test_classes_pristine_after_a_raising_run(self):
+        from repro.core.transports import MpiIoTransport
+        from repro.errors import TransportError
+        from repro.faults import two_ost_failure_plan
+
+        pristine = _boundary_functions()
+        plan = two_ost_failure_plan(osts=(0, 1), at=0.05)
+        m = jaguar(n_osts=8).build(n_ranks=32, seed=0, faults=plan)
+        m.fs.max_stripe_count = 2
+        with pytest.raises(TransportError):
+            with profiling(m):
+                MpiIoTransport(build_index=False).run(
+                    m, small_app(mb=16.0), "out")
+        assert _boundary_functions() == pristine
+        assert m.env.profiler is None
+        assert "run" not in vars(m.env)
 
     def test_double_install_rejected(self):
         m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
+        other = jaguar(n_osts=4).build(n_ranks=4, seed=1)
         prof = Profiler()
         prof.install(m)
         try:
+            # One machine is profiled at a time, by any profiler.
             with pytest.raises(RuntimeError):
                 Profiler().install(m)
+            with pytest.raises(RuntimeError):
+                Profiler().install(other)
+            assert other.env.profiler is None
         finally:
-            prof.uninstall(m)
+            prof.uninstall()
+        assert not any(hasattr(f, "__wrapped__")
+                       for f in _boundary_functions())
 
 
 # -- ground truth: the detector against a known interference plan ---------
