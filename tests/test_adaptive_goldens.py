@@ -1,9 +1,8 @@
-"""Golden trajectories of the adaptive transport, in all three modes.
+"""Golden trajectories of the adaptive transport, in both modes.
 
-The adaptive method runs as a batched cohort (the default), as the
-``batched=False`` per-rank reference, or, when the machine carries a
-fault plan, as the fault-hardened protocol.  Every cell here runs one
-of them on the small Jaguar-like machine of
+The adaptive method runs as a batched cohort, or, when the machine
+carries a fault plan, as the fault-hardened protocol.  Every cell here
+runs one of them on the small Jaguar-like machine of
 ``tests/test_static_goldens.py`` and pins, float for float, what the
 run produced: the same result document as the static goldens
 (per-writer tuples, phases, files, index entries, extras, error
@@ -11,11 +10,13 @@ message and durable/lost/corrupt accounting, final ``env.now`` and
 ``events_scheduled``), plus the adaptive-write and coordinator
 message counts and each output file's write and stored-block ledger.
 
-Healthy cells run in both the cohort and the reference mode; on
-regeneration the two modes must agree on everything but the
-simulation cost (``messages_sent``, ``events_scheduled``) and the
-Chrome trace.  One traced cell per healthy mode and one traced faulted
-cell pin whole Chrome traces.
+The healthy ``cohort/*`` cells were generated while a per-rank
+reference protocol (one process and one message per writer) still
+existed, and regeneration then asserted that both agreed on everything
+but the simulation cost; that protocol has since been deleted, and the
+cells pin the cohort against the trajectories it was checked on.  One
+traced healthy cell and one traced faulted cell pin whole Chrome
+traces.
 
 Regenerate the fixture (only when a change to the simulated physics is
 intended and explained) with::
@@ -52,21 +53,17 @@ from tests.test_static_goldens import (
 
 FIXTURE = Path(__file__).parent / "goldens" / "adaptive_protocol.json"
 
-MODES = {"cohort": True, "reference": False}
 #: Targets slowed to 5% so the coordinator has to steer.
 SLOW_OSTS = (0, 1)
 
 HEALTHY = {
     # config: (noise, slow OSTs, transport factory)
-    "clean": (False, False, lambda b: AdaptiveTransport(batched=b)),
-    "interference": (True, False, lambda b: AdaptiveTransport(batched=b)),
-    "slow": (False, True, lambda b: AdaptiveTransport(batched=b)),
-    "wpt2": (False, True, lambda b: AdaptiveTransport(
-        batched=b, writers_per_target=2)),
-    "nosteer": (False, True, lambda b: AdaptiveTransport(
-        batched=b, steering=False)),
-    "history": (False, True, lambda b: HistoryAwareAdaptiveTransport(
-        batched=b)),
+    "clean": (False, False, AdaptiveTransport),
+    "interference": (True, False, AdaptiveTransport),
+    "slow": (False, True, AdaptiveTransport),
+    "wpt2": (False, True, lambda: AdaptiveTransport(writers_per_target=2)),
+    "nosteer": (False, True, lambda: AdaptiveTransport(steering=False)),
+    "history": (False, True, HistoryAwareAdaptiveTransport),
 }
 FAULTED = (
     "ost_fail", "ost_hang", "brownout", "msg_loss", "msg_delay",
@@ -111,9 +108,9 @@ def _adaptive_doc(machine, transport, plan=None) -> dict:
     return doc
 
 
-def _healthy_cell(config: str, batched: bool, tracer=None) -> dict:
+def _healthy_cell(config: str, tracer=None) -> dict:
     noise, slow, make = HEALTHY[config]
-    transport = make(batched)
+    transport = make()
     if config == "history":
         # The first step seeds the history; the pinned second step runs
         # on weighted quotas and vetoes slow steering targets.
@@ -190,11 +187,10 @@ def _plan(scenario: str) -> FaultPlan:
     )).with_policy(heartbeat_interval=0.5, run_timeout=5.0)
 
 
-def _faulted_cell(scenario: str, batched: bool = True, tracer=None) -> dict:
+def _faulted_cell(scenario: str, tracer=None) -> dict:
     plan = _plan(scenario)
     return _adaptive_doc(
-        _machine(faults=plan, tracer=tracer),
-        AdaptiveTransport(batched=batched), plan,
+        _machine(faults=plan, tracer=tracer), AdaptiveTransport(), plan
     )
 
 
@@ -210,18 +206,16 @@ def _cell(cell_id: str) -> dict:
     if mode == "faulted":
         if scenario == "ost_fail_traced":
             return _traced(_faulted_cell, "ost_fail")
-        if scenario == "ost_fail_reference":
-            return _faulted_cell("ost_fail", batched=False)
         return _faulted_cell(scenario)
     if scenario == "traced":
-        return _traced(_healthy_cell, "slow", MODES[mode])
-    return _healthy_cell(scenario, MODES[mode])
+        return _traced(_healthy_cell, "slow")
+    return _healthy_cell(scenario)
 
 
 CELLS = (
-    [f"{m}/{c}" for m in MODES for c in (*HEALTHY, "traced")]
+    [f"cohort/{c}" for c in (*HEALTHY, "traced")]
     + [f"faulted/{s}" for s in FAULTED]
-    + ["faulted/ost_fail_traced", "faulted/ost_fail_reference"]
+    + ["faulted/ost_fail_traced"]
 )
 
 
@@ -246,23 +240,8 @@ def test_fixture_covers_every_cell():
     assert sorted(_fixture()["cells"]) == sorted(CELLS)
 
 
-def _physics(doc: dict) -> dict:
-    """A cell without its simulation cost: what both modes must share."""
-    doc = {k: v for k, v in doc.items()
-           if k not in ("events_scheduled", "trace")}
-    doc["result"] = {k: v for k, v in doc["result"].items()
-                     if k not in ("messages_sent", "coordinator_messages")}
-    return doc
-
-
 def _regen() -> None:
     docs = {cell_id: _canonical(_cell(cell_id)) for cell_id in CELLS}
-    for config in (*HEALTHY, "traced"):
-        cohort, reference = docs[f"cohort/{config}"], docs[f"reference/{config}"]
-        assert _physics(cohort) == _physics(reference), (
-            f"{config}: cohort and reference modes disagree"
-        )
-    assert docs["faulted/ost_fail"] == docs["faulted/ost_fail_reference"]
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     # One cell per line: compact, yet a diff still names the cell.
     lines = [
