@@ -31,6 +31,7 @@ __all__ = [
     "OutputResult",
     "WriterTiming",
     "WriterTimings",
+    "osts_used",
 ]
 
 
@@ -233,6 +234,22 @@ class TransportRun:
 
     done: object  # the simulation Process
     collect: "Callable[[], OutputResult]"
+
+
+def osts_used(requested: Optional[int], default: int,
+              machine: "Machine") -> int:
+    """Storage targets an output spreads over.
+
+    ``requested`` is a transport's ``n_osts_used`` option; only None
+    selects ``default``.  Anything outside ``1..machine.n_osts``
+    (0 included) is a :class:`ValueError`.
+    """
+    n = default if requested is None else requested
+    if not 1 <= n <= machine.n_osts:
+        raise ValueError(
+            f"n_osts_used {n} out of range for pool of {machine.n_osts}"
+        )
+    return n
 
 
 class Transport(abc.ABC):

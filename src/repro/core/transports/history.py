@@ -127,7 +127,7 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
     def __init__(self, *args, history_alpha: float = 0.4,
                  max_skew: float = 8.0, **kwargs):
         super().__init__(*args, **kwargs)
-        if max_skew < 1.0:
+        if not max_skew >= 1.0:
             raise ValueError("max_skew must be >= 1")
         self.history_alpha = history_alpha
         self.max_skew = max_skew
@@ -171,8 +171,7 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
         app: "AppKernel",
         output_name: str = "output",
     ) -> OutputResult:
-        n_groups = self.n_osts_used or min(machine.n_osts, machine.n_ranks)
-        n_groups = min(n_groups, machine.n_ranks)
+        n_groups = self._n_groups(machine)
         if self.history is None:
             self.history = PerformanceHistory(
                 n_groups, alpha=self.history_alpha

@@ -34,6 +34,7 @@ from repro.core.transports.base import (
     Transport,
     TransportRun,
     WriterTimings,
+    osts_used,
 )
 from repro.errors import OstFailedError, TransportError, WriteTimeout
 from repro.sim.events import AllSettled
@@ -61,15 +62,6 @@ class Layout:
     create_args: Callable[[int], dict]
     target_group: Callable[[int, int], int] = lambda k, slot: k
     extra: Dict[str, float] = field(default_factory=dict)
-
-
-def _osts_used(requested, default: int, machine: "Machine") -> int:
-    n = requested or default
-    if not 1 <= n <= machine.n_osts:
-        raise ValueError(
-            f"n_osts_used {n} out of range for pool of {machine.n_osts}"
-        )
-    return n
 
 
 class _Member:
@@ -474,7 +466,7 @@ class PosixTransport(StaticTransport):
         self.flush_order = "inline" if include_flush else None
 
     def _layout(self, machine, app, output_name):
-        n_osts = _osts_used(self.n_osts_used, machine.n_osts, machine)
+        n_osts = osts_used(self.n_osts_used, machine.n_osts, machine)
         return Layout(
             paths=[f"/{output_name}/rank{r:06d}.dat"
                    for r in range(machine.n_ranks)],
@@ -640,15 +632,15 @@ class StaggerTransport(StaticTransport):
 
     def __init__(self, n_osts_used: Optional[int] = None,
                  open_stagger: float = 2.0e-3, build_index: bool = True):
-        if open_stagger < 0:
+        if not open_stagger >= 0:
             raise ValueError("open_stagger must be >= 0")
         self.n_osts_used = n_osts_used
         self.open_stagger = open_stagger
         self.build_index = build_index
 
     def _layout(self, machine, app, output_name):
-        n_groups = _osts_used(self.n_osts_used,
-                              min(machine.n_osts, machine.n_ranks), machine)
+        n_groups = osts_used(self.n_osts_used,
+                             min(machine.n_osts, machine.n_ranks), machine)
         groups = GroupMap(machine.n_ranks, min(n_groups, machine.n_ranks))
         return Layout(
             paths=[f"/{output_name}.bp.dir/{g:04d}.bp"

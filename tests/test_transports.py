@@ -8,6 +8,7 @@ from repro.apps.pixie3d import pixie3d
 from repro.core import Adios
 from repro.core.transports import (
     AdaptiveTransport,
+    HistoryAwareAdaptiveTransport,
     MpiIoTransport,
     PosixTransport,
     SplitFilesTransport,
@@ -95,6 +96,16 @@ class TestAllTransportsContract:
 
 FABRIC_KEYS = ("fabric_settles", "fabric_reallocs", "fabric_incremental",
                "fabric_coalesced")
+
+
+@pytest.mark.parametrize("make", [
+    PosixTransport, StaggerTransport, AdaptiveTransport,
+    HistoryAwareAdaptiveTransport,
+])
+def test_zero_osts_used_is_an_error(make):
+    """Only None selects the default target count; 0 is out of range."""
+    with pytest.raises(ValueError, match="n_osts_used 0 out of range"):
+        make(n_osts_used=0).run(small_machine(), tiny_app())
 
 
 class TestOverlappingLaunches:
@@ -344,6 +355,10 @@ class TestAdaptiveTransport:
             AdaptiveTransport(writers_per_target=0)
         with pytest.raises(ValueError):
             AdaptiveTransport(index_build_time=-1)
+        with pytest.raises(ValueError):
+            AdaptiveTransport(index_build_time=float("nan"))
+        with pytest.raises(ValueError):
+            HistoryAwareAdaptiveTransport(max_skew=float("nan"))
         m = small_machine()
         with pytest.raises(ValueError):
             AdaptiveTransport(n_osts_used=99).run(m, tiny_app())
@@ -387,6 +402,8 @@ class TestStaggerTransport:
     def test_validation(self):
         with pytest.raises(ValueError):
             StaggerTransport(open_stagger=-1)
+        with pytest.raises(ValueError):
+            StaggerTransport(open_stagger=float("nan"))
 
 
 class TestAdiosFacade:
