@@ -12,6 +12,11 @@ each flow is its share under the **max-min fair allocation** subject to
   and external load), and
 * the per-flow cap.
 
+One routine, :func:`_max_min_shares`, computes that allocation: a
+per-sink waterfill round that ignores sources, which is the answer
+whenever no source NIC saturates, and otherwise progressive-filling
+rounds from zero.
+
 The network is *event-lazy*: rates are only recomputed when the flow
 set or a capacity changes.  Between recomputations every flow drains
 linearly, so the network arms exactly one timer at the earliest of
@@ -59,8 +64,8 @@ __all__ = [
 _EPS_BYTES = 1e-3  # flows within this many bytes of done are done
 _BIG_RATE = 1e18  # rate for flows constrained by nothing
 # A source is treated as unsaturated only when its load clears capacity
-# by this relative margin; anything tighter goes to the general
-# progressive-filling allocator.  The margin is part of the allocation
+# by this relative margin; anything tighter goes on to the filling
+# rounds of _max_min_shares.  The margin is part of the allocation
 # *decision*, applied identically by the batch and incremental paths,
 # so both always pick the same regime.
 _SRC_HEADROOM = 1.0 - 1e-9
@@ -123,7 +128,7 @@ class UniformSinkPool:
     def __init__(self, n_sinks: int, capacity: float):
         if n_sinks < 1:
             raise ValueError("n_sinks must be >= 1")
-        if capacity <= 0:
+        if not capacity > 0:
             raise ValueError("capacity must be positive")
         self.n_sinks = n_sinks
         self._caps = np.full(n_sinks, float(capacity))
@@ -205,18 +210,26 @@ def _max_min_shares(
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Max-min fair rates plus, when available, canonical sink shares.
 
-    Returns ``(rates, share_dst)``.  ``share_dst`` is the per-sink
-    canonical share array such that
+    The one batch allocator: a waterfill round, then, only if a source
+    binds, filling rounds.
 
-        ``rates == minimum(flow_cap, share_dst[dst_idx], _BIG_RATE)``
+    1. **Waterfill round.**  :func:`_waterfill_sink_shares` levels every
+       sink ignoring source capacities.  If that leaves every source
+       clear of the ``_SRC_HEADROOM`` margin, it is the allocation and
+       ``(rates, share_dst)`` is returned, with
 
-    whenever the allocation is sink/cap-bound everywhere (no source
-    saturated) — the regime :class:`FlowNetwork`'s incremental path can
-    patch locally.  ``share_dst`` is ``None`` when a source constraint
-    binds and the general progressive-filling allocator produced the
-    rates instead.
+           ``rates == minimum(flow_cap, share_dst[dst_idx], _BIG_RATE)``
+
+       — the regime :class:`FlowNetwork`'s incremental path can patch
+       locally.
+    2. **Filling rounds.**  Otherwise source saturation couples the
+       sinks, and progressive filling runs from level 0: every live
+       flow rises by the smallest residual share (or flow-cap gap),
+       and the flows at a saturated resource or at their cap freeze.
+       Returns ``(rates, None)``.
     """
     n_flows = len(src_idx)
+    n_src = len(cap_src)
     n_dst = len(cap_dst)
     if n_flows == 0:
         return np.zeros(0), np.full(n_dst, np.inf)
@@ -224,20 +237,68 @@ def _max_min_shares(
         flow_cap = np.full(n_flows, np.inf)
     cap_dst = np.asarray(cap_dst, dtype=np.float64)
     cap_src = np.asarray(cap_src, dtype=np.float64)
+    # Per-resource live-flow counts; the filling rounds update them in
+    # place (subtracting the newly frozen flows), so they are copies.
     if counts_dst is None:
         cnt_dst = np.bincount(dst_idx, minlength=n_dst).astype(np.float64)
     else:
-        cnt_dst = np.asarray(counts_dst, dtype=np.float64)
+        cnt_dst = np.array(counts_dst, dtype=np.float64)
     share_dst = _waterfill_sink_shares(dst_idx, flow_cap, cap_dst, cnt_dst)
     rates = np.minimum(flow_cap, share_dst[dst_idx])
     np.minimum(rates, _BIG_RATE, out=rates)
-    src_load = np.bincount(src_idx, weights=rates, minlength=len(cap_src))
+    src_load = np.bincount(src_idx, weights=rates, minlength=n_src)
     if np.all(src_load <= cap_src * _SRC_HEADROOM):
         return rates, share_dst
-    rates = _progressive_filling(
-        src_idx, dst_idx, cap_src, cap_dst, flow_cap,
-        counts_src=counts_src, counts_dst=counts_dst,
-    )
+
+    if counts_src is None:
+        cnt_src = np.bincount(src_idx, minlength=n_src).astype(np.float64)
+    else:
+        cnt_src = np.array(counts_src, dtype=np.float64)
+    residual_src = cap_src.copy()
+    residual_dst = cap_dst.copy()
+    caps = np.concatenate((cap_src, cap_dst))
+    tol = 1e-12 * float(np.max(caps[np.isfinite(caps)], initial=1.0))
+    # Each round's work is O(live flows), so the total across rounds is
+    # O(flows), not O(rounds x flows).
+    rates = np.zeros(n_flows)
+    live_idx = np.arange(n_flows)
+    src_live, dst_live, fcap_live = src_idx, dst_idx, flow_cap
+    level = 0.0
+    while live_idx.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inc_src = np.where(cnt_src > 0, residual_src / cnt_src, np.inf)
+            inc_dst = np.where(cnt_dst > 0, residual_dst / cnt_dst, np.inf)
+        inc = min(
+            float(inc_src.min()),
+            float(inc_dst.min()),
+            float(fcap_live.min()) - level,
+        )
+        if not np.isfinite(inc):
+            # Remaining flows touch only infinite-capacity resources.
+            rates[live_idx] = np.minimum(fcap_live, _BIG_RATE)
+            break
+        inc = max(inc, 0.0)
+        level += inc
+        residual_src -= inc * cnt_src
+        residual_dst -= inc * cnt_dst
+        sat_src = residual_src <= tol
+        sat_dst = residual_dst <= tol
+        newly = sat_src[src_live] | sat_dst[dst_live] | (
+            fcap_live - level <= tol
+        )
+        if not newly.any():
+            # Freezing none should not happen with exact arithmetic;
+            # freeze everything anyway to guarantee progress.
+            newly = np.ones(live_idx.size, dtype=bool)
+        frozen_idx = live_idx[newly]
+        rates[frozen_idx] = np.minimum(level, flow_cap[frozen_idx])
+        cnt_src -= np.bincount(src_live[newly], minlength=n_src)
+        cnt_dst -= np.bincount(dst_live[newly], minlength=n_dst)
+        keep = ~newly
+        live_idx = live_idx[keep]
+        src_live = src_live[keep]
+        dst_live = dst_live[keep]
+        fcap_live = fcap_live[keep]
     return rates, None
 
 
@@ -277,125 +338,6 @@ def max_min_fair_rates(
     )[0]
 
 
-def _progressive_filling(
-    src_idx: np.ndarray,
-    dst_idx: np.ndarray,
-    cap_src: np.ndarray,
-    cap_dst: np.ndarray,
-    flow_cap: np.ndarray,
-    counts_src: Optional[np.ndarray] = None,
-    counts_dst: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """General max-min allocator: textbook progressive filling.
-
-    Handles the entangled case where source saturation couples sinks
-    together.  Slower than the per-sink waterfill but fully general.
-    """
-    n_flows = len(src_idx)
-    n_src = len(cap_src)
-    n_dst = len(cap_dst)
-
-    # Per-resource live-flow counts; maintained incrementally across
-    # rounds (subtracting the newly frozen flows) instead of a fresh
-    # O(flows) bincount per round.
-    if counts_src is None:
-        cnt_src = np.bincount(src_idx, minlength=n_src).astype(np.float64)
-    else:
-        cnt_src = np.asarray(counts_src, dtype=np.float64).copy()
-    if counts_dst is None:
-        cnt_dst = np.bincount(dst_idx, minlength=n_dst).astype(np.float64)
-    else:
-        cnt_dst = np.asarray(counts_dst, dtype=np.float64).copy()
-
-    residual_src = cap_src.astype(np.float64)
-    residual_dst = cap_dst.astype(np.float64)
-    finite = cap_src[np.isfinite(cap_src)]
-    scale = float(finite.max()) if finite.size else 1.0
-    finite_d = cap_dst[np.isfinite(cap_dst)]
-    if finite_d.size:
-        scale = max(scale, float(finite_d.max()))
-    tol = 1e-12 * max(scale, 1.0)
-
-    # First filling round, unrolled: raise every flow uniformly to the
-    # first saturation level.  When that one level freezes *all* flows
-    # (one shared bottleneck — by far the common case: a homogeneous
-    # writer population gated by sink capacity or by the per-flow cap)
-    # the allocation is done and the progressive-filling loop is never
-    # entered.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inc_src = np.where(cnt_src > 0, residual_src / cnt_src, np.inf)
-        inc_dst = np.where(cnt_dst > 0, residual_dst / cnt_dst, np.inf)
-    level = min(
-        float(inc_src.min()),
-        float(inc_dst.min()),
-        float(flow_cap.min()),
-    )
-    if not np.isfinite(level):
-        # Flows touch only infinite-capacity resources.
-        return np.minimum(flow_cap, _BIG_RATE)
-    level = max(level, 0.0)
-    residual_src = residual_src - level * cnt_src
-    residual_dst = residual_dst - level * cnt_dst
-    sat_src = residual_src <= tol
-    sat_dst = residual_dst <= tol
-    newly = sat_src[src_idx] | sat_dst[dst_idx] | (flow_cap - level <= tol)
-    if newly.all() or not newly.any():
-        # One level froze every flow.  (Freezing none should not happen
-        # with exact arithmetic; freeze everything anyway to guarantee
-        # progress.)
-        return np.minimum(level, flow_cap)
-
-    # General case: progressive filling over the shrinking live set.
-    # Each round's work is O(live flows), so the total across rounds is
-    # O(flows), not O(rounds x flows).
-    rates = np.zeros(n_flows)
-    rates[newly] = np.minimum(level, flow_cap[newly])
-    cnt_src -= np.bincount(src_idx[newly], minlength=n_src)
-    cnt_dst -= np.bincount(dst_idx[newly], minlength=n_dst)
-    live_idx = np.nonzero(~newly)[0]
-    src_live = src_idx[live_idx]
-    dst_live = dst_idx[live_idx]
-    fcap_live = flow_cap[live_idx]
-
-    for _ in range(n_flows + 2):
-        if live_idx.size == 0:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inc_src = np.where(cnt_src > 0, residual_src / cnt_src, np.inf)
-            inc_dst = np.where(cnt_dst > 0, residual_dst / cnt_dst, np.inf)
-        inc = min(
-            float(inc_src.min()),
-            float(inc_dst.min()),
-            float(fcap_live.min()) - level,
-        )
-        if not np.isfinite(inc):
-            # Remaining flows touch only infinite-capacity resources.
-            rates[live_idx] = np.minimum(fcap_live, _BIG_RATE)
-            break
-        inc = max(inc, 0.0)
-        level += inc
-        residual_src -= inc * cnt_src
-        residual_dst -= inc * cnt_dst
-        sat_src = residual_src <= tol
-        sat_dst = residual_dst <= tol
-        newly = sat_src[src_live] | sat_dst[dst_live] | (
-            fcap_live - level <= tol
-        )
-        if not newly.any():
-            # Numerical safety (see above).
-            newly = np.ones(live_idx.size, dtype=bool)
-        frozen_idx = live_idx[newly]
-        rates[frozen_idx] = np.minimum(level, flow_cap[frozen_idx])
-        cnt_src -= np.bincount(src_live[newly], minlength=n_src)
-        cnt_dst -= np.bincount(dst_live[newly], minlength=n_dst)
-        keep = ~newly
-        live_idx = live_idx[keep]
-        src_live = src_live[keep]
-        dst_live = dst_live[keep]
-        fcap_live = fcap_live[keep]
-    return rates
-
-
 class FlowNetwork:
     """The live flow manager bound to a simulation environment.
 
@@ -433,9 +375,11 @@ class FlowNetwork:
         self.env = env
         self.pool = sink_pool
         self._cap_src = np.asarray(source_capacities, dtype=np.float64).copy()
-        if (self._cap_src <= 0).any():
+        if not (self._cap_src > 0).all():
             raise ValueError("source capacities must be positive")
         self.default_flow_cap = float(default_flow_cap)
+        if not self.default_flow_cap > 0:
+            raise ValueError("default_flow_cap must be positive")
         self.n_sources = len(self._cap_src)
         self._src_limit = self._cap_src * _SRC_HEADROOM
         self.n_sinks = sink_pool.n_sinks
@@ -654,8 +598,11 @@ class FlowNetwork:
             raise IndexError(f"source {source} out of range")
         if not 0 <= sink < self.n_sinks:
             raise IndexError(f"sink {sink} out of range")
-        if nbytes < 0:
+        if not nbytes >= 0:
             raise ValueError("nbytes must be non-negative")
+        fcap = self.default_flow_cap if flow_cap is None else float(flow_cap)
+        if not fcap > 0:
+            raise ValueError("flow_cap must be positive")
         ev = Event(self.env)
         fid = self._next_id
         self._next_id += 1
@@ -669,9 +616,7 @@ class FlowNetwork:
         self._dst[slot] = sink
         self._remaining[slot] = float(nbytes)
         self._rate[slot] = 0.0
-        self._fcap[slot] = (
-            self.default_flow_cap if flow_cap is None else float(flow_cap)
-        )
+        self._fcap[slot] = fcap
         self._tenant[slot] = int(tenant)
         self._active[slot] = True
         self._fid[slot] = fid
@@ -798,7 +743,7 @@ class FlowNetwork:
             raise KeyError(f"unknown or finished flow {flow_id}")
         self._advance_only()
         new_remaining = float(self._remaining[slot]) + float(delta)
-        if new_remaining < -_EPS_BYTES:
+        if not new_remaining >= -_EPS_BYTES:
             raise ValueError(
                 f"flow {flow_id}: adjustment {delta} exceeds the "
                 f"{self._remaining[slot]} undelivered bytes"
@@ -1200,14 +1145,14 @@ class FlowNetwork:
         Valid only while no source is saturated: then the max-min
         allocation decomposes per sink, so only the dirty sinks'
         canonical shares need recomputing — O(flows at dirty sinks)
-        plus one O(active) feasibility pass, instead of the batch
-        allocator's multi-round global filling.  Returns ``None`` when
-        the patched allocation would push any source within the
-        headroom margin of saturation (the perturbation cascades, the
-        per-sink decomposition no longer holds) — the caller falls back
-        to the batch allocator.  The arithmetic matches the batch
-        sink-bound fast path operation for operation, so a successful
-        patch is bit-identical to what the batch pass would produce.
+        plus one O(active) feasibility pass, instead of a batch pass
+        over every flow.  Returns ``None`` when the patched allocation
+        would push any source within the headroom margin of saturation
+        (the perturbation cascades, the per-sink decomposition no
+        longer holds) — the caller falls back to the batch allocator.
+        The arithmetic matches the batch allocator's waterfill round
+        operation for operation, so a successful patch is bit-identical
+        to what the batch pass would produce.
         """
         if not dirty:
             return self._rate[act_slots]

@@ -3,9 +3,12 @@
 PR-level invariants for the hot-path optimizations: the per-sink /
 per-source stream counts the network maintains incrementally must
 always equal what an ``np.bincount`` over the active flows would
-re-derive; the allocator's single-bottleneck fast path and precomputed
-counts must not change its output; and the skip-reallocation path must
-fire exactly when nothing changed.
+re-derive; the allocator (one routine: a per-sink waterfill round, then
+progressive-filling rounds when a source saturates) must match a
+textbook progressive-filling reference, and precomputed counts must
+not change its output; and the skip-reallocation path must fire
+exactly when nothing changed.  ``tests/test_maxmin_goldens.py`` pins
+the same allocator bit for bit.
 """
 
 import numpy as np

@@ -199,6 +199,40 @@ class TestFlowNetwork:
         with pytest.raises(ValueError):
             net.start_flow(0, 0, -1.0)
 
+    @pytest.mark.parametrize("nbytes, flow_cap", [
+        (np.nan, None), (1e6, np.nan), (1e6, 0.0), (1e6, -1.0),
+    ])
+    def test_nan_or_nonpositive_flow_rejected(self, nbytes, flow_cap):
+        # A NaN finish time arms no timer: a NaN flow admitted next to a
+        # healthy one would leave both unfinished when run() returns.
+        env, net = self.make()
+        out = {}
+        env.process(_run_flow(env, net, 1, 1, 100.0, out, "ok"))
+        with pytest.raises(ValueError):
+            net.start_flow(0, 0, nbytes, flow_cap=flow_cap)
+        env.run()
+        assert out["ok"].duration == pytest.approx(2.0)
+
+    def test_nan_capacities_rejected(self):
+        env = Environment()
+        pool = UniformSinkPool(2, 50.0)
+        with pytest.raises(ValueError):
+            UniformSinkPool(2, np.nan)
+        with pytest.raises(ValueError):
+            FlowNetwork(env, np.array([100.0, np.nan]), pool)
+        for cap in (np.nan, 0.0):
+            with pytest.raises(ValueError):
+                FlowNetwork(env, np.full(2, 100.0), pool, default_flow_cap=cap)
+
+    def test_nan_byte_adjustment_rejected(self):
+        env, net = self.make()
+        ev, fid = net.start_flow_with_id(0, 0, 500.0)
+        env.run(until=1.0)
+        with pytest.raises(ValueError):
+            net.adjust_flow_bytes(fid, np.nan)
+        env.run()
+        assert ev.value.end_time == pytest.approx(10.0)
+
     def test_byte_conservation(self):
         env, net = self.make(n_src=4, n_sink=3)
         out = {}
