@@ -67,7 +67,7 @@ HEALTHY = {
 }
 FAULTED = (
     "ost_fail", "ost_hang", "brownout", "msg_loss", "msg_delay",
-    "crash_rank", "sc_crash", "bitflip_verify", "all_fail",
+    "crash_rank", "sc_crash", "bitflip_verify", "all_fail", "index_fail",
 )
 
 
@@ -129,6 +129,15 @@ def _healthy_write_phase() -> tuple:
     return res.open_time, res.write_time
 
 
+@functools.lru_cache(maxsize=None)
+def _hardened_last_landing() -> float:
+    """When the last data write lands in a fault-free hardened run."""
+    plan = FaultPlan().with_policy(run_timeout=120.0)
+    res = AdaptiveTransport().run(_machine(faults=plan), _app(),
+                                  output_name="golden")
+    return max(w.end for w in res.per_writer)
+
+
 def _plan(scenario: str) -> FaultPlan:
     """Aim each fault inside the healthy write phase."""
     open_time, write_time = _healthy_write_phase()
@@ -178,6 +187,13 @@ def _plan(scenario: str) -> FaultPlan:
             ),
             silent_error_rate=0.1,
         ).with_policy(read_back_verify=True, run_timeout=120.0)
+    if scenario == "index_fail":
+        # Group 0's target fail-stops after every data write landed and
+        # before its sub-coordinator writes the file's index.
+        return FaultPlan(events=(
+            FaultEvent(time=_hardened_last_landing() + 1e-5,
+                       kind="ost_fail", target=0),
+        )).with_policy(run_timeout=120.0)
     assert scenario == "all_fail"
     # No healthy target left to relocate onto: stranded groups drain
     # until the run-timeout backstop ends the run with loss accounting.

@@ -64,10 +64,13 @@ PRESETS = {
     "splitfiles": SplitFilesTransport,
     "stagger": StaggerTransport,
 }
-#: Stagger has no faulted cells: the fixture predates stagger's fault
-#: handling, which tests/test_fault_tolerance.py covers instead.
 FAULTED_PRESETS = ("mpiio", "posix", "posix_indexed", "splitfiles")
 SCENARIOS = ("ost_fail", "ost_hang", "crash_rank", "block_bitflip")
+#: Further faulted cells: stagger (in-order lanes, concurrent flush)
+#: under a fail-stop and a crash, and the run-timeout backstop for an
+#: inline-flush and a concurrent-flush method.
+EXTRA_FAULTED = ("stagger/ost_fail", "stagger/crash_rank",
+                 "mpiio/run_timeout", "stagger/run_timeout")
 
 
 def _spec():
@@ -178,6 +181,13 @@ def _plan(preset: str, scenario: str) -> FaultPlan:
         return FaultPlan(
             events=(FaultEvent(time=mid, kind="crash_rank", target=5),)
         ).with_policy(run_timeout=120.0)
+    if scenario == "run_timeout":
+        # A hung target and a write timeout longer than the run timeout:
+        # only the backstop ends the write phase.
+        return FaultPlan(
+            events=(FaultEvent(time=mid, kind="ost_hang", target=3),)
+        ).with_policy(write_timeout=60.0, run_timeout=2.0,
+                      flush_timeout=1.0)
     assert scenario == "block_bitflip"
     # Static writers register their blocks as each write completes, so
     # the rot lands just after the write phase.
@@ -209,6 +219,7 @@ CELLS = (
     [f"{p}/{s}" for p in PRESETS for s in ("healthy", "interference",
                                              "traced")]
     + [f"{p}/{s}" for p in FAULTED_PRESETS for s in SCENARIOS]
+    + list(EXTRA_FAULTED)
 )
 
 
