@@ -63,7 +63,6 @@ from repro.errors import (
     OstFailedError,
     ProtocolError,
     StripeLimitExceeded,
-    TransportError,
     WriteTimeout,
 )
 from repro.mpi.comm import SimComm
@@ -77,6 +76,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["AdaptiveTransport"]
 
 _WRITING, _BUSY, _COMPLETE = "writing", "busy", "complete"
+
+#: A hardened writer's retryable failed attempt, by kind: the failure
+#: text once the retry budget is spent, the stats counter a retry
+#: bumps, and the retry's trace instant and category.
+_RETRY_STEPS = {
+    "timeout": ("timed out", "retries", "write.retry", "fault"),
+    "verify": ("read-back verify failed", "verify_failures",
+               "write.verify_fail", "integrity"),
+}
 
 # Boundary slack when recovering member boundaries from flow progress:
 # a timer may land within float rounding of the exact byte crossing.
@@ -374,8 +382,6 @@ class AdaptiveTransport(Transport):
     writers_per_target:
         Simultaneous writers an SC keeps active on its OST (the paper
         implements 1 and notes 2-3 as a possible generalization).
-    index_build_time:
-        CPU seconds a writer spends building its local index.
 
     A healthy output runs one *cohort* process per sub-coordinator
     rather than one process per writer: it folds the per-write control
@@ -386,23 +392,21 @@ class AdaptiveTransport(Transport):
     selects the fault-hardened per-rank protocol.
     """
 
-    name = "adaptive"
+    name = tag = "adaptive"
+    #: CPU seconds a writer spends building its local index.
+    index_build_time = 2.0e-4
 
     def __init__(
         self,
         n_osts_used: Optional[int] = None,
         steering: bool = True,
         writers_per_target: int = 1,
-        index_build_time: float = 2.0e-4,
     ):
         if not writers_per_target >= 1:
             raise ValueError("writers_per_target must be >= 1")
-        if not index_build_time >= 0:
-            raise ValueError("index_build_time must be >= 0")
         self.n_osts_used = n_osts_used
         self.steering = steering
         self.writers_per_target = writers_per_target
-        self.index_build_time = index_build_time
 
     def _n_groups(self, machine: "Machine") -> int:
         """Groups (= sub-files = targets in use) of one output."""
@@ -437,8 +441,9 @@ class AdaptiveTransport(Transport):
 
         The set-up, the Algorithm-3 coordinator, the sub-file
         create/``files_ready`` barrier, the SC index epilogue, the
-        global-index write, the flush/close orchestration and the
-        result are shared.  Each mode brings only its member roles:
+        global-index write and the result are shared, and the run ends
+        through :class:`Transport`'s join, flush/close and unclean-run
+        raise.  Each mode brings only its member roles:
 
         * **cohort** (no fault plan): one ``cohort_proc`` per group
           drives a :class:`_GroupStream`;
@@ -462,9 +467,9 @@ class AdaptiveTransport(Transport):
           failures, tracks SC liveness via heartbeats, and adopts a
           silent SC's group on its own rank under
           ``TAG_ADOPTED_BASE + group``;
-        * the run is bounded by ``policy.run_timeout``.  However it
-          ends, per-rank durability is accounted from the landing sets
-          of the *current* incarnations; an unclean run raises
+        * the run is bounded by the run timeout.  However it ends,
+          per-rank durability is accounted from the landing sets of the
+          *current* incarnations; an unclean run raises
           :class:`~repro.errors.TransportError` carrying
           ``bytes_durable`` / ``bytes_lost`` and the partial result
           instead of hanging or silently under-reporting.
@@ -907,28 +912,7 @@ class AdaptiveTransport(Transport):
                         failure = f"ost failed: {exc}"
                         break
                     except WriteTimeout:
-                        if traced:
-                            tracer.end("write", cat="writer", pid=wpid,
-                                       tid=wtid, args={"failed": "timeout"})
-                        attempt += 1
-                        if attempt > policy.max_retries:
-                            failure = (
-                                f"timed out {attempt}x "
-                                f"(budget {policy.max_retries} retries)"
-                            )
-                            break
-                        stats["retries"] += 1
-                        backoff = policy.backoff(attempt)
-                        if traced:
-                            tracer.instant(
-                                "write.retry", cat="fault", pid=wpid,
-                                tid=wtid,
-                                args={"target_group": ws.target_group,
-                                      "epoch": ws.epoch,
-                                      "attempt": attempt,
-                                      "backoff": backoff},
-                            )
-                        yield env.timeout(backoff)
+                        retry = "timeout"
                     else:
                         # Write–verify–rewrite: read the blocks back
                         # against our own checksums before declaring
@@ -936,35 +920,11 @@ class AdaptiveTransport(Transport):
                         # same budget — persistent corruption on one
                         # target must eventually poison it (the
                         # WriteFailed path below), not spin forever.
-                        if policy.read_back_verify and not verify_stored(
-                            f, app.data_blocks(rank, ws.offset)
-                        ):
-                            if traced:
-                                tracer.end("write", cat="writer", pid=wpid,
-                                           tid=wtid,
-                                           args={"failed": "verify"})
-                            attempt += 1
-                            if attempt > policy.max_retries:
-                                failure = (
-                                    f"read-back verify failed {attempt}x "
-                                    f"(budget {policy.max_retries} retries)"
-                                )
-                                break
-                            stats["verify_failures"] += 1
-                            verify_failed_once = True
-                            backoff = policy.backoff(attempt)
-                            if traced:
-                                tracer.instant(
-                                    "write.verify_fail", cat="integrity",
-                                    pid=wpid, tid=wtid,
-                                    args={"target_group": ws.target_group,
-                                          "epoch": ws.epoch,
-                                          "offset": float(ws.offset),
-                                          "attempt": attempt,
-                                          "backoff": backoff},
-                                )
-                            yield env.timeout(backoff)
-                            continue
+                        retry = ("verify" if policy.read_back_verify
+                                 and not verify_stored(
+                                     f, app.data_blocks(rank, ws.offset))
+                                 else None)
+                    if retry is None:
                         if traced:
                             tracer.end("write", cat="writer", pid=wpid,
                                        tid=wtid)
@@ -977,6 +937,27 @@ class AdaptiveTransport(Transport):
                                           "offset": float(ws.offset)},
                                 )
                         break
+                    if traced:
+                        tracer.end("write", cat="writer", pid=wpid,
+                                   tid=wtid, args={"failed": retry})
+                    attempt += 1
+                    verb, counter, instant, cat = _RETRY_STEPS[retry]
+                    if attempt > policy.max_retries:
+                        failure = (f"{verb} {attempt}x "
+                                   f"(budget {policy.max_retries} retries)")
+                        break
+                    stats[counter] += 1
+                    verify_failed_once |= retry == "verify"
+                    backoff = policy.backoff(attempt)
+                    if traced:
+                        args = {"target_group": ws.target_group,
+                                "epoch": ws.epoch, "attempt": attempt,
+                                "backoff": backoff}
+                        if retry == "verify":
+                            args["offset"] = float(ws.offset)
+                        tracer.instant(instant, cat=cat, pid=wpid,
+                                       tid=wtid, args=args)
+                    yield env.timeout(backoff)
                 if failure is None:
                     timings.set(rank, start, env.now, nbytes,
                                 ws.target_group, ws.adaptive)
@@ -1531,27 +1512,9 @@ class AdaptiveTransport(Transport):
                 spawn(monitor_proc(), "adaptive.monitor", coord,
                       service_procs)
 
-            deadline = env.timeout(policy.run_timeout) if hardened else None
-
-            def protocol_pending():
-                return [p for p in protocol_procs if p.is_alive]
-
-            pending = protocol_pending()
-            while pending:
-                settled = AllSettled(env, pending)
-                if deadline is None:
-                    yield settled
-                else:
-                    yield env.any_of([settled, deadline])
-                    if deadline.processed and protocol_pending():
-                        run_flags["timed_out"] = True
-                        break
-                pending = protocol_pending()  # adoption may have spawned
-
+            run_flags["timed_out"] = yield from self._join(
+                machine, lambda: [p for p in protocol_procs if p.is_alive])
             run_flags["stop"] = True
-            if run_flags["timed_out"]:
-                for p in protocol_pending():
-                    p.kill("run timeout backstop")
             # Heartbeat senders and the monitor park exclusively on
             # their own private timeouts; cancelling the waited event
             # removes the stale calendar entry instead of leaving a
@@ -1576,26 +1539,10 @@ class AdaptiveTransport(Transport):
 
             # Explicit flush of every file before close (paper's
             # measurement protocol), all in parallel.
-            fstart = env.now
-            flush_timeout = policy.flush_timeout if hardened else None
-
-            def guarded_flush(f):
-                try:
-                    yield from fs.flush(f, timeout=flush_timeout)
-                except (OstFailedError, WriteTimeout) as exc:
-                    flush_failures.append(f"{f.path}: {exc}")
-
-            flushes = [
-                env.process(guarded_flush(f), name="adaptive.flush")
-                for f in files.values()
-            ]
-            if flushes:
-                yield AllSettled(env, flushes)
-            phase["flush_end"] = env.now
-            for f in files.values():
-                yield from fs.close(f)
-            phase["close_end"] = env.now
-            phase["flush_start"] = fstart
+            phase["flush_start"] = env.now
+            phase["flush_end"], phase["close_end"] = yield from (
+                self._flush_close(machine, list(files.values()),
+                                  "concurrent", flush_failures))
             return t0
 
         done = env.process(main(), name="adaptive.main")
@@ -1604,10 +1551,9 @@ class AdaptiveTransport(Transport):
             t0 = done.value
             total = nbytes * n_ranks
             open_end = phase.get("open_end", t0)
-            write_end = phase.get("write_end", open_end)
-            flush_start = phase.get("flush_start", write_end)
-            flush_end = phase.get("flush_end", flush_start)
-            close_end = phase.get("close_end", flush_end)
+            write_end, flush_start, flush_end, close_end = (
+                phase["write_end"], phase["flush_start"],
+                phase["flush_end"], phase["close_end"])
             extra = {
                 "n_groups": float(n_groups),
                 "busy_bounces": float(stats["busy_bounces"]),
@@ -1661,39 +1607,25 @@ class AdaptiveTransport(Transport):
                 coordinator_messages=comm.messages_by_rank.get(coord, 0),
                 extra=extra,
             )
-            if not hardened or (
-                not run_flags["timed_out"]
-                and not flush_failures
-                and not index_failures
-                and len(durable_ranks) == n_ranks
-            ):
-                return self._finish(machine, result, fabric_snap)
-            if traced:
-                tracer.close_open_spans()
-            reasons = []
-            if run_flags["timed_out"]:
-                reasons.append(f"run timeout ({policy.run_timeout:g}s) hit")
-            if faults.crashed_ranks:
-                reasons.append(
-                    f"{len(faults.crashed_ranks)} rank(s) crashed"
-                )
-            if len(durable_ranks) < n_ranks:
-                reasons.append(
-                    f"{n_ranks - len(durable_ranks)} writer(s) not durable"
-                )
-            if flush_failures:
-                reasons.append(f"{len(flush_failures)} flush failure(s)")
-            if index_failures:
-                reasons.append(
-                    f"{len(index_failures)} index write failure(s)"
-                )
-            raise TransportError(
-                "adaptive output did not complete cleanly: "
-                + "; ".join(reasons),
-                bytes_durable=bytes_durable,
-                bytes_lost=bytes_lost,
-                partial=result,
-                bytes_corrupt=bytes_corrupt,
-            )
+            if hardened:
+                missing = n_ranks - len(durable_ranks)
+                reasons = []
+                if faults.crashed_ranks:
+                    reasons.append(
+                        f"{len(faults.crashed_ranks)} rank(s) crashed"
+                    )
+                if missing:
+                    reasons.append(f"{missing} writer(s) not durable")
+                if flush_failures:
+                    reasons.append(f"{len(flush_failures)} flush failure(s)")
+                if index_failures:
+                    reasons.append(
+                        f"{len(index_failures)} index write failure(s)"
+                    )
+                if (run_flags["timed_out"] or missing or flush_failures
+                        or index_failures):
+                    self._raise_unclean(machine, result,
+                                        run_flags["timed_out"], reasons)
+            return self._finish(machine, result, fabric_snap)
 
         return TransportRun(done=done, collect=collect)

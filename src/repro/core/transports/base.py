@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.index import GlobalIndex
+from repro.errors import OstFailedError, TransportError, WriteTimeout
+from repro.sim.events import AllSettled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import AppKernel
@@ -264,9 +266,16 @@ class Transport(abc.ABC):
     :meth:`run` is the classic blocking form — launch, drive the
     calendar to completion, collect.  Multi-tenant harnesses call
     :meth:`launch` directly so several transports share one calendar.
+
+    Every transport ends a run the same way: :meth:`_join` waits for
+    its processes (bounded by the run timeout under a fault plan),
+    :meth:`_flush_close` flushes then closes its files, and an unclean
+    faulted run raises through :meth:`_raise_unclean`.
     """
 
     name: str = "base"
+    #: Prefix of the simulation process names a launch creates.
+    tag: str = "base"
 
     @abc.abstractmethod
     def launch(
@@ -288,6 +297,90 @@ class Transport(abc.ABC):
         handle = self.launch(machine, app, output_name)
         machine.env.run(until=handle.done)
         return handle.collect()
+
+    def _join(self, machine: "Machine", live: Callable[[], list]):
+        """Wait for a run's processes; True if the run timeout cut it.
+
+        ``live()`` lists the run's processes still alive.  It is read
+        again after each wake, so a process spawned meanwhile (an
+        adopted sub-coordinator) is waited on too.  Under a fault plan
+        the wait is bounded by ``policy.run_timeout``: when it fires,
+        whatever is still alive is killed.
+        """
+        env = machine.env
+        faults = machine.faults
+        deadline = (None if faults is None
+                    else env.timeout(faults.policy.run_timeout))
+        pending = live()
+        while pending:
+            settled = AllSettled(env, pending)
+            if deadline is None:
+                yield settled
+            else:
+                yield env.any_of([settled, deadline])
+                if deadline.processed and live():
+                    for p in live():
+                        p.kill("run timeout backstop")
+                    return True
+            pending = live()
+        return False
+
+    def _flush_close(self, machine: "Machine", files: list,
+                     order: Optional[str], failures: List[str]):
+        """Flush, then close, ``files``; return ``(flush_end, close_end)``.
+
+        ``order`` is None (no flush), ``"inline"`` (file after file) or
+        ``"concurrent"`` (one flush process per file).  Under a fault
+        plan each flush is bounded by ``policy.flush_timeout``; a flush
+        that fails or times out is appended to ``failures``.
+        """
+        env = machine.env
+        fs = machine.fs
+        faults = machine.faults
+        timeout = None if faults is None else faults.policy.flush_timeout
+
+        def flush(f):
+            try:
+                yield from fs.flush(f, timeout=timeout)
+            except (OstFailedError, WriteTimeout) as exc:
+                failures.append(f"{f.path}: {exc}")
+
+        if order == "inline":
+            for f in files:
+                yield from flush(f)
+        elif order == "concurrent":
+            procs = [env.process(flush(f), name=f"{self.tag}.flush")
+                     for f in files]
+            if procs:
+                yield AllSettled(env, procs)
+        flush_end = env.now
+        for f in files:
+            yield from fs.close(f)
+        return flush_end, env.now
+
+    def _raise_unclean(self, machine: "Machine", result: OutputResult,
+                       timed_out: bool, reasons: List[str]):
+        """Raise the :class:`~repro.errors.TransportError` of an
+        unclean run.
+
+        The run-timeout reason, if the timeout fired, comes before
+        ``reasons``; the byte accounting is ``result.extra``'s
+        ``bytes_durable``, ``bytes_lost`` and ``bytes_corrupt``, and
+        ``result`` rides along as the partial result.
+        """
+        if timed_out:
+            reasons = [f"run timeout ({machine.faults.policy.run_timeout:g}s)"
+                       " hit", *reasons]
+        if machine.env.tracer is not None:
+            machine.env.tracer.close_open_spans()  # aborts close their spans
+        extra = result.extra
+        raise TransportError(
+            f"{result.transport} output did not complete cleanly: "
+            + "; ".join(reasons),
+            bytes_durable=extra["bytes_durable"],
+            bytes_lost=extra["bytes_lost"], partial=result,
+            bytes_corrupt=extra["bytes_corrupt"],
+        )
 
     def _watch_fabric(self, machine: "Machine") -> Tuple[int, int, int, int]:
         """Snapshot the fabric's churn counters at run start.
@@ -314,21 +407,18 @@ class Transport(abc.ABC):
         self,
         machine: "Machine",
         result: OutputResult,
-        fabric_snap: Optional[Tuple[int, int, int, int]] = None,
+        fabric_snap: Tuple[int, int, int, int],
     ) -> OutputResult:
-        if fabric_snap is not None:
-            fab = machine.fs.fabric
-            settles, reallocs, incremental, coalesced = fabric_snap
-            result.extra["fabric_settles"] = float(fab.settle_count - settles)
-            result.extra["fabric_reallocs"] = float(
-                fab.realloc_count - reallocs
-            )
-            result.extra["fabric_incremental"] = float(
-                fab.incremental_count - incremental
-            )
-            result.extra["fabric_coalesced"] = float(
-                fab.coalesced_count - coalesced
-            )
+        fab = machine.fs.fabric
+        settles, reallocs, incremental, coalesced = fabric_snap
+        result.extra["fabric_settles"] = float(fab.settle_count - settles)
+        result.extra["fabric_reallocs"] = float(fab.realloc_count - reallocs)
+        result.extra["fabric_incremental"] = float(
+            fab.incremental_count - incremental
+        )
+        result.extra["fabric_coalesced"] = float(
+            fab.coalesced_count - coalesced
+        )
         result.validate()
         # One-way recording into the telemetry registry: the registry
         # observes the result, never feeds anything back into it, so a

@@ -13,8 +13,10 @@ after another in rank order.
 Under a fault plan the static methods fail fast, with no retry: a
 member stops at its failed write, a ``crash_rank`` kills the member
 that plays the rank, a stagger lane stops at its first failed or
-crashed member, the join is bounded by the run timeout, and an unclean
-run raises :class:`~repro.errors.TransportError` with byte accounting.
+crashed member, and the run ends the way every transport's does
+(:class:`~repro.core.transports.base.Transport`): the join is bounded
+by the run timeout, and an unclean run raises
+:class:`~repro.errors.TransportError` with byte accounting.
 Where a lane creates its own file (POSIX, stagger), the file's creator
 is its first member: a creator that dies before the file exists takes
 the whole file with it, and the create barrier counts that file as
@@ -36,8 +38,7 @@ from repro.core.transports.base import (
     WriterTimings,
     osts_used,
 )
-from repro.errors import OstFailedError, TransportError, WriteTimeout
-from repro.sim.events import AllSettled
+from repro.errors import OstFailedError, WriteTimeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import AppKernel
@@ -299,18 +300,11 @@ class StaticTransport(Transport):
         lanes = [_Lane(k, ranks, env.event(), landed, killed)
                  for k, ranks in enumerate(layout.members)]
 
-        def flush(f):
-            try:
-                yield from fs.flush(f, timeout=policy and policy.flush_timeout)
-            except (OstFailedError, WriteTimeout) as exc:
-                failures["flush"].append(str(exc))
-
         def main():
             prefix = f"{self.tag}.{self.lane_prefix}"
             for lane in lanes:
                 lane.proc = env.process(lane_body(lane),
                                         name=f"{prefix}{lane.k}")
-            procs = [lane.proc for lane in lanes]
             if faults is not None:
                 # Arm the plan; a crash of a rank kills its member.
                 faults.arm()
@@ -320,33 +314,16 @@ class StaticTransport(Transport):
             if not self.lanes_open:
                 for k in range(len(layout.paths)):
                     yield from create(k)
-            if faults is None:
-                yield env.all_of(procs)
-            else:
-                # Run-timeout backstop: a stalled run (a hung target with
-                # no write timeout) still ends, with accounting.
-                deadline = env.timeout(policy.run_timeout)
-                yield env.any_of([AllSettled(env, procs), deadline])
-                if deadline.processed and any(p.is_alive for p in procs):
-                    failures["timed_out"] = True
-                    for lane in lanes:
-                        if lane.proc.is_alive:
-                            for m in lane.members:
-                                m.write = None  # abandoned mid-write
-                            lane.proc.kill("run timeout backstop")
+            if (yield from self._join(machine, lambda: [
+                    lane.proc for lane in lanes if lane.proc.is_alive])):
+                failures["timed_out"] = True
+                for lane in lanes:
+                    for m in lane.members:
+                        m.write = None  # abandoned mid-write
             phase["write_end"] = env.now
-            files = [fobjs[k] for k in sorted(fobjs)]
-            if self.flush_order == "inline":
-                for f in files:
-                    yield from flush(f)
-            elif self.flush_order == "concurrent":
-                name = f"{self.tag}.flush"
-                yield env.all_of([env.process(flush(f), name=name)
-                                  for f in files])
-            phase["flush_end"] = env.now
-            for f in files:
-                yield from fs.close(f)
-            phase["close_end"] = env.now
+            phase["flush_end"], phase["close_end"] = yield from (
+                self._flush_close(machine, [fobjs[k] for k in sorted(fobjs)],
+                                  self.flush_order, failures["flush"]))
 
         done = env.process(main(), name=f"{self.tag}.main")
 
@@ -387,7 +364,8 @@ class StaticTransport(Transport):
 
     def _account(self, machine: "Machine", result: OutputResult,
                  failures: dict) -> None:
-        """Fault accounting; raises TransportError on an unclean run."""
+        """Fault accounting; an unclean run raises through
+        :meth:`_raise_unclean`."""
         faults = machine.faults
         # No verify/rewrite loop: whatever the plan rotted stays rotten
         # and lands in the error accounting instead.
@@ -407,26 +385,15 @@ class StaticTransport(Transport):
         if not (failures["timed_out"] or failures["write"]
                 or failures["flush"] or missing or corrupt):
             return
-        reasons = []
-        if failures["timed_out"]:
-            reasons.append(f"run timeout ({faults.policy.run_timeout:g}s) hit")
-        for kind in ("write", "flush"):
-            if failures[kind]:
-                reasons.append(f"{len(failures[kind])} {kind} failure(s)")
+        reasons = [f"{len(failures[kind])} {kind} failure(s)"
+                   for kind in ("write", "flush") if failures[kind]]
         if faults.crashed_ranks:
             reasons.append(f"{len(faults.crashed_ranks)} rank(s) crashed")
         if missing:
             reasons.append(f"{missing} writer(s) did not complete")
         if corrupt:
             reasons.append(f"{corrupt:.0f} B of stored output corrupt/torn")
-        if machine.env.tracer is not None:
-            machine.env.tracer.close_open_spans()  # aborts close their spans
-        raise TransportError(
-            f"{result.transport} output did not complete cleanly: "
-            + "; ".join(reasons),
-            bytes_durable=bytes_durable, bytes_lost=bytes_lost,
-            partial=result, bytes_corrupt=corrupt,
-        )
+        self._raise_unclean(machine, result, failures["timed_out"], reasons)
 
 
 class PosixTransport(StaticTransport):

@@ -354,10 +354,6 @@ class TestAdaptiveTransport:
         with pytest.raises(ValueError):
             AdaptiveTransport(writers_per_target=0)
         with pytest.raises(ValueError):
-            AdaptiveTransport(index_build_time=-1)
-        with pytest.raises(ValueError):
-            AdaptiveTransport(index_build_time=float("nan"))
-        with pytest.raises(ValueError):
             HistoryAwareAdaptiveTransport(max_skew=float("nan"))
         m = small_machine()
         with pytest.raises(ValueError):
