@@ -104,11 +104,17 @@ def pytest_configure(config):
         import os
 
         os.environ["REPRO_JOBS"] = str(jobs)
-    journal = config.getoption("--journal")
-    if journal is not None:
-        import os
+    from repro.service.journal import get_active_state_dir, open_sweep
 
-        os.environ["REPRO_JOURNAL"] = journal
+    state_dir = config.getoption("--journal") or get_active_state_dir()
+    if state_dir is not None:
+        # The suite's benches fix their own seeds, so the manifest pins
+        # the scale and no seed.
+        try:
+            open_sweep(state_dir, ["benchmarks"],
+                       scale_from_env(Scale.SMALL).value, None)
+        except SystemExit as exc:
+            raise pytest.UsageError(str(exc)) from None
     # If --trace carried a path, make sure pytest's debugging plugin
     # never sees it as a truthy "break into pdb" request.
     if isinstance(getattr(config.option, "trace", None), str):

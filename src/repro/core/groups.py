@@ -11,7 +11,7 @@ additionally the coordinator role).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,14 +22,17 @@ __all__ = ["GroupMap"]
 class GroupMap:
     """Partition of ``n_ranks`` writers into ``n_groups`` groups.
 
-    Groups are contiguous rank blocks of near-equal size (the first
-    ``n_ranks % n_groups`` groups get one extra rank).  More groups
-    than ranks is legal in principle but useless — it is rejected so a
+    Groups are contiguous rank blocks.  By default their sizes are
+    near-equal (the first ``n_ranks % n_groups`` groups get one extra
+    rank); ``sizes`` gives them explicitly instead, one per group,
+    each at least 1 and summing to ``n_ranks``.  More groups than
+    ranks is legal in principle but useless — it is rejected so a
     misconfigured experiment fails loudly.
     """
 
     n_ranks: int
     n_groups: int
+    sizes: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.n_ranks < 1:
@@ -41,10 +44,25 @@ class GroupMap:
                 f"n_groups {self.n_groups} > n_ranks {self.n_ranks}: "
                 "every group needs at least one writer"
             )
-        base, extra = divmod(self.n_ranks, self.n_groups)
-        sizes = np.full(self.n_groups, base, dtype=np.int64)
-        sizes[:extra] += 1
-        # Frozen dataclass: the derived bounds are set once, here.
+        if self.sizes is None:
+            base, extra = divmod(self.n_ranks, self.n_groups)
+            sizes = [base + (g < extra) for g in range(self.n_groups)]
+        else:
+            sizes = [int(q) for q in self.sizes]
+            if len(sizes) != self.n_groups:
+                raise ValueError(
+                    f"{len(sizes)} group sizes for {self.n_groups} groups"
+                )
+            if sum(sizes) != self.n_ranks:
+                raise ValueError(
+                    f"group sizes sum to {sum(sizes)}, expected "
+                    f"{self.n_ranks}"
+                )
+            if min(sizes) < 1:
+                raise ValueError("every group needs at least one writer")
+        # Frozen dataclass: the sizes and derived bounds are set once,
+        # here.
+        object.__setattr__(self, "sizes", tuple(sizes))
         object.__setattr__(
             self, "_bounds", np.concatenate([[0], np.cumsum(sizes)])
         )
@@ -74,5 +92,4 @@ class GroupMap:
 
     @property
     def max_group_size(self) -> int:
-        base, extra = divmod(self.n_ranks, self.n_groups)
-        return base + (1 if extra else 0)
+        return max(self.sizes)

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.groups import GroupMap
 from repro.core.transports.adaptive import AdaptiveTransport
 from repro.core.transports.base import OutputResult
 
@@ -124,12 +125,10 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
 
     name = "adaptive-history"
 
-    def __init__(self, *args, history_alpha: float = 0.4,
-                 max_skew: float = 8.0, **kwargs):
+    def __init__(self, *args, max_skew: float = 8.0, **kwargs):
         super().__init__(*args, **kwargs)
         if not max_skew >= 1.0:
             raise ValueError("max_skew must be >= 1")
-        self.history_alpha = history_alpha
         self.max_skew = max_skew
         self.history: Optional[PerformanceHistory] = None
         self.steps_run = 0
@@ -145,8 +144,7 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
         writer).
         """
         if self.history is None or self.history.observations.sum() == 0:
-            base, extra = divmod(n_ranks, n_groups)
-            return [base + (1 if g < extra else 0) for g in range(n_groups)]
+            return list(GroupMap(n_ranks, n_groups).sizes)
         speeds = self.history.relative_speeds(n_groups)
         lo, hi = 1.0 / self.max_skew, self.max_skew
         speeds = np.clip(speeds, lo, hi)
@@ -173,9 +171,7 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
     ) -> OutputResult:
         n_groups = self._n_groups(machine)
         if self.history is None:
-            self.history = PerformanceHistory(
-                n_groups, alpha=self.history_alpha
-            )
+            self.history = PerformanceHistory(n_groups)
         elif len(self.history.estimate) != n_groups:
             raise ValueError(
                 "history tracks a different target count; use one "
@@ -207,42 +203,6 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
         return bool(est[target] >= 0.35 * float(np.median(est)))
 
 
-class _WeightedGroupMap:
-    """GroupMap-compatible partition with explicit per-group sizes."""
-
-    def __init__(self, n_ranks: int, quotas: List[int]):
-        if sum(quotas) != n_ranks:
-            raise ValueError(
-                f"quotas sum to {sum(quotas)}, expected {n_ranks}"
-            )
-        if any(q < 1 for q in quotas):
-            raise ValueError("every group needs at least one writer")
-        self.n_ranks = n_ranks
-        self.n_groups = len(quotas)
-        self._bounds = np.concatenate([[0], np.cumsum(quotas)])
-
-    def group_of(self, rank: int) -> int:
-        if not 0 <= rank < self.n_ranks:
-            raise ValueError(f"rank {rank} out of range")
-        return int(np.searchsorted(self._bounds, rank, side="right") - 1)
-
-    def ranks_in(self, group: int) -> List[int]:
-        if not 0 <= group < self.n_groups:
-            raise ValueError(f"group {group} out of range")
-        return list(
-            range(int(self._bounds[group]), int(self._bounds[group + 1]))
-        )
-
-    def sub_coordinator_of(self, group: int) -> int:
-        return self.ranks_in(group)[0]
-
-    @property
-    def coordinator(self) -> int:
-        return 0
-
-    def group_size(self, group: int) -> int:
-        return len(self.ranks_in(group))
-
-    @property
-    def max_group_size(self) -> int:
-        return int(np.diff(self._bounds).max())
+def _WeightedGroupMap(n_ranks: int, quotas: List[int]) -> GroupMap:
+    """The contiguous partition with one group per quota, sized by it."""
+    return GroupMap(n_ranks, len(quotas), sizes=tuple(quotas))

@@ -76,9 +76,10 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{FAULT_KINDS}"
             )
-        if self.time < 0:
+        # Written as `not x >= 0` / `not x > 0` so NaN fails too.
+        if not self.time >= 0:
             raise FaultPlanError(f"fault time must be >= 0, got {self.time}")
-        if self.duration is not None and self.duration <= 0:
+        if self.duration is not None and not self.duration > 0:
             raise FaultPlanError("fault duration must be positive")
         if self.kind == "ost_brownout" and not 0.0 < self.factor <= 1.0:
             raise FaultPlanError(
@@ -88,13 +89,14 @@ class FaultEvent:
             raise FaultPlanError(
                 f"msg_loss probability must be in [0, 1), got {self.factor}"
             )
-        if self.kind == "msg_delay" and self.factor < 0:
+        if self.kind == "msg_delay" and not self.factor >= 0:
             raise FaultPlanError("msg_delay extra latency must be >= 0")
         if self.kind in _CORRUPTION_KINDS and self.duration is not None:
             raise FaultPlanError(
                 f"{self.kind} takes no duration: corruption does not revert"
             )
-        if self.kind in ("block_bitflip", "stale_index") and self.factor < 1:
+        if (self.kind in ("block_bitflip", "stale_index")
+                and not self.factor >= 1):
             raise FaultPlanError(
                 f"{self.kind} factor is a block count, must be >= 1, got "
                 f"{self.factor}"
@@ -137,17 +139,19 @@ class RetryPolicy:
     read_back_verify: bool = False
 
     def __post_init__(self):
-        if self.write_timeout <= 0:
+        # Written as `not x > 0` / `not x >= 0` so NaN fails too.
+        if not self.write_timeout > 0:
             raise FaultPlanError("write_timeout must be positive")
-        if self.max_retries < 0:
+        if not self.max_retries >= 0:
             raise FaultPlanError("max_retries must be >= 0")
-        if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
+        if not (self.backoff_base >= 0
+                and self.backoff_cap >= self.backoff_base):
             raise FaultPlanError(
                 "need 0 <= backoff_base <= backoff_cap"
             )
-        if self.heartbeat_interval <= 0 or self.sc_timeout <= 0:
+        if not (self.heartbeat_interval > 0 and self.sc_timeout > 0):
             raise FaultPlanError("heartbeat constants must be positive")
-        if self.run_timeout <= 0 or self.flush_timeout <= 0:
+        if not (self.run_timeout > 0 and self.flush_timeout > 0):
             raise FaultPlanError("run/flush timeouts must be positive")
 
     def backoff(self, attempt: int) -> float:
@@ -185,9 +189,9 @@ class FaultPlan:
     silent_error_rate: float = 0.0
 
     def __post_init__(self):
-        if self.mtbf is not None and self.mtbf <= 0:
+        if self.mtbf is not None and not self.mtbf > 0:
             raise FaultPlanError("mtbf must be positive")
-        if self.mttr is not None and self.mttr <= 0:
+        if self.mttr is not None and not self.mttr > 0:
             raise FaultPlanError("mttr must be positive")
         if not 0.0 <= self.silent_error_rate < 1.0:
             raise FaultPlanError(

@@ -31,8 +31,8 @@ class BackgroundWriterJob:
     Parameters
     ----------
     machine:
-        Host machine (must have service nodes reserved unless
-        ``source_nodes`` is given).
+        Host machine; it must have service nodes reserved, which the
+        writers run on.
     n_osts:
         Storage targets hammered (paper: 8).
     writers_per_ost:
@@ -44,8 +44,6 @@ class BackgroundWriterJob:
         the pool, which the instrumented job's default allocation also
         uses — so the two jobs genuinely collide, as they did on the
         shared Jaguar scratch system.
-    source_nodes:
-        Source node indices; defaults to the machine's service nodes.
     tenant:
         QoS tenant index stamped on every interference flow (default
         ``-1``: untagged, outside any contract).  Tagging the
@@ -60,7 +58,6 @@ class BackgroundWriterJob:
         writers_per_ost: int = 3,
         write_size: float = 1.0 * GB,
         osts: Optional[Sequence[int]] = None,
-        source_nodes: Optional[Sequence[int]] = None,
         tenant: int = -1,
     ):
         if n_osts < 1 or writers_per_ost < 1:
@@ -80,22 +77,15 @@ class BackgroundWriterJob:
             raise ValueError("len(osts) must equal n_osts")
         self.writers_per_ost = writers_per_ost
         self.write_size = write_size
-        n_writers = n_osts * writers_per_ost
-        if source_nodes is None:
-            if machine.n_service_nodes < 1:
-                raise ValueError(
-                    "machine has no service nodes; build with "
-                    "extra_service_nodes>=1 or pass source_nodes"
-                )
-            source_nodes = [
-                machine.service_node(i % machine.n_service_nodes)
-                for i in range(n_writers)
-            ]
-        self.source_nodes = list(source_nodes)
-        if len(self.source_nodes) != n_writers:
+        if machine.n_service_nodes < 1:
             raise ValueError(
-                f"need {n_writers} source nodes, got {len(self.source_nodes)}"
+                "machine has no service nodes; build with "
+                "extra_service_nodes>=1"
             )
+        self.source_nodes = [
+            machine.service_node(i % machine.n_service_nodes)
+            for i in range(n_osts * writers_per_ost)
+        ]
         self.tenant = int(tenant)
         self._stop = False
         self._procs = []

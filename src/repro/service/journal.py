@@ -44,11 +44,13 @@ __all__ = [
     "encode_result",
     "get_active_state_dir",
     "journal_in",
+    "open_sweep",
     "replay",
     "summarize",
 ]
 
 JOURNAL_NAME = "journal.jsonl"
+MANIFEST_NAME = "manifest.json"
 
 
 def _json_exact(value: Any) -> bool:
@@ -130,9 +132,8 @@ class Journal:
     ``run_samples`` calls) replays the file once.
     """
 
-    def __init__(self, path: str, fsync: bool = True):
+    def __init__(self, path: str):
         self.path = path
-        self.fsync = fsync
         self.done: Dict[str, dict] = {}
         self.failed: Dict[str, dict] = {}
         self.plans: Dict[str, int] = {}
@@ -163,8 +164,7 @@ class Journal:
             self._fh = io.open(self.path, "a", encoding="utf-8")
         self._fh.write(line)
         self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
         self._index(rec)
         n = len(line.encode("utf-8"))
         self.bytes_appended += n
@@ -269,3 +269,45 @@ def journal_in(state_dir: str) -> Journal:
     if j is None:
         j = _journals[path] = Journal(path)
     return j
+
+
+def open_sweep(state_dir: str, artifacts: List[str], scale: str,
+               seed: Optional[int]) -> None:
+    """Make *state_dir* the active journal of a sweep, pinned by
+    ``manifest.json``.
+
+    Job ids hash the cell's spec and seed, so resuming with a
+    different scale or seed would not *corrupt* anything — it would
+    silently recompute everything while looking like a resume.  That
+    is always a mistake, so a manifest naming another scale or seed
+    exits with a pointer at a fresh directory.  A different artifact
+    list is fine (ids are per cell) and is merged into the manifest.
+    Every entry point that journals a sweep (``experiment --journal``,
+    an inherited ``REPRO_JOURNAL``, ``pytest benchmarks/ --journal``)
+    opens it here; ``REPRO_JOURNAL`` is set so the sweep's batches and
+    worker processes journal into it.
+    """
+    os.makedirs(state_dir, exist_ok=True)
+    path = os.path.join(state_dir, MANIFEST_NAME)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):
+        manifest = {"artifacts": [], "scale": scale, "seed": seed}
+    for key, value in (("scale", scale), ("seed", seed)):
+        if manifest.get(key) != value:
+            raise SystemExit(
+                f"error: journal {state_dir!r} was created with "
+                f"{key}={manifest.get(key)!r} but this run asks for "
+                f"{value!r}; resuming would recompute every cell. "
+                "Use a fresh --journal DIR (or delete this one)."
+            )
+    merged = sorted(set(manifest.get("artifacts", [])) | set(artifacts))
+    if merged != manifest.get("artifacts"):
+        manifest["artifacts"] = merged
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    os.environ["REPRO_JOURNAL"] = state_dir

@@ -19,7 +19,8 @@ fsync per record), and rerunning the same command after any crash,
 SIGKILL included, restores the finished cells bit-identically and
 recomputes only the rest (see DESIGN.md §14).  ``DIR/manifest.json``
 pins the sweep's scale and seed; a rerun asking for others exits
-rather than recompute every cell while looking like a resume.
+rather than recompute every cell while looking like a resume.  An
+inherited ``REPRO_JOURNAL=DIR`` is the same as ``--journal DIR``.
 ``python -m repro.tools.bench_report --partial DIR`` renders a live or
 interrupted sweep's progress.  ``REPRO_JOB_TIMEOUT`` (seconds) and
 ``REPRO_JOB_RETRIES`` set the per-job wall-clock budget and the retry
@@ -29,13 +30,13 @@ cap for crashed or hung workers.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.harness.experiment import Scale, metrics_to, trace_to
+from repro.service.journal import get_active_state_dir, open_sweep
 
 __all__ = ["main", "ARTIFACTS", "artifact_failures", "run_artifact"]
 
@@ -143,44 +144,6 @@ def artifact_failures(result) -> list:
     return [str(x) for x in report()]
 
 
-MANIFEST_NAME = "manifest.json"
-
-
-def _check_manifest(state_dir: str, names: List[str], scale: str,
-                    seed: int) -> None:
-    """Create or validate ``manifest.json`` in a journal directory.
-
-    Job ids hash the cell's spec and seed, so resuming with a
-    different scale or seed would not *corrupt* anything — it would
-    silently recompute everything while looking like a resume.  That
-    is always a mistake, so mismatches are rejected with a pointer at
-    a fresh directory.  A different artifact list is fine (ids are
-    per cell) and is merged into the manifest.
-    """
-    path = os.path.join(state_dir, MANIFEST_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError):
-        manifest = {"artifacts": [], "scale": scale, "seed": seed}
-    for key, value in (("scale", scale), ("seed", seed)):
-        if manifest.get(key) != value:
-            raise SystemExit(
-                f"error: journal {state_dir!r} was created with "
-                f"{key}={manifest.get(key)!r} but this run asks for "
-                f"{value!r}; resuming would recompute every cell. "
-                "Use a fresh --journal DIR (or delete this one)."
-            )
-    merged = sorted(set(manifest.get("artifacts", [])) | set(names))
-    if merged != manifest.get("artifacts"):
-        manifest["artifacts"] = merged
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.tools.experiment",
@@ -253,10 +216,9 @@ def main(argv=None) -> int:
         # (and in any worker-side nesting) picks the same job count up.
         os.environ["REPRO_JOBS"] = str(args.jobs)
     names = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
-    if args.journal is not None:
-        os.makedirs(args.journal, exist_ok=True)
-        _check_manifest(args.journal, names, args.scale, args.seed)
-        os.environ["REPRO_JOURNAL"] = args.journal
+    state_dir = args.journal or get_active_state_dir()
+    if state_dir is not None:
+        open_sweep(state_dir, names, args.scale, args.seed)
     if args.faults is not None:
         # Same propagation trick: machine builds (local and in worker
         # processes) resolve REPRO_FAULTS when no explicit plan is set.

@@ -52,6 +52,25 @@ class TestPlanValidation:
         ))
         assert [e.time for e in plan.events] == [1.0, 2.0]
 
+    @pytest.mark.parametrize("field", ["time", "duration"])
+    def test_nan_time_or_duration_rejected(self, field):
+        kwargs = {"time": 1.0, "kind": "ost_hang", "target": 0,
+                  field: float("nan")}
+        with pytest.raises(FaultPlanError):
+            FaultEvent(**kwargs)
+
+    @pytest.mark.parametrize("kind", ["msg_delay", "block_bitflip",
+                                      "stale_index"])
+    def test_nan_factor_rejected(self, kind):
+        with pytest.raises(FaultPlanError):
+            FaultEvent(time=0.0, kind=kind, target=0, factor=float("nan"))
+
+    @pytest.mark.parametrize("field", ["mtbf", "mttr"])
+    def test_nan_stochastic_means_rejected(self, field):
+        kwargs = {"mtbf": 10.0, "max_stochastic": 1, field: float("nan")}
+        with pytest.raises(FaultPlanError):
+            FaultPlan(**kwargs)
+
     def test_stochastic_needs_budget(self):
         with pytest.raises(FaultPlanError):
             FaultPlan(mtbf=10.0)
@@ -78,6 +97,14 @@ class TestPolicy:
             RetryPolicy(write_timeout=0.0)
         with pytest.raises(FaultPlanError):
             RetryPolicy(backoff_base=2.0, backoff_cap=1.0)
+
+    @pytest.mark.parametrize("field", [
+        "write_timeout", "backoff_base", "backoff_cap",
+        "heartbeat_interval", "sc_timeout", "run_timeout", "flush_timeout",
+    ])
+    def test_nan_constants_rejected(self, field):
+        with pytest.raises(FaultPlanError):
+            RetryPolicy(**{field: float("nan")})
 
 
 class TestSerialization:
@@ -109,6 +136,13 @@ class TestSerialization:
                     {"time": 2.0, "kind": "ost_meltdown", "target": 1},
                 ],
             })
+
+    def test_nan_policy_in_json_rejected(self, tmp_path):
+        """Python's json reads a bare NaN; the plan must not load."""
+        path = tmp_path / "plan.json"
+        path.write_text('{"events": [], "policy": {"write_timeout": NaN}}')
+        with pytest.raises(FaultPlanError, match="write_timeout"):
+            FaultPlan.from_json(str(path))
 
     def test_non_object_event_rejected(self):
         with pytest.raises(FaultPlanError, match=r"events\[0\]"):

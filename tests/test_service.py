@@ -484,6 +484,47 @@ class TestJournalCli:
             assert "fresh --journal" in str(exc.value)
         assert len(_kinds(state)) == n_lines  # nothing recomputed
 
+    def test_inherited_env_journal_rejects_parameter_drift(
+        self, tmp_path, monkeypatch
+    ):
+        """An inherited REPRO_JOURNAL is checked like --journal."""
+        state = str(tmp_path / "state")
+        monkeypatch.setenv("REPRO_JOURNAL", state)
+        assert self._run(["fig1", "--scale", "smoke"]) == 0
+        n_lines = len(_kinds(state))
+        with pytest.raises(SystemExit, match="seed") as exc:
+            self._run(["fig1", "--scale", "smoke", "--seed", "1"])
+        assert "fresh --journal" in str(exc.value)
+        assert len(_kinds(state)) == n_lines  # nothing recomputed
+
+    def test_benchmark_suite_journal_pins_the_scale(
+        self, tmp_path, monkeypatch
+    ):
+        """``pytest benchmarks/ --journal DIR`` opens DIR through the
+        same manifest check."""
+        import importlib.util
+
+        path = os.path.join(os.path.dirname(SRC), "benchmarks",
+                            "conftest.py")
+        spec = importlib.util.spec_from_file_location("bench_conftest",
+                                                      path)
+        conftest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(conftest)
+        state = str(tmp_path / "state")
+        options = {"--jobs": None, "--journal": state}
+        config = SimpleNamespace(
+            getoption=lambda name, default=None: options.get(name, default),
+            option=SimpleNamespace(trace=None),
+        )
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        conftest.pytest_configure(config)
+        assert os.environ["REPRO_JOURNAL"] == state
+        with open(os.path.join(state, "manifest.json")) as fh:
+            assert json.load(fh)["scale"] == "smoke"
+        monkeypatch.setenv("REPRO_SCALE", "small")
+        with pytest.raises(pytest.UsageError, match="scale"):
+            conftest.pytest_configure(config)
+
     def test_other_artifacts_merge_into_the_manifest(
         self, tmp_path, monkeypatch
     ):
