@@ -63,6 +63,7 @@ class Adios:
 
     @staticmethod
     def make_transport(method: str, **options) -> Transport:
+        """The transport named *method*, built with *options*."""
         try:
             factory = _FACTORIES[method]
         except KeyError:
@@ -71,15 +72,6 @@ class Adios:
                 f"{sorted(_FACTORIES)}"
             ) from None
         return factory(**options)
-
-    @classmethod
-    def register_method(
-        cls, name: str, factory: Callable[..., Transport]
-    ) -> None:
-        """Register a custom transport (the ADIOS extension point)."""
-        if name in _FACTORIES:
-            raise ConfigurationError(f"method {name!r} already registered")
-        _FACTORIES[name] = factory
 
     def write_output(
         self,

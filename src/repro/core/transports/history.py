@@ -39,35 +39,26 @@ __all__ = ["PerformanceHistory", "HistoryAwareAdaptiveTransport"]
 class PerformanceHistory:
     """EWMA per-target bandwidth estimates across output steps.
 
-    Parameters
-    ----------
-    n_targets:
-        Storage targets tracked.
-    alpha:
-        EWMA weight of the newest observation.
-    prior:
-        Initial estimate (bytes/s) before any observation; any positive
-        value works — only *relative* speeds matter downstream.
+    ``n_targets`` storage targets are tracked, each starting at
+    :attr:`prior`.
     """
 
-    def __init__(self, n_targets: int, alpha: float = 0.4,
-                 prior: float = 100e6, alpha_up: Optional[float] = None):
+    #: EWMA weight of a slower observation.
+    alpha = 0.4
+    #: EWMA weight of a faster one.  Asymmetric learning: quick to
+    #: believe a target got slower, slow to believe it recovered.  A
+    #: quota-starved slow target carries little data and therefore
+    #: *measures* healthy, and a symmetric filter would oscillate
+    #: between avoiding and flooding it every other step.
+    alpha_up = alpha / 4
+    #: Initial estimate (bytes/s) before any observation; any positive
+    #: value works — only *relative* speeds matter downstream.
+    prior = 100e6
+
+    def __init__(self, n_targets: int):
         if n_targets < 1:
             raise ValueError("n_targets must be >= 1")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if prior <= 0:
-            raise ValueError("prior must be positive")
-        if alpha_up is not None and not 0.0 < alpha_up <= 1.0:
-            raise ValueError("alpha_up must be in (0, 1]")
-        self.alpha = alpha
-        # Asymmetric learning: quick to believe a target got slower,
-        # slow to believe it recovered.  A quota-starved slow target
-        # carries little data and therefore *measures* healthy, and a
-        # symmetric filter would oscillate between avoiding and
-        # flooding it every other step.
-        self.alpha_up = alpha / 4 if alpha_up is None else alpha_up
-        self.estimate = np.full(n_targets, float(prior))
+        self.estimate = np.full(n_targets, self.prior)
         self.observations = np.zeros(n_targets, dtype=np.int64)
 
     def observe(self, target: int, bandwidth: float) -> None:
@@ -106,11 +97,6 @@ class PerformanceHistory:
         est = self.estimate if n is None else self.estimate[:n]
         return est / est.mean()
 
-    def slowest_first(self, n: Optional[int] = None) -> List[int]:
-        """Target indices ordered slowest to fastest."""
-        est = self.estimate if n is None else self.estimate[:n]
-        return list(np.argsort(est))
-
 
 class HistoryAwareAdaptiveTransport(AdaptiveTransport):
     """Adaptive IO seeded and steered by past usage data.
@@ -124,12 +110,11 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
     """
 
     name = "adaptive-history"
+    #: Seeded quotas stay within this factor of uniform.
+    max_skew = 8.0
 
-    def __init__(self, *args, max_skew: float = 8.0, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if not max_skew >= 1.0:
-            raise ValueError("max_skew must be >= 1")
-        self.max_skew = max_skew
         self.history: Optional[PerformanceHistory] = None
         self.steps_run = 0
 
@@ -185,9 +170,8 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
 
     def _make_group_map(self, n_ranks: int, n_groups: int):
         """History-weighted partition (uniform until data exists)."""
-        return _WeightedGroupMap(
-            n_ranks, self.group_quotas(n_ranks, n_groups)
-        )
+        return GroupMap(n_ranks, n_groups,
+                        sizes=tuple(self.group_quotas(n_ranks, n_groups)))
 
     def _steer_target_ok(self, target: int) -> bool:
         """Veto steering onto targets the history says are slow.
@@ -201,8 +185,3 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
             return True
         est = self.history.estimate
         return bool(est[target] >= 0.35 * float(np.median(est)))
-
-
-def _WeightedGroupMap(n_ranks: int, quotas: List[int]) -> GroupMap:
-    """The contiguous partition with one group per quota, sized by it."""
-    return GroupMap(n_ranks, len(quotas), sizes=tuple(quotas))

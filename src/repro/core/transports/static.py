@@ -411,26 +411,24 @@ class PosixTransport(StaticTransport):
     n_osts_used:
         Storage targets the writers are split across (the paper uses
         512 of Jaguar's 672).  Defaults to the whole pool.
-    include_flush:
-        Whether the operation ends with an explicit flush to disk.
-        Section II timings measure the write only; Section IV adds
-        the flush.
     build_index:
         Also assemble a global index over the per-process files (off
         by default — plain IOR has no index).
+
+    The operation ends without a flush to disk: Section II times the
+    write only.
     """
 
     name = tag = "posix"
     # Every rank waits for all creates before writing (IOR's
     # inter-phase barrier), so open time never pollutes write time.
     lanes_open = True
+    flush_order = None
 
     def __init__(self, n_osts_used: Optional[int] = None,
-                 include_flush: bool = False, build_index: bool = False):
+                 build_index: bool = False):
         self.n_osts_used = n_osts_used
-        self.include_flush = include_flush
         self.build_index = build_index
-        self.flush_order = "inline" if include_flush else None
 
     def _layout(self, machine, app, output_name):
         n_osts = osts_used(self.n_osts_used, machine.n_osts, machine)
@@ -525,27 +523,25 @@ class SplitFilesTransport(StaticTransport):
     targets help, but all writers still write simultaneously and
     nothing reacts to slow targets.
 
+    The number of shared files is ``ceil(pool / stripe cap)`` — just
+    enough to cover every storage target (the paper's "5 parts").
+
     Parameters
     ----------
-    n_files:
-        Number of shared files; default ``ceil(pool / stripe cap)`` —
-        enough to cover every storage target (the paper's "5 parts").
+    build_index:
+        Assemble the global index over the files (on by default).
     """
 
     name = "splitfiles"
     tag = "split"
     flush_order = "concurrent"
 
-    def __init__(self, n_files: Optional[int] = None,
-                 build_index: bool = True):
-        if n_files is not None and n_files < 1:
-            raise ValueError("n_files must be >= 1")
-        self.n_files = n_files
+    def __init__(self, build_index: bool = True):
         self.build_index = build_index
 
     def _layout(self, machine, app, output_name):
         cap = machine.fs.max_stripe_count
-        n_files = self.n_files or max(1, math.ceil(machine.n_osts / cap))
+        n_files = math.ceil(machine.n_osts / cap)
         groups = GroupMap(machine.n_ranks, min(n_files, machine.n_ranks))
         chunk = app.per_process_bytes
         stripes = [min(cap, machine.n_osts, groups.group_size(g))
@@ -580,35 +576,21 @@ class StaggerTransport(StaticTransport):
     stuck behind a slow OST stays stuck, which is exactly the gap
     adaptive IO closes — making this the natural ablation baseline.
 
-    Parameters
-    ----------
-    n_osts_used:
-        Storage targets (= groups = sub-files); defaults to
-        ``min(pool size, n_ranks)``.
-    open_stagger:
-        Seconds between consecutive groups' file creates.
-    build_index:
-        Assemble the global index (on by default; stagger is an ADIOS
-        method and writes BP files).
+    It uses ``min(pool size, n_ranks)`` storage targets (= groups =
+    sub-files), creates consecutive groups' files ``open_stagger``
+    seconds apart, and assembles the global index (stagger is an ADIOS
+    method and writes BP files).
     """
 
     name = tag = "stagger"
     lane_prefix = "g"
     lanes_open = True
+    open_stagger = 2.0e-3
     flush_order = "concurrent"
 
-    def __init__(self, n_osts_used: Optional[int] = None,
-                 open_stagger: float = 2.0e-3, build_index: bool = True):
-        if not open_stagger >= 0:
-            raise ValueError("open_stagger must be >= 0")
-        self.n_osts_used = n_osts_used
-        self.open_stagger = open_stagger
-        self.build_index = build_index
-
     def _layout(self, machine, app, output_name):
-        n_groups = osts_used(self.n_osts_used,
-                             min(machine.n_osts, machine.n_ranks), machine)
-        groups = GroupMap(machine.n_ranks, min(n_groups, machine.n_ranks))
+        groups = GroupMap(machine.n_ranks,
+                          min(machine.n_osts, machine.n_ranks))
         return Layout(
             paths=[f"/{output_name}.bp.dir/{g:04d}.bp"
                    for g in range(groups.n_groups)],

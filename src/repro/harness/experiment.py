@@ -95,7 +95,7 @@ def n_samples_override(default: int) -> int:
 
 
 @contextmanager
-def trace_to(path: str, tracer=None):
+def trace_to(path: str):
     """Trace every machine built inside the block; export on exit.
 
     Adds a :class:`~repro.trace.Tracer` to the active instrumentation
@@ -109,7 +109,7 @@ def trace_to(path: str, tracer=None):
     from repro.session import instrumented
     from repro.trace import Tracer, chrome
 
-    t = tracer if tracer is not None else Tracer()
+    t = Tracer()
     try:
         with instrumented(tracer=t):
             yield t
@@ -118,7 +118,7 @@ def trace_to(path: str, tracer=None):
 
 
 @contextmanager
-def metrics_to(path: str, registry=None):
+def metrics_to(path: str):
     """Collect telemetry from every machine built inside the block.
 
     The registry twin of :func:`trace_to`: adds a
@@ -135,7 +135,7 @@ def metrics_to(path: str, registry=None):
     from repro.session import instrumented
     from repro.telemetry import MetricsRegistry
 
-    reg = registry if registry is not None else MetricsRegistry()
+    reg = MetricsRegistry()
     try:
         with instrumented(registry=reg):
             yield reg

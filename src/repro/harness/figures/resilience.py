@@ -57,20 +57,6 @@ K_FAILED = (0, 1, 2, 4)
 METHODS = ("adaptive", "mpiio", "splitfiles")
 
 
-def _make_transport(method: str):
-    from repro.core.transports import (
-        AdaptiveTransport,
-        MpiIoTransport,
-        SplitFilesTransport,
-    )
-
-    if method == "mpiio":
-        return MpiIoTransport(build_index=False)
-    if method == "splitfiles":
-        return SplitFilesTransport(build_index=False)
-    return AdaptiveTransport()
-
-
 def _app(mb: float):
     from repro.apps import AppKernel, Variable
     from repro.units import MB
@@ -83,6 +69,7 @@ def _app(mb: float):
 def _one_cell(seed: int, method: str, k: int, n_osts: int, cap: int,
               n_ranks: int, mb: float) -> Dict[str, float]:
     """One (method, k-failures) sample; returns JSON-safe scalars."""
+    from repro.core.middleware import Adios
     from repro.errors import TransportError
     from repro.faults import FaultEvent, FaultPlan
     from repro.interference import install_production_noise
@@ -90,7 +77,9 @@ def _one_cell(seed: int, method: str, k: int, n_osts: int, cap: int,
 
     spec = jaguar(n_osts=n_osts).with_overrides(max_stripe_count=cap)
     app = _app(mb)
-    transport = _make_transport(method)
+    # The goodput cells skip the static methods' global index.
+    options = {} if method == "adaptive" else {"build_index": False}
+    transport = Adios.make_transport(method, **options)
 
     # Fault-free run: the method's own write time sizes the mid-write
     # failure instant, so every method is hit at the same *fraction*
@@ -173,11 +162,7 @@ def _integrity_cell(seed: int, method: str, n_osts: int, cap: int,
     from repro.apps import AppKernel, Variable
     from repro.core.bp import BpReader
     from repro.core.integrity import detection_stats
-    from repro.core.transports import (
-        AdaptiveTransport,
-        MpiIoTransport,
-        SplitFilesTransport,
-    )
+    from repro.core.middleware import Adios
     from repro.errors import TransportError
     from repro.faults import FaultEvent, FaultPlan
     from repro.interference import install_production_noise
@@ -187,11 +172,7 @@ def _integrity_cell(seed: int, method: str, n_osts: int, cap: int,
     def transport():
         # Unlike the goodput cells these need the global index built,
         # so the scrub has entries to verify against.
-        if method == "mpiio":
-            return MpiIoTransport()
-        if method == "splitfiles":
-            return SplitFilesTransport()
-        return AdaptiveTransport()
+        return Adios.make_transport(method)
 
     def app(checksums: bool):
         return AppKernel(

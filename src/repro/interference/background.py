@@ -15,7 +15,7 @@ second batch job would: through OST caches, drain bandwidth, and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List
 
 from repro.units import GB
 
@@ -39,16 +39,12 @@ class BackgroundWriterJob:
         Concurrent writers per target (paper: 3).
     write_size:
         Bytes per write iteration (paper: 1 GB).
-    osts:
-        Explicit target list; defaults to the *first* ``n_osts`` of
-        the pool, which the instrumented job's default allocation also
-        uses — so the two jobs genuinely collide, as they did on the
-        shared Jaguar scratch system.
-    tenant:
-        QoS tenant index stamped on every interference flow (default
-        ``-1``: untagged, outside any contract).  Tagging the
-        interferer lets the control plane attribute — and throttle —
-        the aggressor instead of treating it as weather.
+
+    The targets are the *first* ``n_osts`` of the pool, which the
+    instrumented job's default allocation also uses — so the two jobs
+    genuinely collide, as they did on the shared Jaguar scratch
+    system.  Interference flows carry no QoS tenant: they stay outside
+    every contract.
     """
 
     def __init__(
@@ -57,8 +53,6 @@ class BackgroundWriterJob:
         n_osts: int = 8,
         writers_per_ost: int = 3,
         write_size: float = 1.0 * GB,
-        osts: Optional[Sequence[int]] = None,
-        tenant: int = -1,
     ):
         if n_osts < 1 or writers_per_ost < 1:
             raise ValueError("n_osts and writers_per_ost must be >= 1")
@@ -66,15 +60,9 @@ class BackgroundWriterJob:
             raise ValueError("write_size must be positive")
         self.machine = machine
         pool_n = machine.pool.n_sinks
-        if osts is None:
-            if n_osts > pool_n:
-                raise ValueError(
-                    f"n_osts {n_osts} exceeds pool size {pool_n}"
-                )
-            osts = list(range(n_osts))
-        self.osts: List[int] = list(osts)
-        if len(self.osts) != n_osts:
-            raise ValueError("len(osts) must equal n_osts")
+        if n_osts > pool_n:
+            raise ValueError(f"n_osts {n_osts} exceeds pool size {pool_n}")
+        self.osts: List[int] = list(range(n_osts))
         self.writers_per_ost = writers_per_ost
         self.write_size = write_size
         if machine.n_service_nodes < 1:
@@ -86,7 +74,6 @@ class BackgroundWriterJob:
             machine.service_node(i % machine.n_service_nodes)
             for i in range(n_osts * writers_per_ost)
         ]
-        self.tenant = int(tenant)
         self._stop = False
         self._procs = []
         self.bytes_written = 0.0
@@ -100,9 +87,7 @@ class BackgroundWriterJob:
         env = self.machine.env
         fabric = self.machine.fs.fabric
         while not self._stop:
-            yield fabric.start_flow(
-                node, ost, self.write_size, tenant=self.tenant
-            )
+            yield fabric.start_flow(node, ost, self.write_size)
             self.bytes_written += self.write_size
             self.iterations += 1
 

@@ -84,14 +84,15 @@ class ProductionNoise:
     synchronously, so a running flow never sees a stale rate.
     """
 
-    def __init__(self, machine: "Machine", preset: NoisePreset,
-                 stream: str = "noise"):
+    #: Prefix of the machine RNG streams the chains draw from.
+    stream = "noise"
+
+    def __init__(self, machine: "Machine", preset: NoisePreset):
         self.machine = machine
         self.preset = preset
         n = machine.pool.n_sinks
         self._per_ost = np.ones(n)
         self._global = 1.0
-        self._stream = stream
         self._started = False
         # Chains still to make their first entry; the field is pushed
         # when this reaches zero.
@@ -151,10 +152,10 @@ class ProductionNoise:
         rngs = self.machine.rngs
         n = self.machine.pool.n_sinks
         per = self.preset.per_ost.sample_stationary_multipliers(
-            n, rngs.get(f"{self._stream}.per_ost.init")
+            n, rngs.get(f"{self.stream}.per_ost.init")
         )
         g = self.preset.global_mod.sample_stationary_multipliers(
-            1, rngs.get(f"{self._stream}.global.init")
+            1, rngs.get(f"{self.stream}.global.init")
         )[0]
         soften = np.vectorize(self._soften)
         self._per_ost = soften(per)
@@ -171,7 +172,7 @@ class ProductionNoise:
         self._entering = m.pool.n_sinks + 1
         m.env.process(
             self.preset.global_mod.run_chain(
-                m, self._apply_global, rngs.get(f"{self._stream}.global")
+                m, self._apply_global, rngs.get(f"{self.stream}.global")
             ),
             name="noise.global",
         )
@@ -180,7 +181,7 @@ class ProductionNoise:
                 self.preset.per_ost.run_chain(
                     m,
                     self._make_ost_apply(ost),
-                    rngs.get(f"{self._stream}.ost.{ost}"),
+                    rngs.get(f"{self.stream}.ost.{ost}"),
                 ),
                 name=f"noise.ost.{ost}",
             )

@@ -26,16 +26,14 @@ class IorConfig:
     n_osts_used:
         Storage targets the writers are split across ("the IOR program
         is configured to use 512 OSTs"); ``None`` = the whole pool.
-    include_flush:
-        End the timed region with an explicit flush.  Section II
-        measurements omit it; set True to measure to-disk bandwidth.
+
+    A POSIX run times the write only, with no flush (Section II).
     """
 
     n_writers: int
     block_size: float = 128.0 * MB
     api: str = "posix"
     n_osts_used: Optional[int] = None
-    include_flush: bool = False
 
     def __post_init__(self):
         if self.n_writers < 1:

@@ -47,10 +47,7 @@ def run_ior(
         )
     app = ior_app(config.block_size)
     if config.api == "posix":
-        transport = PosixTransport(
-            n_osts_used=config.n_osts_used,
-            include_flush=config.include_flush,
-        )
+        transport = PosixTransport(n_osts_used=config.n_osts_used)
     else:
         transport = MpiIoTransport(
             stripe_count=config.n_osts_used, build_index=False

@@ -104,12 +104,13 @@ class FileSystem:
         can push to one OST regardless of idle capacity.
     mds:
         Metadata server; a default one is built if omitted.
-    max_flows_per_write:
-        Guard: one logical write may fan out to at most this many
-        per-OST flows.  Spraying every write over hundreds of OSTs is
-        both unrealistic (real clients stream RPCs per object) and a
-        simulation DoS, so we fail loudly instead.
     """
+
+    #: Guard: one logical write may fan out to at most this many
+    #: per-OST flows.  Spraying every write over hundreds of OSTs is
+    #: both unrealistic (real clients stream RPCs per object) and a
+    #: simulation DoS, so we fail loudly instead.
+    max_flows_per_write = 32
 
     def __init__(
         self,
@@ -120,7 +121,6 @@ class FileSystem:
         default_stripe_size: float = 1.0 * MB,
         per_stream_cap: float = float("inf"),
         mds: Optional[MetadataServer] = None,
-        max_flows_per_write: int = 32,
     ):
         if max_stripe_count < 1:
             raise ValueError("max_stripe_count must be >= 1")
@@ -135,7 +135,6 @@ class FileSystem:
         self.mds = mds if mds is not None else MetadataServer(env)
         self.max_stripe_count = int(max_stripe_count)
         self.default_stripe_size = float(default_stripe_size)
-        self.max_flows_per_write = int(max_flows_per_write)
         self._namespace: Dict[str, SimFile] = {}
         self._alloc_cursor = 0
         self._store_seq = 0
@@ -348,7 +347,7 @@ class FileSystem:
             raise FileSystemError(
                 f"write spans {len(spans)} OSTs > max_flows_per_write="
                 f"{self.max_flows_per_write}; use a stripe-aligned layout "
-                f"(stripe_size >= chunk size) or raise the limit"
+                f"(stripe_size >= chunk size)"
             )
         if self.pool.faults_active:
             for ost, _b in spans:

@@ -35,30 +35,28 @@ class MetadataServer:
         Ops serviced in parallel (MDS service threads).
     mean_service_time:
         Mean seconds per metadata op.
-    sigma:
-        Lognormal shape of service-time jitter (0 disables jitter).
     rng:
-        Random stream for the jitter.
+        Random stream for the jitter; None gives every op the mean
+        service time.
     """
+
+    #: Lognormal shape of the service-time jitter.
+    sigma = 0.3
 
     def __init__(
         self,
         env: "Environment",
         concurrency: int = 8,
         mean_service_time: float = 1.0e-3,
-        sigma: float = 0.3,
         rng: Optional[np.random.Generator] = None,
     ):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         if mean_service_time <= 0:
             raise ValueError("mean_service_time must be positive")
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
         self.env = env
         self._server = Resource(env, capacity=concurrency)
         self.mean_service_time = mean_service_time
-        self.sigma = sigma
         self._rng = rng
         self.ops_completed = 0
         self.total_wait_time = 0.0
@@ -66,7 +64,7 @@ class MetadataServer:
         self.max_queue_length = 0
 
     def _draw_service_time(self) -> float:
-        if self._rng is None or self.sigma == 0:
+        if self._rng is None:
             return self.mean_service_time
         # Lognormal with the requested mean: mu = ln(m) - sigma^2/2.
         mu = np.log(self.mean_service_time) - 0.5 * self.sigma**2

@@ -7,8 +7,7 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultInjector, FaultPlan
-    from repro.telemetry import MetricsRegistry, OnlineMonitor
-    from repro.trace.tracer import Tracer
+    from repro.telemetry import OnlineMonitor
 
 from repro.errors import ConfigurationError
 from repro.lustre.filesystem import FileSystem
@@ -61,12 +60,8 @@ class MachineSpec:
         self,
         n_ranks: int,
         seed: int = 0,
-        env: Optional[Environment] = None,
-        placement: str = "packed",
         extra_service_nodes: int = 0,
-        tracer: Optional["Tracer"] = None,
         faults: Optional["FaultPlan"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> "Machine":
         """Instantiate the machine for a job of ``n_ranks`` processes.
 
@@ -75,20 +70,16 @@ class MachineSpec:
         (other batch jobs, attached analysis clusters) that share the
         file system but not the job's compute nodes.
 
-        ``tracer`` attaches an observability tracer to ``env``; when
-        omitted the active instrumentation session's tracer
-        (``repro.session.instrumented``) is used if it has one, so
-        harnesses can trace whole sweeps without threading the tracer
-        through every call site.  Either way it goes on the
-        environment (``machine.env.tracer``), which every layer reads.
+        Instruments come from the active instrumentation session
+        (``repro.session.instrumented``) and nowhere else: its tracer
+        and registry go on the environment (``machine.env.tracer``,
+        ``machine.env.metrics``), which every layer reads, and a
+        registry also gets a non-perturbing settle-hook monitor
+        feeding it.
 
         ``faults`` installs a fault plan; when omitted a plan file named
         by ``REPRO_FAULTS`` is used.  With no plan from either source,
         ``machine.faults`` is None and all fault machinery is off.
-
-        ``metrics`` attaches a telemetry registry to ``env`` (and a
-        non-perturbing settle-hook monitor feeding it); like ``tracer``
-        it falls back to the active session's registry when omitted.
 
         Multi-tenant bandwidth contracts are not part of a build: they
         go to ``repro.qos.run_tenants(qos=...)`` explicitly.
@@ -102,8 +93,7 @@ class MachineSpec:
             )
         if extra_service_nodes < 0:
             raise ConfigurationError("extra_service_nodes must be >= 0")
-        if env is None:
-            env = Environment()
+        env = Environment()
         from repro.session import active_session
 
         # The environment is the instruments' one holder, set before
@@ -111,18 +101,15 @@ class MachineSpec:
         # their instrument handles from it at construction.
         session = active_session()
         if session is not None:
-            tracer = tracer if tracer is not None else session.tracer
-            metrics = metrics if metrics is not None else session.registry
-        if tracer is not None:
-            env.set_tracer(tracer)
-        if metrics is not None:
-            env.set_metrics(metrics)
+            if session.tracer is not None:
+                env.set_tracer(session.tracer)
+            if session.registry is not None:
+                env.set_metrics(session.registry)
         rngs = RngRegistry(seed)
         topology = Topology(
             n_ranks=n_ranks,
             cores_per_node=self.cores_per_node,
             nic_bandwidth=self.nic_bandwidth,
-            placement=placement,
         )
         pool = OstPool(self.ost_config)
         mds = MetadataServer(

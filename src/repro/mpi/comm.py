@@ -11,9 +11,8 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "Message", "SimComm"]
+__all__ = ["ANY_TAG", "Message", "SimComm"]
 
-ANY_SOURCE = -1
 ANY_TAG = -1
 
 _CONTROL_MSG_BYTES = 64.0  # default on-wire size of a control message
@@ -36,37 +35,31 @@ class Message:
 
 
 class _Inbox:
-    """Per-rank mailbox with MPI-style (source, tag) matching."""
+    """Per-rank mailbox with MPI-style tag matching."""
 
     __slots__ = ("pending", "waiters")
 
     def __init__(self):
         self.pending: Deque[Message] = deque()
-        # waiters: (source_filter, tag_filter, event)
-        self.waiters: List[Tuple[int, int, Event]] = []
-
-    @staticmethod
-    def _matches(msg: Message, source: int, tag: int) -> bool:
-        return (source == ANY_SOURCE or msg.source == source) and (
-            tag == ANY_TAG or msg.tag == tag
-        )
+        # waiters: (tag_filter, event)
+        self.waiters: List[Tuple[int, Event]] = []
 
     def deliver(self, msg: Message) -> None:
-        for i, (src, tag, ev) in enumerate(self.waiters):
-            if self._matches(msg, src, tag):
+        for i, (tag, ev) in enumerate(self.waiters):
+            if tag == ANY_TAG or msg.tag == tag:
                 del self.waiters[i]
                 ev.succeed(msg)
                 return
         self.pending.append(msg)
 
-    def post_recv(self, env, source: int, tag: int) -> Event:
+    def post_recv(self, env, tag: int) -> Event:
         ev = Event(env)
         for i, msg in enumerate(self.pending):
-            if self._matches(msg, source, tag):
+            if tag == ANY_TAG or msg.tag == tag:
                 del self.pending[i]
                 ev.succeed(msg)
                 return ev
-        self.waiters.append((source, tag, ev))
+        self.waiters.append((tag, ev))
         return ev
 
 
@@ -169,14 +162,11 @@ class SimComm:
 
         env.schedule_callback(delay, deliver)
 
-    def recv(
-        self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> Event:
-        """Event yielding the next matching :class:`Message` for *rank*."""
+    def recv(self, rank: int, tag: int = ANY_TAG) -> Event:
+        """Event yielding *rank*'s next :class:`Message` with *tag*
+        (any tag for ``ANY_TAG``), whichever rank sent it."""
         self._check_rank(rank)
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        return self._inbox(rank).post_recv(self.env, source, tag)
+        return self._inbox(rank).post_recv(self.env, tag)
 
     def inbox_size(self, rank: int) -> int:
         self._check_rank(rank)

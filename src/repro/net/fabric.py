@@ -350,8 +350,8 @@ class FlowNetwork:
     sink_pool:
         Provider of sink-side capacities and state (the OST pool).
     default_flow_cap:
-        Per-flow rate ceiling applied when :meth:`start_flow` does not
-        override it; models the single-stream client limit.
+        Per-flow rate ceiling of every flow; models the single-stream
+        client limit.
 
     Notes
     -----
@@ -571,20 +571,16 @@ class FlowNetwork:
         source: int,
         sink: int,
         nbytes: float,
-        flow_cap: Optional[float] = None,
         tenant: int = -1,
     ) -> Event:
         """Begin a transfer; the returned event fires with a FlowStats."""
-        return self.start_flow_with_id(
-            source, sink, nbytes, flow_cap, tenant=tenant
-        )[0]
+        return self.start_flow_with_id(source, sink, nbytes, tenant)[0]
 
     def start_flow_with_id(
         self,
         source: int,
         sink: int,
         nbytes: float,
-        flow_cap: Optional[float] = None,
         tenant: int = -1,
     ) -> Tuple[Event, int]:
         """Like :meth:`start_flow` but also returns the flow id.
@@ -600,9 +596,6 @@ class FlowNetwork:
             raise IndexError(f"sink {sink} out of range")
         if not nbytes >= 0:
             raise ValueError("nbytes must be non-negative")
-        fcap = self.default_flow_cap if flow_cap is None else float(flow_cap)
-        if not fcap > 0:
-            raise ValueError("flow_cap must be positive")
         ev = Event(self.env)
         fid = self._next_id
         self._next_id += 1
@@ -616,7 +609,7 @@ class FlowNetwork:
         self._dst[slot] = sink
         self._remaining[slot] = float(nbytes)
         self._rate[slot] = 0.0
-        self._fcap[slot] = fcap
+        self._fcap[slot] = self.default_flow_cap
         self._tenant[slot] = int(tenant)
         self._active[slot] = True
         self._fid[slot] = fid

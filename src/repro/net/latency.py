@@ -5,7 +5,7 @@ Algorithms 1-3, index shipping, collective trees) are latency-bound,
 not bandwidth-bound, so they bypass the fluid network and use the
 classic alpha-beta (LogP-lite) model:
 
-    t(size) = alpha + size * beta        (+ per-hop term if configured)
+    t(size) = alpha + size * beta
 
 Defaults approximate a SeaStar-class torus: ~6 us one-way latency and
 ~2 GB/s per-message streaming rate.
@@ -28,23 +28,20 @@ class MessageLatencyModel:
         Fixed per-message latency, seconds.
     beta:
         Seconds per byte (inverse bandwidth).
-    hop_latency:
-        Extra seconds per network hop when a hop count is supplied.
     """
 
     alpha: float = 6.0e-6
     beta: float = 1.0 / 2.0e9
-    hop_latency: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.hop_latency < 0:
+        if self.alpha < 0 or self.beta < 0:
             raise ValueError("latency parameters must be non-negative")
 
-    def point_to_point(self, nbytes: float, hops: int = 0) -> float:
+    def point_to_point(self, nbytes: float) -> float:
         """One-way latency of an *nbytes* message."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        return self.alpha + nbytes * self.beta + hops * self.hop_latency
+        return self.alpha + nbytes * self.beta
 
     def tree_collective(self, nbytes: float, n_participants: int) -> float:
         """Cost of a binomial-tree collective over *n_participants*."""

@@ -30,16 +30,13 @@ class Topology:
     nic_bandwidth:
         Injection bandwidth of one node's NIC, bytes/s, shared by all
         ranks on the node.
-    placement:
-        ``"packed"`` (default, sequential) or ``"round_robin"``
-        (rank *i* on node ``i % n_nodes``) — round-robin exists to let
-        ablations quantify the cost of ignoring locality.
+
+    Ranks are packed: rank *i* runs on node ``i // cores_per_node``.
     """
 
     n_ranks: int
     cores_per_node: int = 12
     nic_bandwidth: float = 2.0e9
-    placement: str = "packed"
     _node_of_rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -51,15 +48,8 @@ class Topology:
             )
         if self.nic_bandwidth <= 0:
             raise ValueError("nic_bandwidth must be positive")
-        n_nodes = self.n_nodes
-        ranks = np.arange(self.n_ranks)
-        if self.placement == "packed":
-            nodes = ranks // self.cores_per_node
-        elif self.placement == "round_robin":
-            nodes = ranks % n_nodes
-        else:
-            raise ValueError(f"unknown placement {self.placement!r}")
-        object.__setattr__(self, "_node_of_rank", nodes.astype(np.int64))
+        nodes = np.arange(self.n_ranks, dtype=np.int64) // self.cores_per_node
+        object.__setattr__(self, "_node_of_rank", nodes)
 
     @property
     def n_nodes(self) -> int:

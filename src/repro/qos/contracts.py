@@ -12,7 +12,7 @@ when the congestion controller detects overload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
@@ -52,9 +52,10 @@ class TenantContract:
 
 @dataclass(frozen=True)
 class QosConfig:
-    """Contract set plus control-loop tuning for one QoS plane.
+    """Contract set for one QoS plane, plus its fixed control-loop
+    tuning.
 
-    The defaults are deliberately conservative: a 50 ms control tick
+    The tuning is deliberately conservative: a 50 ms control tick
     (fast against the multi-second cache-fill timescale that drives
     congestion), a half-second burst window, and textbook AIMD
     (halve the headroom above the floor on congestion, recover ~10% of
@@ -62,13 +63,20 @@ class QosConfig:
     """
 
     contracts: Tuple[TenantContract, ...]
-    tick: float = 0.05
-    burst_window: float = 0.5
-    congestion_threshold: float = 0.9
-    congestion_fraction: float = 0.25
-    decrease: float = 0.5
-    increase_per_s: float = 0.1
-    admission_margin: float = 0.8
+    #: Seconds between control ticks.
+    tick: ClassVar[float] = 0.05
+    #: Token-bucket capacity, in seconds of ceiling rate.
+    burst_window: ClassVar[float] = 0.5
+    #: A target is hot at this congestion score (cache-fill fraction).
+    congestion_threshold: ClassVar[float] = 0.9
+    #: The pool is congested when this fraction of targets is hot.
+    congestion_fraction: ClassVar[float] = 0.25
+    #: Multiplicative decrease of an aggressor's headroom per tick.
+    decrease: ClassVar[float] = 0.5
+    #: Additive recovery, in floor-to-ceiling bands per second.
+    increase_per_s: ClassVar[float] = 0.1
+    #: Share of the pool's drain peak that floors may reserve.
+    admission_margin: ClassVar[float] = 0.8
 
     def __post_init__(self):
         if not self.contracts:
@@ -76,14 +84,6 @@ class QosConfig:
         names = [c.name for c in self.contracts]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate tenant names in {names}")
-        if self.tick <= 0 or self.burst_window <= 0:
-            raise ConfigurationError("tick and burst_window must be positive")
-        if not 0.0 < self.decrease < 1.0:
-            raise ConfigurationError("decrease must be in (0, 1)")
-        if self.increase_per_s <= 0:
-            raise ConfigurationError("increase_per_s must be positive")
-        if not 0.0 < self.admission_margin <= 1.0:
-            raise ConfigurationError("admission_margin must be in (0, 1]")
 
     @property
     def n_tenants(self) -> int:

@@ -166,8 +166,8 @@ class Scheduler:
     checkpoints and resumes; ``job_timeout`` is the per-job wall-clock
     budget in seconds (``None`` = unbounded); ``policy`` supplies the
     retry count and backoff curve (defaults to the fault subsystem's
-    :class:`~repro.faults.RetryPolicy`); ``max_respawns`` bounds
-    replacement workers per batch (default ``2 * n_workers``).
+    :class:`~repro.faults.RetryPolicy`); ``max_respawns``, two per
+    worker, bounds replacement workers per batch.
     """
 
     def __init__(
@@ -176,7 +176,6 @@ class Scheduler:
         policy=None,
         job_timeout: Optional[float] = None,
         journal: Optional[Journal] = None,
-        max_respawns: Optional[int] = None,
     ):
         if policy is None:
             from repro.faults import RetryPolicy
@@ -186,9 +185,7 @@ class Scheduler:
         self.policy = policy
         self.job_timeout = job_timeout
         self.journal = journal
-        self.max_respawns = (
-            2 * self.n_workers if max_respawns is None else max_respawns
-        )
+        self.max_respawns = 2 * self.n_workers
         self.stats = SchedulerStats()
         self._m: Dict[str, Any] = {}
         # Adoption events per job id, folded into the job's eventual

@@ -75,15 +75,10 @@ class _Callback:
 class Environment:
     """Owns simulated time and the pending-event calendar.
 
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the clock (seconds by convention throughout
-        :mod:`repro`).
-    strict:
-        When True (default) an unhandled exception in any process aborts
-        the whole simulation with :class:`SimulationError` — silent
-        process death hides protocol bugs.
+    The clock starts at 0 (seconds by convention throughout
+    :mod:`repro`).  An unhandled exception in any process aborts the
+    whole simulation with :class:`SimulationError`: silent process
+    death hides protocol bugs.
 
     The environment is the one holder of the simulation's instruments:
     ``tracer`` and ``metrics`` are None (off) until :meth:`set_tracer`
@@ -91,12 +86,11 @@ class Environment:
     reads them from here, paying one attribute check when off.
     """
 
-    def __init__(self, initial_time: float = 0.0, strict: bool = True):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list = []  # heap of (time, priority, seq, entry)
         self._seq = 0
         self._live: set = set()  # processes spawned but not yet finished
-        self.strict = strict
         self._crashed: Optional[SimulationError] = None
         self.tracer: Optional["Tracer"] = None
         self.metrics = None  # Optional[MetricsRegistry]

@@ -162,8 +162,7 @@ class Process(Event):
         except BaseException as exc:
             self.fail(exc)
             env._live.discard(self)
-            if env.strict:
-                env._crash(self, exc)
+            env._crash(self, exc)
             return
 
         if not isinstance(target, Event):
@@ -174,16 +173,14 @@ class Process(Event):
             self.generator.close()
             self.fail(err)
             env._live.discard(self)
-            if env.strict:
-                env._crash(self, err)
+            env._crash(self, err)
             return
         if target.env is not env:
             err = ValueError(f"{self.name}: yielded event from foreign environment")
             self.generator.close()
             self.fail(err)
             env._live.discard(self)
-            if env.strict:
-                env._crash(self, err)
+            env._crash(self, err)
             return
 
         self._waiting_on = target

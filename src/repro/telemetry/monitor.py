@@ -4,7 +4,8 @@
 per-OST timelines and the straggler detector's rate feed.  It
 piggy-backs on the flow network: after each settle the fabric state
 is *already* advanced to now, so the monitor reads it and records a
-sample whenever an interval boundary has passed.  No calendar events,
+sample — at every settle, the instants the per-OST flow state can
+change, until decimation sets a minimum interval.  No calendar events,
 no extra settles, **no perturbation**: a simulation with a monitor
 attached is bit-identical to one without (splitting a
 cache-integration step at a sampling instant would change float
@@ -69,21 +70,23 @@ class OnlineMonitor:
     """Samples a machine into ``registry`` from the fabric's settle hook.
 
     Construction hooks the fabric; sampling starts at the next settle
-    and records at most once per :attr:`interval` simulated seconds.
-    Each sample also feeds :attr:`detector`, a
+    and records every settle at least :attr:`interval` simulated
+    seconds after the previous sample (every settle while the interval
+    is 0).  Each sample also feeds :attr:`detector`, a
     :class:`StragglerDetector` sized to the pool, its per-stream
     service rates.
 
-    Memory stays bounded by doubling decimation: once
-    :attr:`max_samples` samples are recorded, the interval doubles and
-    every other stored sample of the current run is dropped.  A run of
-    any simulated length keeps at most ``max_samples`` points per
-    series while the short runs the test suite and dashboard care
-    about keep full resolution.  It depends only on the simulated
-    sampling sequence, so it is deterministic.
+    Memory stays bounded by decimation: once :attr:`max_samples`
+    samples are recorded, every other stored sample of the current run
+    is dropped and the interval grows — the first time to the mean gap
+    between the samples kept, then doubling.  A run of any simulated
+    length keeps at most ``max_samples`` points per series while the
+    short runs the test suite and dashboard care about keep every
+    settle.  It depends only on the simulated sampling sequence, so it
+    is deterministic.
     """
 
-    interval = 0.05  # minimum simulated seconds between samples
+    interval = 0.0  # minimum simulated seconds between samples
     max_samples = 512
 
     def __init__(self, machine: "Machine", registry: MetricsRegistry):
@@ -116,27 +119,31 @@ class OnlineMonitor:
             self._decimate()
 
     def _decimate(self) -> None:
-        """Double the interval, halve the stored resolution.
+        """Halve the stored resolution and grow the interval.
 
-        Keeps memory bounded for arbitrarily long runs: each call
+        Keeps memory bounded for arbitrarily long runs: after the
+        first call sets the interval from the samples kept, each call
         covers twice the simulated span with the same sample budget.
         Detector state is untouched (its EWMAs already folded every
         sample in); only stored timelines thin out.
         """
-        self.interval *= 2.0
         bound = self._bound
-        if bound is not None:
-            run = self.registry.run
-            targets = []
-            for key in ("inflow", "streams", "cache", "drain", "state"):
-                targets.extend(bound[key])
-            targets += [bound["total_inflow"], bound["events"],
-                        bound["depth"], bound["straggler_count"]]
-            for s in targets:
-                kept = [x for x in s.samples if x[0] != run]
-                kept += [x for x in s.samples if x[0] == run][::2]
-                s.samples = kept
+        run = self.registry.run
+        targets = []
+        for key in ("inflow", "streams", "cache", "drain", "state"):
+            targets.extend(bound[key])
+        targets += [bound["total_inflow"], bound["events"],
+                    bound["depth"], bound["straggler_count"]]
+        for s in targets:
+            kept = [x for x in s.samples if x[0] != run]
+            kept += [x for x in s.samples if x[0] == run][::2]
+            s.samples = kept
         self._n_recorded = (self._n_recorded + 1) // 2
+        if self.interval > 0:
+            self.interval *= 2.0
+        else:
+            times = [t for r, t, _ in bound["events"].samples if r == run]
+            self.interval = (times[-1] - times[0]) / max(len(times) - 1, 1)
 
     def _record_registry(self, snap: PoolSample, now: float) -> None:
         reg = self.registry

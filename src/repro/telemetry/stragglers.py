@@ -15,7 +15,10 @@ into an explicit online flag stream:
 * an OST is flagged when its z-score sits below ``-z_threshold`` AND
   its rate is below ``deficit`` of the pool median — the second
   condition keeps a tightly-packed pool (tiny MAD) from flagging
-  noise-level variation.
+  noise-level variation;
+* only OSTs serving at least one stream are judged, against each
+  other: an idle target's EWMA is a stale reading from its last busy
+  spell, so it neither enters the baseline nor changes its flag.
 
 Flags are computed online: transports (and the auto-tuning hook that
 ROADMAP item 3 plans) may call :meth:`StragglerDetector.is_straggler`
@@ -38,45 +41,25 @@ _MAD_SIGMA = 0.6745
 class StragglerDetector:
     """EWMA + robust z-score flagging of slow storage targets.
 
-    Parameters
-    ----------
-    n_osts:
-        Pool size (index space of every update/query).
-    alpha:
-        EWMA smoothing factor in (0, 1]; higher reacts faster.
-    z_threshold:
-        Flag when the robust z-score drops below ``-z_threshold``.
-    deficit:
-        Additional guard: the OST's EWMA must also be below
-        ``deficit * median`` — z-scores explode when the pool is
-        nearly uniform (MAD -> 0) and this keeps those non-events
-        unflagged.
-    min_samples:
-        EWMA updates an OST must have seen before it can be flagged
-        (or counted in the baseline).
+    ``n_osts`` is the pool size (index space of every update/query).
     """
 
-    def __init__(
-        self,
-        n_osts: int,
-        alpha: float = 0.3,
-        z_threshold: float = 3.5,
-        deficit: float = 0.7,
-        min_samples: int = 3,
-    ):
+    #: EWMA smoothing factor in (0, 1]; higher reacts faster.
+    alpha = 0.3
+    #: Flag when the robust z-score drops below ``-z_threshold``.
+    z_threshold = 3.5
+    #: Additional guard: the OST's EWMA must also be below
+    #: ``deficit * median`` — z-scores explode when the pool is nearly
+    #: uniform (MAD -> 0) and this keeps those non-events unflagged.
+    deficit = 0.7
+    #: EWMA updates an OST must have seen before it can be flagged (or
+    #: counted in the baseline).
+    min_samples = 3
+
+    def __init__(self, n_osts: int):
         if n_osts < 1:
             raise ValueError("n_osts must be >= 1")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if z_threshold <= 0:
-            raise ValueError("z_threshold must be positive")
-        if not 0.0 < deficit <= 1.0:
-            raise ValueError("deficit must be in (0, 1]")
         self.n_osts = n_osts
-        self.alpha = float(alpha)
-        self.z_threshold = float(z_threshold)
-        self.deficit = float(deficit)
-        self.min_samples = int(min_samples)
         self.ewma = np.zeros(n_osts)
         self.n_updates = np.zeros(n_osts, dtype=np.int64)
         self._z = np.zeros(n_osts)
@@ -108,13 +91,12 @@ class StragglerDetector:
             first, rates[idx], (1 - a) * self.ewma[idx] + a * rates[idx]
         )
         self.n_updates[idx] += 1
-        self._rescore(t)
+        self._rescore(t, active)
 
-    def _rescore(self, t: float) -> None:
-        seen = self.n_updates >= self.min_samples
-        judged = np.nonzero(seen)[0]
+    def _rescore(self, t: float, active: np.ndarray) -> None:
+        judged = np.nonzero(active & (self.n_updates >= self.min_samples))[0]
         self._z[:] = 0.0
-        new_flags = np.zeros(self.n_osts, dtype=bool)
+        new_flags = self._flagged & ~active
         if judged.size >= 3:
             vals = self.ewma[judged]
             med = float(np.median(vals))

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.apps import AppKernel, Variable
 from repro.core.bp import BpReader
+from repro.core.middleware import Adios
 from repro.core.integrity import (
     BLOCK_UNINDEXED,
     ScrubReport,
@@ -97,21 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_transport(name: str):
-    from repro.core.transports import (
-        AdaptiveTransport,
-        MpiIoTransport,
-        PosixTransport,
-        SplitFilesTransport,
-        StaggerTransport,
-    )
-
-    return {
-        "adaptive": lambda: AdaptiveTransport(),
-        "mpiio": lambda: MpiIoTransport(),
-        "posix": lambda: PosixTransport(build_index=True),
-        "splitfiles": lambda: SplitFilesTransport(),
-        "stagger": lambda: StaggerTransport(),
-    }[name]()
+    # Every method builds the global index the scrub verifies against;
+    # POSIX is the one that needs asking.
+    options = {"build_index": True} if name == "posix" else {}
+    return Adios.make_transport(name, **options)
 
 
 def _compose_plan(args, base) -> Optional[FaultPlan]:

@@ -64,9 +64,10 @@ def run_demo_cell(
     z-score baselines on the pool median, and a majority of interfered
     targets would drag the median down to their level.
     """
-    from repro.core.transports import AdaptiveTransport, MpiIoTransport
+    from repro.core.middleware import Adios
     from repro.interference import BackgroundWriterJob
     from repro.machines import jaguar
+    from repro.session import instrumented
     from repro.telemetry import MetricsRegistry, profiling
     from repro.units import GB
 
@@ -79,12 +80,12 @@ def run_demo_cell(
     spec = jaguar(n_osts=pool_osts).with_overrides(
         max_stripe_count=max(4, pool_osts // 4)
     )
-    machine = spec.build(
-        n_ranks=n_procs,
-        seed=seed,
-        extra_service_nodes=2 if interfere_osts else 0,
-        metrics=reg,
-    )
+    with instrumented(registry=reg):
+        machine = spec.build(
+            n_ranks=n_procs,
+            seed=seed,
+            extra_service_nodes=2 if interfere_osts else 0,
+        )
     ground_truth = list(range(interfere_osts))
     if interfere_osts:
         BackgroundWriterJob(
@@ -94,11 +95,10 @@ def run_demo_cell(
             write_size=1.0 * GB,
         ).start()
     if transport_name == "adaptive":
-        transport = AdaptiveTransport(
-            n_osts_used=min(max(pool_osts * 3 // 4, 1), n_procs)
-        )
+        options = {"n_osts_used": min(max(pool_osts * 3 // 4, 1), n_procs)}
     else:
-        transport = MpiIoTransport(build_index=False)
+        options = {"build_index": False}
+    transport = Adios.make_transport(transport_name, **options)
     prof_dict: Optional[dict] = None
     if profile:
         with profiling(machine) as prof:

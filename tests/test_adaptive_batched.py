@@ -43,6 +43,7 @@ from repro.apps import AppKernel, Variable
 from repro.core.transports import AdaptiveTransport
 from repro.faults import FaultEvent, FaultPlan
 from repro.machines import jaguar
+from repro.session import instrumented
 from repro.telemetry import MetricsRegistry
 from repro.trace import Tracer
 from repro.units import MB
@@ -69,9 +70,10 @@ def app(mb=2.0, n_vars=2):
 
 def run_one(n_ranks=48, n_osts=6, slow_osts=(), seed=0,
             tracer=None, metrics=None, faults=None, **opts):
-    m = jaguar(n_osts=n_osts).build(
-        n_ranks=n_ranks, seed=seed, faults=faults, metrics=metrics
-    )
+    with instrumented(registry=metrics):
+        m = jaguar(n_osts=n_osts).build(
+            n_ranks=n_ranks, seed=seed, faults=faults
+        )
     if tracer is not None:
         m.env.set_tracer(tracer)
     if slow_osts:

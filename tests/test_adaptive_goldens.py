@@ -38,6 +38,7 @@ from repro.core.transports import AdaptiveTransport
 from repro.core.transports.history import HistoryAwareAdaptiveTransport
 from repro.faults import FaultEvent, FaultPlan, two_ost_failure_plan
 from repro.interference import install_production_noise
+from repro.session import instrumented
 from repro.trace import Tracer
 from repro.trace.chrome import to_chrome
 from tests.test_static_goldens import (
@@ -72,9 +73,8 @@ FAULTED = (
 
 
 def _machine(*, faults=None, tracer=None, noise=False, slow=False):
-    machine = _spec().build(
-        n_ranks=N_RANKS, seed=SEED, faults=faults, tracer=tracer
-    )
+    with instrumented(tracer=tracer):
+        machine = _spec().build(n_ranks=N_RANKS, seed=SEED, faults=faults)
     if noise:
         install_production_noise(machine, live=True)
     if slow:

@@ -92,8 +92,10 @@ def _churn(seed: int, n_ops: int, cap_src_val: float) -> FlowNetwork:
         op = rng.random()
         if op < 0.45 or not live:
             # Arrival; mixed finite/infinite flow caps, duplicate cap
-            # values on purpose (exercise multi-wave waterfills).
-            fcap = (
+            # values on purpose (exercise multi-wave waterfills).  A
+            # flow takes the network's cap when it starts, so setting
+            # the cap before each arrival mixes them.
+            net.default_flow_cap = (
                 np.inf
                 if rng.random() < 0.3
                 else float(rng.choice([5e6, 2e7, 9e7, 4e8]))
@@ -102,7 +104,6 @@ def _churn(seed: int, n_ops: int, cap_src_val: float) -> FlowNetwork:
                 int(rng.integers(n_src)),
                 int(rng.integers(n_sinks)),
                 float(rng.uniform(1e6, 1e12)),
-                flow_cap=fcap,
             )
             _swallow(ev)
             live.append(fid)

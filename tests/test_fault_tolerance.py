@@ -41,6 +41,12 @@ def app():
     )
 
 
+def _stagger_unindexed():
+    t = StaggerTransport()
+    t.build_index = False
+    return t
+
+
 TOTAL_BYTES = MB_PER_PROC * MB * N_RANKS
 PER_PROC_BYTES = MB_PER_PROC * MB
 
@@ -53,7 +59,7 @@ def baseline_write_time(transport_name: str) -> float:
         "mpiio": lambda: MpiIoTransport(build_index=False),
         "posix": lambda: PosixTransport(build_index=False),
         "splitfiles": lambda: SplitFilesTransport(build_index=False),
-        "stagger": lambda: StaggerTransport(build_index=False),
+        "stagger": _stagger_unindexed,
     }[transport_name]()
     m = spec().build(n_ranks=N_RANKS, seed=0)
     return transport.run(m, app(), output_name="ft").write_time
@@ -169,7 +175,7 @@ STATIC_TRANSPORTS = {
     "mpiio": lambda: MpiIoTransport(build_index=False),
     "posix": lambda: PosixTransport(build_index=False),
     "splitfiles": lambda: SplitFilesTransport(build_index=False),
-    "stagger": lambda: StaggerTransport(build_index=False),
+    "stagger": _stagger_unindexed,
 }
 
 
@@ -257,7 +263,7 @@ class TestStaggerLanes:
 
     def healthy(self):
         m = spec().build(n_ranks=N_RANKS, seed=0)
-        res = StaggerTransport(build_index=False).run(
+        res = _stagger_unindexed().run(
             m, app(), output_name="ft"
         )
         return {w.rank: w for w in res.per_writer}
@@ -265,7 +271,7 @@ class TestStaggerLanes:
     def run(self, plan):
         m = spec().build(n_ranks=N_RANKS, seed=0, faults=plan)
         with pytest.raises(TransportError) as excinfo:
-            StaggerTransport(build_index=False).run(
+            _stagger_unindexed().run(
                 m, app(), output_name="ft"
             )
         exc = excinfo.value

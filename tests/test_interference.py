@@ -209,8 +209,6 @@ class TestBackgroundWriterJob:
             BackgroundWriterJob(m, write_size=0)
         with pytest.raises(ValueError):
             BackgroundWriterJob(m, n_osts=99)
-        with pytest.raises(ValueError):
-            BackgroundWriterJob(m, n_osts=2, osts=[1])
 
 
 class TestNoisePushes:

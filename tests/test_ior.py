@@ -53,17 +53,6 @@ class TestRunIor:
         with pytest.raises(ValueError):
             run_ior(m, IorConfig(n_writers=8))
 
-    def test_flush_option(self):
-        # Enough data per OST to overflow the stable cache region, so
-        # the flush genuinely has to wait for the disks.
-        m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        res = run_ior(
-            m,
-            IorConfig(n_writers=4, block_size=256 * MB, n_osts_used=1,
-                      include_flush=True),
-        )
-        assert res.flush_time > 0
-
     def test_panfs_flatness(self):
         """XTP shows <5% per-writer aggregate loss doubling writers —
         the paper's PanFS observation."""

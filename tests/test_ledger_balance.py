@@ -25,13 +25,19 @@ from repro.units import MB
 N_RANKS = 64
 N_OSTS = 16
 
+def _posix_indexed():
+    """POSIX over 12 targets with a global index, flushed file after
+    file (the flushed Section IV variant)."""
+    t = PosixTransport(n_osts_used=12, build_index=True)
+    t.flush_order = "inline"
+    return t
+
+
 PRESETS = {
     "adaptive_batched": AdaptiveTransport,
     "mpiio": MpiIoTransport,
     "posix": PosixTransport,
-    "posix_indexed": lambda: PosixTransport(
-        n_osts_used=12, include_flush=True, build_index=True
-    ),
+    "posix_indexed": _posix_indexed,
     "splitfiles": SplitFilesTransport,
     "stagger": StaggerTransport,
 }

@@ -44,7 +44,7 @@ def make_fs(
         pool,
         np.full(n_nodes, nic),
         max_stripe_count=max_stripe,
-        mds=MetadataServer(env, mean_service_time=1e-4, sigma=0.0),
+        mds=MetadataServer(env, mean_service_time=1e-4),
         **kw,
     )
     return env, fs
@@ -181,7 +181,8 @@ class TestWritePath:
         assert rec.duration == pytest.approx(2.5, rel=1e-6)
 
     def test_write_fanout_guard(self):
-        env, fs = make_fs(n_osts=4, max_flows_per_write=2)
+        env, fs = make_fs(n_osts=4)
+        fs.max_flows_per_write = 2
 
         def scenario():
             f = yield from fs.create("/f", stripe_count=4, stripe_size=1.0)

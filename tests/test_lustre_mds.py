@@ -14,8 +14,7 @@ def env():
 
 class TestMetadataServer:
     def test_single_op_takes_service_time(self, env):
-        mds = MetadataServer(env, concurrency=1, mean_service_time=0.01,
-                             sigma=0.0)
+        mds = MetadataServer(env, concurrency=1, mean_service_time=0.01)
 
         def scenario():
             wait, service = yield from mds.operation()
@@ -29,8 +28,7 @@ class TestMetadataServer:
         assert now == pytest.approx(0.01)
 
     def test_queueing_under_burst(self, env):
-        mds = MetadataServer(env, concurrency=2, mean_service_time=0.01,
-                             sigma=0.0)
+        mds = MetadataServer(env, concurrency=2, mean_service_time=0.01)
         waits = []
 
         def op():
@@ -46,8 +44,7 @@ class TestMetadataServer:
         assert mds.max_queue_length >= 4
 
     def test_stats_accumulate(self, env):
-        mds = MetadataServer(env, concurrency=1, mean_service_time=0.005,
-                             sigma=0.0)
+        mds = MetadataServer(env, concurrency=1, mean_service_time=0.005)
 
         def op():
             yield from mds.operation()
@@ -61,7 +58,7 @@ class TestMetadataServer:
     def test_lognormal_jitter_mean(self, env):
         rng = np.random.default_rng(0)
         mds = MetadataServer(env, concurrency=1000,
-                             mean_service_time=0.01, sigma=0.5, rng=rng)
+                             mean_service_time=0.01, rng=rng)
         draws = [mds._draw_service_time() for _ in range(4000)]
         assert np.mean(draws) == pytest.approx(0.01, rel=0.05)
         assert np.std(draws) > 0
@@ -69,8 +66,7 @@ class TestMetadataServer:
     def test_staggering_reduces_wait(self, env):
         """Spread-out opens see less MDS queueing than a burst —
         the premise of the paper's stagger method."""
-        mds = MetadataServer(env, concurrency=1, mean_service_time=0.01,
-                             sigma=0.0)
+        mds = MetadataServer(env, concurrency=1, mean_service_time=0.01)
         burst_waits, stagger_waits = [], []
 
         def burst_op():
@@ -82,8 +78,7 @@ class TestMetadataServer:
         env.run()
 
         env2 = Environment()
-        mds2 = MetadataServer(env2, concurrency=1, mean_service_time=0.01,
-                              sigma=0.0)
+        mds2 = MetadataServer(env2, concurrency=1, mean_service_time=0.01)
 
         def staggered(i):
             yield env2.timeout(i * 0.02)
@@ -100,5 +95,3 @@ class TestMetadataServer:
             MetadataServer(env, concurrency=0)
         with pytest.raises(ValueError):
             MetadataServer(env, mean_service_time=0)
-        with pytest.raises(ValueError):
-            MetadataServer(env, sigma=-1)

@@ -73,8 +73,6 @@ class TestOstPoolConfig:
             OstPoolConfig(n_osts=1, drain_peak=-1)
         with pytest.raises(ValueError):
             OstPoolConfig(n_osts=1, drain_peak=100, ingest_peak=50)
-        with pytest.raises(ValueError):
-            OstPoolConfig(n_osts=1, hysteresis=1.5)
 
 
 def make_pool(n=2, drain=100.0, ingest=200.0, cache=1000.0):

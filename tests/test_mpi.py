@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, SimComm
+from repro.mpi import ANY_TAG, SimComm
 from repro.net.latency import MessageLatencyModel
 from repro.sim import Environment
 
@@ -97,32 +97,13 @@ class TestPointToPoint:
         assert comm.inbox_size(9) == 1 and comm.inbox_size(3) == 0
         assert sorted(comm._inboxes) == [7, 9]  # never the sender's
 
-    def test_source_matching(self, env):
-        comm = make_comm(env)
-        got = []
-
-        def receiver():
-            msg = yield comm.recv(0, source=2)
-            got.append(msg.source)
-
-        def senders():
-            comm.send(1, 0, "a")
-            comm.send(2, 0, "b")
-            if False:
-                yield
-
-        env.process(receiver())
-        env.process(senders())
-        env.run()
-        assert got == [2]
-
     def test_wildcards(self, env):
         comm = make_comm(env)
         got = []
 
         def receiver():
             for _ in range(2):
-                msg = yield comm.recv(3, source=ANY_SOURCE, tag=ANY_TAG)
+                msg = yield comm.recv(3, tag=ANY_TAG)
                 got.append((msg.source, msg.tag))
 
         def senders():
@@ -142,7 +123,7 @@ class TestPointToPoint:
 
         def receiver():
             for _ in range(3):
-                msg = yield comm.recv(1, source=0)
+                msg = yield comm.recv(1)
                 got.append(msg.payload)
 
         def sender():

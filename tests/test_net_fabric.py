@@ -205,11 +205,16 @@ class TestFlowNetwork:
     def test_nan_or_nonpositive_flow_rejected(self, nbytes, flow_cap):
         # A NaN finish time arms no timer: a NaN flow admitted next to a
         # healthy one would leave both unfinished when run() returns.
+        # A flow's cap is the network's, so a bad cap is refused when
+        # the network is built.
         env, net = self.make()
         out = {}
         env.process(_run_flow(env, net, 1, 1, 100.0, out, "ok"))
         with pytest.raises(ValueError):
-            net.start_flow(0, 0, nbytes, flow_cap=flow_cap)
+            if flow_cap is None:
+                net.start_flow(0, 0, nbytes)
+            else:
+                self.make(default_flow_cap=flow_cap)
         env.run()
         assert out["ok"].duration == pytest.approx(2.0)
 

@@ -15,11 +15,6 @@ class TestTopology:
         assert topo.node_of(12) == 1
         assert topo.node_of(29) == 2
 
-    def test_round_robin_placement(self):
-        topo = Topology(n_ranks=6, cores_per_node=2, placement="round_robin")
-        assert topo.n_nodes == 3
-        assert [topo.node_of(r) for r in range(6)] == [0, 1, 2, 0, 1, 2]
-
     def test_ranks_on_node(self):
         topo = Topology(n_ranks=24, cores_per_node=12)
         assert topo.ranks_on_node(1).tolist() == list(range(12, 24))
@@ -42,8 +37,6 @@ class TestTopology:
             Topology(n_ranks=1, cores_per_node=0)
         with pytest.raises(ValueError):
             Topology(n_ranks=1, nic_bandwidth=0)
-        with pytest.raises(ValueError):
-            Topology(n_ranks=1, placement="diagonal")
 
 
 class TestLatencyModel:
@@ -54,10 +47,6 @@ class TestLatencyModel:
     def test_zero_size(self):
         m = MessageLatencyModel(alpha=5e-6, beta=1e-9)
         assert m.point_to_point(0) == pytest.approx(5e-6)
-
-    def test_hops(self):
-        m = MessageLatencyModel(alpha=0, beta=0, hop_latency=1e-6)
-        assert m.point_to_point(0, hops=10) == pytest.approx(1e-5)
 
     def test_tree_collective_log_depth(self):
         m = MessageLatencyModel(alpha=1e-6, beta=0)

@@ -130,13 +130,15 @@ def _churn(cls, seed: int, n_ops: int):
         net.set_tenant_limits(None if lim is None else lim.copy())
 
     def arrive():
+        # A flow takes the network's cap when it starts: setting the
+        # cap before each arrival mixes the caps.
+        src = int(rng.integers(N_SRC))
+        sink = int(rng.integers(N_SINKS))
+        nbytes = float(rng.uniform(1e6, 5e10))
+        net.default_flow_cap = np.inf if rng.random() < 0.5 else float(
+            rng.choice([2e7, 9e7, 4e8]))
         ev, fid = net.start_flow_with_id(
-            int(rng.integers(N_SRC)),
-            int(rng.integers(N_SINKS)),
-            float(rng.uniform(1e6, 5e10)),
-            flow_cap=np.inf if rng.random() < 0.5 else float(
-                rng.choice([2e7, 9e7, 4e8])),
-            tenant=int(rng.integers(-1, N_TENANTS)),
+            src, sink, nbytes, tenant=int(rng.integers(-1, N_TENANTS)),
         )
         _swallow(ev)
         live.append(fid)

@@ -4,12 +4,12 @@ where MPI-IO leaves stragglers.
 
 A machine built with a registry carries a settle-hook
 :class:`~repro.telemetry.OnlineMonitor` that samples ``ost.inflow`` and
-``ost.streams`` at settles at least ``interval`` simulated seconds
-apart.  The machines here set the interval to zero, so every settle —
-every instant the per-OST flow state can change — is a sample.  The
-balance statistics below are computed from those series, weighting
-each sample by the simulated time to the next one (the last by the
-time to the end of the run), which makes them exact time averages.
+``ost.streams`` at every settle — every instant the per-OST flow state
+can change — until its sample budget forces decimation, which these
+short runs never reach.  The balance statistics below are computed
+from those series, weighting each sample by the simulated time to the
+next one (the last by the time to the end of the run), which makes
+them exact time averages.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ import pytest
 from repro.apps import AppKernel, Variable
 from repro.core.transports import AdaptiveTransport, MpiIoTransport
 from repro.machines import jaguar
+from repro.session import instrumented
 from repro.telemetry import MetricsRegistry
 from repro.units import MB
 
@@ -27,12 +28,9 @@ def app(mb=16.0):
 
 
 def build(n_ranks=32, n_osts=8, seed=0, **kw):
-    """A machine whose monitor records every settle, undecimated."""
-    m = jaguar(n_osts=n_osts).build(
-        n_ranks=n_ranks, seed=seed, metrics=MetricsRegistry(), **kw
-    )
-    m.monitor.interval, m.monitor.max_samples = 0.0, 10**9
-    return m
+    """A machine with a registry, so a default monitor records it."""
+    with instrumented(registry=MetricsRegistry()):
+        return jaguar(n_osts=n_osts).build(n_ranks=n_ranks, seed=seed, **kw)
 
 
 class Recording:
@@ -186,6 +184,22 @@ class TestBalanceStory:
                               seed=2, slow=[0])
         assert jain_fairness(rec_a) > jain_fairness(rec_m)
 
+    def test_default_monitor_records_every_settle(self):
+        """The default monitor's series hold every settle of a run, so
+        the time-weighted balance reads the flow state that held: with
+        OST 0 slowed, adaptive spreads its inflow nearly evenly over
+        all 8 targets while MPI-IO's 2-stripe file uses 2 of them.
+        Sampling only the first settle after each 0.05 s recorded 3 of
+        the adaptive run's 31 settles and read 0.125 for both."""
+        rec_a, _ = record_run(AdaptiveTransport(), seed=2, slow=[0])
+        rec_m, _ = record_run(MpiIoTransport(build_index=False),
+                              seed=2, slow=[0])
+        for rec in (rec_a, rec_m):
+            assert len(rec.times) == rec.machine.fs.fabric.settle_count
+        assert len(rec_a.times) == 31
+        assert jain_fairness(rec_a) == pytest.approx(0.955, abs=5e-4)
+        assert jain_fairness(rec_m) == pytest.approx(0.250, abs=5e-4)
+
     def test_straggler_window_shrinks_with_steering(self):
         """With one slow target, the no-steering run ends with a long
         few-targets-active tail; steering shortens it."""
@@ -211,7 +225,6 @@ class TestAbortedRuns:
         plan = two_ost_failure_plan(osts=(0, 1), at=0.05)
         m = build(faults=plan)
         m.fs.max_stripe_count = 2
-        m.monitor.interval = 0.01
         with pytest.raises(TransportError):
             MpiIoTransport(build_index=False).run(m, app(), "out")
         rec = Recording(m)

@@ -326,9 +326,8 @@ class TestChaos:
         fn = partial(_die_in_workers, parent_pid=os.getpid())
         jobs = [make_job(fn, s, label="deg", index=i)
                 for i, s in enumerate((1, 2, 3, 4))]
-        sched = Scheduler(
-            n_workers=2, policy=_fast_policy(), max_respawns=0,
-        )
+        sched = Scheduler(n_workers=2, policy=_fast_policy())
+        sched.max_respawns = 0
         out = sched.run(jobs, "deg")
         assert out == [2.0, 4.0, 6.0, 8.0]
         assert sched.stats.serial_fallback

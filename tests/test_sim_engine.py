@@ -12,7 +12,7 @@ def env():
 
 class TestClock:
     def test_starts_at_initial_time(self):
-        assert Environment(initial_time=100.0).now == 100.0
+        assert Environment().now == 0.0
 
     def test_run_until_time_advances_clock(self, env):
         env.process(iter([]) if False else _ticker(env, 1.0, []))
@@ -88,17 +88,6 @@ class TestProcesses:
         with pytest.raises(SimulationError) as ei:
             env.run()
         assert "boom" in repr(ei.value.cause)
-
-    def test_unhandled_exception_lenient(self):
-        env = Environment(strict=False)
-
-        def bad(env):
-            yield env.timeout(1)
-            raise RuntimeError("boom")
-
-        p = env.process(bad(env))
-        env.run()
-        assert p.triggered and not p.ok
 
     def test_non_generator_rejected(self, env):
         with pytest.raises(TypeError):

@@ -227,18 +227,15 @@ class TestAllSettled:
     def test_collects_failures_as_values(self):
         from repro.sim import AllSettled
 
-        env = Environment(strict=False)
+        env = Environment()
 
         def ok(env):
             yield env.timeout(1)
             return "fine"
 
-        def bad(env):
-            yield env.timeout(2)
-            raise ValueError("kaput")
-
         p_ok = env.process(ok(env))
-        p_bad = env.process(bad(env))
+        p_bad = env.event()
+        env.schedule_callback(2, lambda: p_bad.fail(ValueError("kaput")))
         got = []
 
         def joiner(env):
@@ -255,16 +252,14 @@ class TestAllSettled:
     def test_waits_for_the_slowest(self):
         from repro.sim import AllSettled
 
-        env = Environment(strict=False)
-
-        def fail_fast(env):
-            yield env.timeout(1)
-            raise ValueError("early")
+        env = Environment()
 
         def slow(env):
             yield env.timeout(10)
 
-        procs = [env.process(fail_fast(env)), env.process(slow(env))]
+        fail_fast = env.event()
+        env.schedule_callback(1, lambda: fail_fast.fail(ValueError("early")))
+        procs = [fail_fast, env.process(slow(env))]
         fired_at = []
 
         def joiner(env):

@@ -35,19 +35,10 @@ class TestSplitFiles:
             used.update(m.fs.lookup(path).layout.osts)
         assert len(used) == 16  # the whole pool, vs 4 for one file
 
-    def test_explicit_file_count(self):
-        m = jaguar(n_osts=8).build(n_ranks=8, seed=0)
-        res = SplitFilesTransport(n_files=2).run(m, app(), output_name="o")
-        assert res.extra["n_files"] == 2.0
-
     def test_index_complete(self):
         m = jaguar(n_osts=8).build(n_ranks=8, seed=0)
         res = SplitFilesTransport().run(m, app(), output_name="o")
         assert res.index.n_blocks == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SplitFilesTransport(n_files=0)
 
     def test_beats_capped_single_file_when_drain_bound(self):
         """The paper's rationale: 5 files reach 672 targets, 1 file

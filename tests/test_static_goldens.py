@@ -43,6 +43,7 @@ from repro.errors import TransportError
 from repro.faults import FaultEvent, FaultPlan, two_ost_failure_plan
 from repro.interference import install_production_noise
 from repro.machines import jaguar
+from repro.session import instrumented
 from repro.trace import Tracer
 from repro.trace.chrome import to_chrome
 from repro.units import MB
@@ -55,12 +56,18 @@ CAP = 4
 MB_PER_PROC = 16.0
 SEED = 2
 
+def _posix_indexed():
+    """POSIX over 12 targets with a global index, flushed file after
+    file (the flushed Section IV variant)."""
+    t = PosixTransport(n_osts_used=12, build_index=True)
+    t.flush_order = "inline"
+    return t
+
+
 PRESETS = {
     "mpiio": MpiIoTransport,
     "posix": PosixTransport,
-    "posix_indexed": lambda: PosixTransport(
-        n_osts_used=12, include_flush=True, build_index=True
-    ),
+    "posix_indexed": _posix_indexed,
     "splitfiles": SplitFilesTransport,
     "stagger": StaggerTransport,
 }
@@ -125,9 +132,8 @@ def _result_doc(machine, res) -> dict:
 
 
 def _run(preset: str, *, faults=None, noise=False, tracer=None) -> dict:
-    machine = _spec().build(
-        n_ranks=N_RANKS, seed=SEED, faults=faults, tracer=tracer
-    )
+    with instrumented(tracer=tracer):
+        machine = _spec().build(n_ranks=N_RANKS, seed=SEED, faults=faults)
     if noise:
         install_production_noise(machine, live=True)
     return _run_doc(machine, PRESETS[preset](), faults)[0]

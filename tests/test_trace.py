@@ -69,7 +69,8 @@ class TestTracerCore:
         """Off is absent: a tracer detached from the environment after
         build records nothing from any layer, the OST pool included."""
         tr = Tracer()
-        m = jaguar(n_osts=N_OSTS).build(n_ranks=N_RANKS, seed=0, tracer=tr)
+        with instrumented(tracer=tr):
+            m = jaguar(n_osts=N_OSTS).build(n_ranks=N_RANKS, seed=0)
         m.env.set_tracer(None)
         AdaptiveTransport(n_osts_used=N_OSTS).run(m, app(), output_name="out")
         assert len(tr) == 0
@@ -217,7 +218,8 @@ class TestAttachAfterBuild:
         attached at build."""
         big = AppKernel("big", [Variable("x", shape=(int(128 * MB / 8),))])
         at_build, after = Tracer(), Tracer()
-        m = jaguar(n_osts=4).build(n_ranks=16, seed=0, tracer=at_build)
+        with instrumented(tracer=at_build):
+            m = jaguar(n_osts=4).build(n_ranks=16, seed=0)
         AdaptiveTransport(n_osts_used=4).run(m, big, output_name="out")
         m = jaguar(n_osts=4).build(n_ranks=16, seed=0)
         m.env.set_tracer(after)
@@ -235,9 +237,8 @@ class TestDisabledTracing:
         tr = Tracer()
         _, res_traced = traced_run(tracer=tr, seed=7)
         off = Tracer()
-        m_off = jaguar(n_osts=N_OSTS).build(
-            n_ranks=N_RANKS, seed=7, tracer=off
-        )
+        with instrumented(tracer=off):
+            m_off = jaguar(n_osts=N_OSTS).build(n_ranks=N_RANKS, seed=7)
         m_off.env.set_tracer(None)  # attached, then absent
         res_off = AdaptiveTransport(n_osts_used=N_OSTS).run(
             m_off, app(), output_name="out"
