@@ -15,6 +15,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -243,10 +244,12 @@ def osts_used(requested: Optional[int], default: int,
     """Storage targets an output spreads over.
 
     ``requested`` is a transport's ``n_osts_used`` option; only None
-    selects ``default``.  Anything outside ``1..machine.n_osts``
-    (0 included) is a :class:`ValueError`.
+    selects ``default``.  A non-integer, or anything outside
+    ``1..machine.n_osts`` (0 included), is a :class:`ValueError`.
     """
     n = default if requested is None else requested
+    if not isinstance(n, Integral):
+        raise ValueError(f"n_osts_used must be an integer, got {n!r}")
     if not 1 <= n <= machine.n_osts:
         raise ValueError(
             f"n_osts_used {n} out of range for pool of {machine.n_osts}"

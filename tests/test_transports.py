@@ -103,9 +103,13 @@ FABRIC_KEYS = ("fabric_settles", "fabric_reallocs", "fabric_incremental",
     PosixTransport, AdaptiveTransport, HistoryAwareAdaptiveTransport,
 ])
 def test_zero_osts_used_is_an_error(make):
-    """Only None selects the default target count; 0 is out of range."""
+    """Only None selects the default target count; 0 is out of range
+    and a non-integer is no target count at all."""
     with pytest.raises(ValueError, match="n_osts_used 0 out of range"):
         make(n_osts_used=0).run(small_machine(), tiny_app())
+    with pytest.raises(ValueError,
+                       match="n_osts_used must be an integer, got 4.5"):
+        make(n_osts_used=4.5).run(small_machine(), tiny_app())
 
 
 class TestOverlappingLaunches:
@@ -354,9 +358,16 @@ class TestAdaptiveTransport:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdaptiveTransport(writers_per_target=0)
+        with pytest.raises(ValueError, match="writers_per_target"):
+            AdaptiveTransport(writers_per_target=1.5)
         m = small_machine()
         with pytest.raises(ValueError):
             AdaptiveTransport(n_osts_used=99).run(m, tiny_app())
+        # Numpy integers are integers.
+        res = AdaptiveTransport(
+            n_osts_used=np.int64(2), writers_per_target=np.int64(2)
+        ).run(small_machine(), tiny_app(), output_name="out")
+        assert res.extra["n_groups"] == 2.0
 
     def test_more_groups_than_ranks_clamped(self):
         m = small_machine(n_ranks=2, n_osts=4)
