@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.groups import GroupMap
@@ -472,6 +473,8 @@ class MpiIoTransport(StaticTransport):
     stripe_count:
         Stripes requested for the shared file; clamped to the file
         system's per-file limit (160 on Lustre 1.6) and the pool size.
+        None selects that limit; a non-integer or a value below 1 is a
+        :class:`ValueError`.
     build_index:
         Assemble the BP-style index over the shared file (ADIOS does;
         raw MPI-IO wouldn't — on by default because the baseline *is*
@@ -482,6 +485,10 @@ class MpiIoTransport(StaticTransport):
 
     def __init__(self, stripe_count: Optional[int] = None,
                  build_index: bool = True):
+        if stripe_count is not None and not (
+                isinstance(stripe_count, Integral) and stripe_count >= 1):
+            raise ValueError(f"stripe_count must be an integer >= 1, "
+                             f"got {stripe_count!r}")
         self.stripe_count = stripe_count
         self.build_index = build_index
 

@@ -23,6 +23,7 @@ iterates over storage targets in Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -173,6 +174,8 @@ class OstPoolConfig:
     ingest_noise_exponent: ClassVar[float] = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.n_osts, Integral):
+            raise ValueError(f"n_osts must be an integer, got {self.n_osts!r}")
         if self.n_osts < 1:
             raise ValueError("n_osts must be >= 1")
         if self.drain_peak <= 0 or self.ingest_peak <= 0:

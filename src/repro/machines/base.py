@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,6 +85,9 @@ class MachineSpec:
         Multi-tenant bandwidth contracts are not part of a build: they
         go to ``repro.qos.run_tenants(qos=...)`` explicitly.
         """
+        if not isinstance(n_ranks, Integral):
+            raise ConfigurationError(
+                f"n_ranks must be an integer, got {n_ranks!r}")
         if n_ranks < 1:
             raise ConfigurationError("n_ranks must be >= 1")
         if n_ranks > self.max_cores:
@@ -91,6 +95,10 @@ class MachineSpec:
                 f"{self.name} has {self.max_cores} cores; "
                 f"cannot run {n_ranks} ranks"
             )
+        if not isinstance(extra_service_nodes, Integral):
+            raise ConfigurationError(
+                f"extra_service_nodes must be an integer, "
+                f"got {extra_service_nodes!r}")
         if extra_service_nodes < 0:
             raise ConfigurationError("extra_service_nodes must be >= 0")
         env = Environment()

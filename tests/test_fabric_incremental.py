@@ -47,7 +47,7 @@ class MutableCapPool:
         return float("inf")
 
 
-def _swallow(ev):
+def swallow(ev):
     """Park flow events so aborts/failures don't crash the run."""
     def _cb(e):
         if not e.ok:
@@ -105,7 +105,7 @@ def _churn(seed: int, n_ops: int, cap_src_val: float) -> FlowNetwork:
                 int(rng.integers(n_sinks)),
                 float(rng.uniform(1e6, 1e12)),
             )
-            _swallow(ev)
+            swallow(ev)
             live.append(fid)
         elif op < 0.70:
             fid = live.pop(int(rng.integers(len(live))))
@@ -157,7 +157,7 @@ def test_group_release_coalesces_to_one_settle():
 
     def release(n):
         for i in range(n):
-            _swallow(net.start_flow(i % 32, i % 8, 1e9))
+            swallow(net.start_flow(i % 32, i % 8, 1e9))
         yield env.timeout(0.0)
 
     env.process(release(64), name="group")
@@ -171,7 +171,7 @@ def test_group_release_coalesces_to_one_settle():
 def test_invalidate_is_synchronous_and_folds_deferral():
     env = Environment()
     net = FlowNetwork(env, np.full(4, 1e9), UniformSinkPool(2, 1e8))
-    _swallow(net.start_flow(0, 0, 1e9))
+    swallow(net.start_flow(0, 0, 1e9))
     assert net._settle_pending
     net.invalidate()
     assert not net._settle_pending
@@ -210,7 +210,7 @@ def _twin_churn(seed: int, n_ops: int, tag_tenants: bool) -> list:
                 float(rng.uniform(1e6, 1e11)),
                 tenant=tenant,
             )
-            _swallow(ev)
+            swallow(ev)
             live.append(fid)
         elif op < 0.75:
             net.cancel_flow(live.pop(int(rng.integers(len(live)))))

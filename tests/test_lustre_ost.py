@@ -74,6 +74,11 @@ class TestOstPoolConfig:
         with pytest.raises(ValueError):
             OstPoolConfig(n_osts=1, drain_peak=100, ingest_peak=50)
 
+    def test_n_osts_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="n_osts must be an integer"):
+            OstPoolConfig(n_osts=4.5)
+        assert OstPoolConfig(n_osts=np.int64(4)).n_osts == 4
+
 
 def make_pool(n=2, drain=100.0, ingest=200.0, cache=1000.0):
     flat = EfficiencyCurve([(1, 1.0)])

@@ -1,5 +1,6 @@
 """Unit tests for machine specs and build."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -65,6 +66,20 @@ class TestBuild:
     def test_build_rejects_zero_ranks(self):
         with pytest.raises(ConfigurationError):
             jaguar().build(n_ranks=0)
+
+    @pytest.mark.parametrize("opts, name", [
+        ({"n_ranks": 16.5}, "n_ranks"),
+        ({"n_ranks": 16, "extra_service_nodes": 1.5}, "extra_service_nodes"),
+    ])
+    def test_build_rejects_non_integer_sizes(self, opts, name):
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be an integer"):
+            jaguar(n_osts=4).build(**opts)
+
+    def test_build_accepts_numpy_integer_sizes(self):
+        m = jaguar(n_osts=np.int64(4)).build(
+            n_ranks=np.int64(16), extra_service_nodes=np.int32(1))
+        assert m.n_ranks == 16 and m.n_osts == 4
 
     def test_builds_are_independent(self):
         a = jaguar(n_osts=4).build(n_ranks=4, seed=1)

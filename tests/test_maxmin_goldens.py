@@ -21,27 +21,19 @@ filling rounds; the kinds cover:
 Per-resource counts are passed as int arrays, as float arrays, or
 left for the allocator to derive, cycling with the seed.  The fixture
 pins every rate and (when returned) every sink share as
-``float.hex``, so a comparison is exact.
-
-Regenerate the fixture (only when a change to the allocation is
-intended and explained) with::
-
-    PYTHONPATH=src python -m tests.test_maxmin_goldens --regen
+``float.hex``, so a comparison is exact.  The fixture is
+``goldens/maxmin_rates.json``; regenerate it (only when a change to the
+allocation is intended and explained) and diff it against a revision
+with ``python -m tests.golden``.
 """
 
 from __future__ import annotations
-
-import functools
-import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.net import fabric
-
-FIXTURE = Path(__file__).parent / "goldens" / "maxmin_rates.json"
+from tests.golden import hexnum, register
 
 KINDS = ("single_level", "multi_round", "inf_sink", "zero_sink",
          "flow_caps", "inf_source", "inf_tail", "sink_bound")
@@ -94,7 +86,7 @@ def _inputs(case_id: str) -> tuple:
 
 
 def _hex(values: np.ndarray) -> list:
-    return [float(v).hex() for v in values]
+    return [hexnum(v) for v in values]
 
 
 def _case(case_id: str) -> dict:
@@ -109,14 +101,12 @@ def _case(case_id: str) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=None)
-def _fixture() -> dict:
-    return json.loads(FIXTURE.read_text())
+GOLDEN = register("maxmin_rates", CASES, _case, key="cases")
 
 
 @pytest.mark.parametrize("case_id", CASES)
 def test_maxmin_golden(case_id):
-    assert _case(case_id) == _fixture()["cases"][case_id]
+    GOLDEN.check(case_id, _case(case_id))
 
 
 @pytest.mark.parametrize("case_id", CASES)
@@ -126,7 +116,7 @@ def test_public_wrapper_returns_the_same_rates(case_id):
         src, dst, cap_src, cap_dst, fcap,
         counts_src=counts_src, counts_dst=counts_dst,
     )
-    assert _hex(rates) == _fixture()["cases"][case_id]["rates"]
+    assert _hex(rates) == GOLDEN.cells[case_id]["rates"]
 
 
 @pytest.mark.parametrize("case_id", CASES)
@@ -140,25 +130,9 @@ def test_inputs_are_not_mutated(case_id):
 
 
 def test_fixture_covers_every_case_and_mostly_saturates():
-    cases = _fixture()["cases"]
+    cases = GOLDEN.cells
     assert sorted(cases) == sorted(CASES)
     saturated = [c for c in CASES if cases[c]["shares"] is None]
     assert len(saturated) >= 30
     assert all(cases[f"sink_bound/{s}"]["shares"] is not None for s in SEEDS)
 
-
-def _regen() -> None:
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    # One case per line: compact, yet a diff still names the case.
-    lines = [
-        f"{json.dumps(case_id)}: {json.dumps(_case(case_id), sort_keys=True)}"
-        for case_id in CASES
-    ]
-    FIXTURE.write_text('{"cases": {\n' + ",\n".join(lines) + "\n}}\n")
-    print(f"wrote {len(CASES)} cases to {FIXTURE}")
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: python -m tests.test_maxmin_goldens --regen")
-    _regen()

@@ -19,7 +19,7 @@ import pytest
 from repro.net import fabric
 from repro.net.fabric import FlowNetwork
 from repro.sim.engine import Environment
-from tests.test_fabric_incremental import MutableCapPool, _swallow
+from tests.test_fabric_incremental import MutableCapPool, swallow
 
 N_SRC = 24
 N_SINKS = 8
@@ -140,7 +140,7 @@ def _churn(cls, seed: int, n_ops: int):
         ev, fid = net.start_flow_with_id(
             src, sink, nbytes, tenant=int(rng.integers(-1, N_TENANTS)),
         )
-        _swallow(ev)
+        swallow(ev)
         live.append(fid)
 
     push(limits)
@@ -221,7 +221,7 @@ def _qos_net(monkeypatch):
     """Two tagged tenants on four sinks, limits installed and settled."""
     net, pool = _build(FlowNetwork, n_src=8, n_sinks=4)
     for i in range(6):
-        _swallow(net.start_flow(i, i % 4, 1e12, tenant=i % 2))
+        swallow(net.start_flow(i, i % 4, 1e12, tenant=i % 2))
     net.set_tenant_limits(np.array([1e8, 3e8]))
     net.env.run(until=1e-3)
     return net, pool, _CountPasses(monkeypatch)
@@ -253,14 +253,14 @@ def test_changed_push_reruns_only_the_capped_pass(monkeypatch):
 
 def test_arrival_recomputes_the_shadow_pass(monkeypatch):
     net, _, passes = _qos_net(monkeypatch)
-    _swallow(net.start_flow(7, 0, 1e12, tenant=0))
+    swallow(net.start_flow(7, 0, 1e12, tenant=0))
     net.env.run(until=net.env.now)
     assert passes.calls == 2
 
 
 def test_completion_recomputes_the_shadow_pass(monkeypatch):
     net, _, passes = _qos_net(monkeypatch)
-    _swallow(net.start_flow(7, 0, 1e3, tenant=1))
+    swallow(net.start_flow(7, 0, 1e3, tenant=1))
     net.env.run(until=net.env.now)
     passes.calls = 0
     net.env.run(until=net.env.now + 1.0)  # the 1 kB flow completes

@@ -391,17 +391,17 @@ def _boundary_functions():
 def _profiled_cell(transport, profile: bool):
     """A noisy cell's full result document, optionally profiled."""
     from repro.interference import install_production_noise
-    from tests.test_static_goldens import _app, _result_doc, _spec
+    from tests.test_static_goldens import app, result_doc, spec
 
-    machine = _spec().build(n_ranks=32, seed=3)
+    machine = spec().build(n_ranks=32, seed=3)
     install_production_noise(machine, live=True)
     if profile:
         with profiling(machine) as prof:
-            res = transport.run(machine, _app(), output_name="out")
+            res = transport.run(machine, app(), output_name="out")
         assert prof.calls["fabric.settle"] > 0
     else:
-        res = transport.run(machine, _app(), output_name="out")
-    return (_result_doc(machine, res), machine.env.now,
+        res = transport.run(machine, app(), output_name="out")
+    return (result_doc(machine, res), machine.env.now,
             machine.env.events_scheduled)
 
 

@@ -222,6 +222,20 @@ class TestMpiIoTransport:
                                                  output_name="out")
         assert res.extra["stripe_count"] == 2.0
 
+    @pytest.mark.parametrize("bad", [2.5, -3, 0, "2"])
+    def test_invalid_stripe_count_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="stripe_count must be an "
+                                             "integer >= 1"):
+            MpiIoTransport(stripe_count=bad)
+
+    @pytest.mark.parametrize("count, stripes", [
+        (None, 4.0), (np.int64(2), 2.0), (99, 4.0),
+    ])
+    def test_stripe_count_none_numpy_and_clamped(self, count, stripes):
+        res = MpiIoTransport(stripe_count=count).run(
+            small_machine(), tiny_app(), output_name="out")
+        assert res.extra["stripe_count"] == stripes
+
 
 class TestStaticLanes:
     """A static lane is one writer process per file that plays all of
