@@ -59,8 +59,7 @@ def test_settle_speed_16k_flows(benchmark, save_result):
     """
     env = Environment()
     pool = UniformSinkPool(672, 1.8e8)
-    net = FlowNetwork(env, np.full(1400, 1.6e9), pool,
-                      default_flow_cap=3e8)
+    net = FlowNetwork(env, np.full(1400, 1.6e9), pool, flow_cap=3e8)
     rng = np.random.default_rng(1)
     for _ in range(16384):
         net.start_flow(

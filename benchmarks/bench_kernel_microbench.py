@@ -69,8 +69,7 @@ def bench_events(n_procs, n_hops):
 def _fresh_network(n_flows, n_src=256, n_sinks=64):
     env = Environment()
     pool = UniformSinkPool(n_sinks, 1.8e8)
-    net = FlowNetwork(env, np.full(n_src, 1.6e9), pool,
-                      default_flow_cap=3e8)
+    net = FlowNetwork(env, np.full(n_src, 1.6e9), pool, flow_cap=3e8)
     rng = np.random.default_rng(7)
     for _ in range(n_flows):
         net.start_flow(
@@ -121,8 +120,7 @@ def bench_group_release(n_arrivals, group_size=64):
     """
     env = Environment()
     pool = UniformSinkPool(64, 1.8e8)
-    net = FlowNetwork(env, np.full(256, 1.6e9), pool,
-                      default_flow_cap=3e8)
+    net = FlowNetwork(env, np.full(256, 1.6e9), pool, flow_cap=3e8)
     n_groups = n_arrivals // group_size
 
     def _releaser():

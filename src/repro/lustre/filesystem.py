@@ -124,12 +124,12 @@ class FileSystem:
     ):
         if max_stripe_count < 1:
             raise ValueError("max_stripe_count must be >= 1")
-        if default_stripe_size <= 0:
+        if not default_stripe_size > 0:
             raise ValueError("default_stripe_size must be positive")
         self.env = env
         self.pool = pool
         self.fabric = FlowNetwork(
-            env, source_capacities, pool, default_flow_cap=per_stream_cap
+            env, source_capacities, pool, flow_cap=per_stream_cap
         )
         pool.bind(env, self.fabric.invalidate)
         self.mds = mds if mds is not None else MetadataServer(env)

@@ -52,7 +52,7 @@ class MetadataServer:
     ):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if mean_service_time <= 0:
+        if not mean_service_time > 0:
             raise ValueError("mean_service_time must be positive")
         self.env = env
         self._server = Resource(env, capacity=concurrency)

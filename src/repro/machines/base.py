@@ -46,8 +46,14 @@ class MachineSpec:
     def __post_init__(self):
         if self.max_cores < 1:
             raise ConfigurationError("max_cores must be >= 1")
-        if self.per_stream_cap <= 0:
-            raise ConfigurationError("per_stream_cap must be positive")
+        # Negated so a NaN fails here, naming the field, instead of deep
+        # inside a run.
+        for name in ("nic_bandwidth", "default_stripe_size",
+                     "per_stream_cap", "mds_mean_service_time"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {value!r}")
 
     @property
     def n_osts(self) -> int:

@@ -2,15 +2,16 @@
 
 Every bulk transfer in the simulator (a writer streaming its buffer to a
 storage target, a background-interference job hammering an OST, an
-analysis read) is a *flow*: ``(source NIC, sink port, remaining bytes,
-optional per-flow rate cap)``.  At any instant the instantaneous rate of
-each flow is its share under the **max-min fair allocation** subject to
+analysis read) is a *flow*: ``(source NIC, sink port, remaining bytes)``.
+At any instant the instantaneous rate of each flow is its share under
+the **max-min fair allocation** subject to
 
 * per-source capacity (node NIC injection bandwidth),
 * per-sink capacity (storage-target ingest, supplied by a
   :class:`SinkPool` and allowed to depend on stream count, cache state
   and external load), and
-* the per-flow cap.
+* the network's flow cap: the client's single-stream limit, one value
+  that bounds every flow alike.
 
 One routine, :func:`_max_min_shares`, computes that allocation: a
 per-sink waterfill round that ignores sources, which is the answer
@@ -75,7 +76,6 @@ _SLOT_COLUMNS = (
     ("_dst", 0, np.int64),  # sink index
     ("_remaining", 0.0, np.float64),  # undelivered bytes
     ("_rate", 0.0, np.float64),  # allocated bytes/s
-    ("_fcap", np.inf, np.float64),  # per-flow rate ceiling
     ("_tenant", -1, np.int64),  # QoS tenant tag, -1 untagged
     ("_active", False, bool),
     ("_fid", -1, np.int64),  # flow id
@@ -147,7 +147,7 @@ class UniformSinkPool:
 
 def _waterfill_sink_shares(
     dst_idx: np.ndarray,
-    flow_cap: np.ndarray,
+    flow_cap: float | np.ndarray,
     cap_dst: np.ndarray,
     cnt_dst: np.ndarray,
 ) -> np.ndarray:
@@ -167,8 +167,9 @@ def _waterfill_sink_shares(
     — the property the incremental reallocator relies on for
     bit-identity with the batch allocator.
 
-    ``dst_idx``/``flow_cap`` describe the flow subset (in ascending
-    slot order); ``cap_dst``/``cnt_dst`` are full-size per-sink arrays,
+    ``dst_idx`` describes the flow subset (in ascending slot order) and
+    ``flow_cap`` its caps, one for every flow or one per flow;
+    ``cap_dst``/``cnt_dst`` are full-size per-sink arrays,
     where ``cnt_dst`` counts only the subset's flows.  Sinks with
     infinite capacity or zero count get an infinite share.
     """
@@ -187,9 +188,10 @@ def _waterfill_sink_shares(
             break
         frozen |= newly
         order = np.nonzero(frozen)[0]  # ascending slot order
-        committed = np.bincount(
-            dst_idx[order], weights=flow_cap[order], minlength=n_dst
-        )
+        weights = (flow_cap[order] if np.ndim(flow_cap)
+                   else np.full(order.size, flow_cap))
+        committed = np.bincount(dst_idx[order], weights=weights,
+                                minlength=n_dst)
         live = cnt_dst - np.bincount(dst_idx[order], minlength=n_dst)
         with np.errstate(invalid="ignore"):  # inf - inf at infinite sinks
             share = np.divide(cap_dst - committed, live,
@@ -204,7 +206,7 @@ def _max_min_shares(
     dst_idx: np.ndarray,
     cap_src: np.ndarray,
     cap_dst: np.ndarray,
-    flow_cap: Optional[np.ndarray] = None,
+    flow_cap: float | np.ndarray = np.inf,
     counts_src: Optional[np.ndarray] = None,
     counts_dst: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -227,14 +229,14 @@ def _max_min_shares(
        flow rises by the smallest residual share (or flow-cap gap),
        and the flows at a saturated resource or at their cap freeze.
        Returns ``(rates, None)``.
+
+    ``flow_cap`` is one cap for every flow or an array of per-flow caps.
     """
     n_flows = len(src_idx)
     n_src = len(cap_src)
     n_dst = len(cap_dst)
     if n_flows == 0:
         return np.zeros(0), np.full(n_dst, np.inf)
-    if flow_cap is None:
-        flow_cap = np.full(n_flows, np.inf)
     cap_dst = np.asarray(cap_dst, dtype=np.float64)
     cap_src = np.asarray(cap_src, dtype=np.float64)
     # Per-resource live-flow counts; the filling rounds update them in
@@ -258,6 +260,8 @@ def _max_min_shares(
     residual_dst = cap_dst.copy()
     caps = np.concatenate((cap_src, cap_dst))
     tol = 1e-12 * float(np.max(caps[np.isfinite(caps)], initial=1.0))
+    if not np.ndim(flow_cap):
+        flow_cap = np.full(n_flows, float(flow_cap))
     # Each round's work is O(live flows), so the total across rounds is
     # O(flows), not O(rounds x flows).
     rates = np.zeros(n_flows)
@@ -307,7 +311,7 @@ def max_min_fair_rates(
     dst_idx: np.ndarray,
     cap_src: np.ndarray,
     cap_dst: np.ndarray,
-    flow_cap: Optional[np.ndarray] = None,
+    flow_cap: float | np.ndarray = np.inf,
     counts_src: Optional[np.ndarray] = None,
     counts_dst: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -320,7 +324,7 @@ def max_min_fair_rates(
     cap_src, cap_dst:
         Resource capacities (bytes/s).  ``inf`` entries are legal.
     flow_cap:
-        Optional per-flow rate ceiling.
+        Rate ceiling: one value for every flow, or one per flow.
     counts_src, counts_dst:
         Optional precomputed per-resource flow counts (what
         ``np.bincount(src_idx, minlength=len(cap_src))`` would return).
@@ -349,9 +353,9 @@ class FlowNetwork:
         Per-source (node NIC) capacity array, bytes/s.
     sink_pool:
         Provider of sink-side capacities and state (the OST pool).
-    default_flow_cap:
-        Per-flow rate ceiling of every flow; models the single-stream
-        client limit.
+    flow_cap:
+        Rate ceiling of every flow; models the client's single-stream
+        limit.
 
     Notes
     -----
@@ -370,16 +374,16 @@ class FlowNetwork:
         env: "Environment",
         source_capacities: np.ndarray,
         sink_pool: SinkPool,
-        default_flow_cap: float = np.inf,
+        flow_cap: float = np.inf,
     ):
         self.env = env
         self.pool = sink_pool
         self._cap_src = np.asarray(source_capacities, dtype=np.float64).copy()
         if not (self._cap_src > 0).all():
             raise ValueError("source capacities must be positive")
-        self.default_flow_cap = float(default_flow_cap)
-        if not self.default_flow_cap > 0:
-            raise ValueError("default_flow_cap must be positive")
+        self.flow_cap = float(flow_cap)
+        if not self.flow_cap > 0:
+            raise ValueError("flow_cap must be positive")
         self.n_sources = len(self._cap_src)
         self._src_limit = self._cap_src * _SRC_HEADROOM
         self.n_sinks = sink_pool.n_sinks
@@ -405,23 +409,21 @@ class FlowNetwork:
         self._src_counts = np.zeros(self.n_sources, dtype=np.int64)
         # Read-only copy of `_counts` for the sink pool (see _settle).
         self._counts_snap: Optional[np.ndarray] = None
-        # Flow-set and tenant-limits generations vs. the generations
-        # the current rate allocation was computed for: when both match
-        # and sink capacities are unchanged, a settle can skip
-        # reallocation.  The active-slot index is cached per flow-set
-        # generation too.
+        # The flow-set generation keys the active-slot index cache and
+        # the QoS shadow memo.  The current allocation is stale when a
+        # sink's flow membership changed since it was computed (a
+        # dirty sink, below), the tenant limits changed, or a sink's
+        # capacity differs from `_last_caps`; with none of these a
+        # settle skips reallocation.
         self._flowset_gen = 0
-        self._alloc_gen = -1
-        self._limits_gen = 0
-        self._alloc_limits_gen = 0
+        self._limits_changed = False
         self._act_gen = -1
         self._act = np.empty(0, dtype=np.intp)
         self._last_caps: Optional[np.ndarray] = None
-        # Incremental-reallocation state: the canonical per-sink shares
-        # of the current allocation (valid only when it was computed on
-        # the sink-bound fast path with every source unsaturated), and
-        # the set of sinks whose flow membership changed since.
-        self._share_dst = np.full(self.n_sinks, np.inf)
+        # Incremental-reallocation state: whether the current
+        # allocation was computed on the sink-bound fast path with every
+        # source unsaturated, and the set of sinks whose flow membership
+        # changed since.
         self._shares_valid = False
         self._dirty_sinks: Set[int] = set()
         # Above this many dirty sinks a full vectorized batch pass is
@@ -514,7 +516,7 @@ class FlowNetwork:
         unconstrained.  The cap composes with max-min fairness as an
         equal per-flow split of the tenant budget, so within a tenant
         flows stay mutually fair.  Limits different from the installed
-        ones bump the limits generation, so the settle requested here
+        ones mark the allocation stale, so the settle requested here
         reallocates and the change takes effect at the end of the
         current instant.  Limits equal to the installed ones (``None``
         again, or an ``array_equal`` array) keep the current allocation
@@ -547,7 +549,7 @@ class FlowNetwork:
                     self.tenant_served = np.zeros(n, dtype=np.float64)
                     self.tenant_throttled = np.zeros(n, dtype=np.float64)
                 self._tenant_throttle_rate = np.zeros(n, dtype=np.float64)
-            self._limits_gen += 1
+            self._limits_changed = True
             self._shares_valid = False
         self._request_settle()
 
@@ -609,7 +611,6 @@ class FlowNetwork:
         self._dst[slot] = sink
         self._remaining[slot] = float(nbytes)
         self._rate[slot] = 0.0
-        self._fcap[slot] = self.default_flow_cap
         self._tenant[slot] = int(tenant)
         self._active[slot] = True
         self._fid[slot] = fid
@@ -960,16 +961,15 @@ class FlowNetwork:
             self._last_caps = None
             self._shares_valid = False
             self._dirty_sinks.clear()
-            self._alloc_gen = self._flowset_gen
-            self._alloc_limits_gen = self._limits_gen
+            self._limits_changed = False
             if self._tenant_throttle_rate is not None:
                 self._tenant_throttle_rate[:] = 0.0
         else:
             last = self._last_caps
             changed = None if last is None else (caps != last).nonzero()[0]
             if (
-                self._alloc_gen == self._flowset_gen
-                and self._alloc_limits_gen == self._limits_gen
+                not self._dirty_sinks
+                and not self._limits_changed
                 and changed is not None
                 and not changed.size
             ):
@@ -1041,7 +1041,7 @@ class FlowNetwork:
             else:
                 rates, share_dst = _max_min_shares(
                     self._src[act_slots], dst, self._cap_src, caps,
-                    self._fcap[act_slots],
+                    self.flow_cap,
                     counts_src=self._src_counts, counts_dst=counts,
                 )
             self._rate[act_slots] = rates
@@ -1049,11 +1049,8 @@ class FlowNetwork:
                 dst, weights=rates, minlength=self.n_sinks
             )
             self._shares_valid = share_dst is not None
-            if share_dst is not None:
-                self._share_dst = share_dst
         self._dirty_sinks.clear()
-        self._alloc_gen = self._flowset_gen
-        self._alloc_limits_gen = self._limits_gen
+        self._limits_changed = False
         self._last_caps = caps.copy()
         self.realloc_count += 1
         if self._m_realloc_batch is not None:
@@ -1077,10 +1074,11 @@ class FlowNetwork:
         prices the throttling: the per-tenant rate gap between the two
         allocations integrates (in :meth:`_advance_only`) into the
         ``tenant_throttled`` byte ledger.  The shadow pass depends only
-        on the flow set and the sink capacities (flow caps and tenant
-        tags are fixed at :meth:`start_flow`), so it is memoized on the
-        flow-set generation and the caps and reused while both stand;
-        a limit change alone reruns only the capped pass.  The
+        on the flow set and the sink capacities (the flow cap is the
+        network's one value and tenant tags are fixed at
+        :meth:`start_flow`), so it is memoized on the flow-set
+        generation and the caps and reused while both stand; a limit
+        change alone reruns only the capped pass.  The
         incremental patch path is bypassed entirely — tenant caps
         couple sinks through the tenant budget, so the per-sink
         decomposition it relies on does not hold.
@@ -1088,7 +1086,6 @@ class FlowNetwork:
         limits = self._tenant_limits
         n_tenants = len(limits)
         src = self._src[act_slots]
-        fcap = self._fcap[act_slots]
         ten = self._tenant[act_slots]
         tagged = ten >= 0
         memo = self._shadow
@@ -1097,18 +1094,18 @@ class FlowNetwork:
             uncapped = memo[2]
         else:
             uncapped, _ = _max_min_shares(
-                src, dst, self._cap_src, caps, fcap,
+                src, dst, self._cap_src, caps, self.flow_cap,
                 counts_src=self._src_counts, counts_dst=counts,
             )
             uncapped.flags.writeable = False
             self._shadow = (self._flowset_gen, caps.copy(), uncapped)
-        eff = fcap.copy()
         if tagged.any():
             tcnt = np.bincount(ten[tagged], minlength=n_tenants)
             with np.errstate(divide="ignore", invalid="ignore"):
                 per_flow = np.where(tcnt > 0, limits / tcnt, np.inf)
             ten_t = ten[tagged]
-            eff[tagged] = np.minimum(fcap[tagged], per_flow[ten_t])
+            eff = np.full(ten.size, self.flow_cap)
+            eff[tagged] = np.minimum(self.flow_cap, per_flow[ten_t])
             rates, _ = _max_min_shares(
                 src, dst, self._cap_src, caps, eff,
                 counts_src=self._src_counts, counts_dst=counts,
@@ -1160,12 +1157,11 @@ class FlowNetwork:
         mask = pos >= 0
         sub_slots = act_slots[mask]
         sub = pos[mask]
-        fcap_sub = self._fcap[sub_slots]
         share = _waterfill_sink_shares(
-            sub, fcap_sub, caps[dirty_arr],
+            sub, self.flow_cap, caps[dirty_arr],
             counts[dirty_arr].astype(np.float64),
         )
-        new_sub = np.minimum(fcap_sub, share[sub])
+        new_sub = np.minimum(self.flow_cap, share[sub])
         np.minimum(new_sub, _BIG_RATE, out=new_sub)
         rates = self._rate[act_slots]
         rates[mask] = new_sub
@@ -1174,7 +1170,6 @@ class FlowNetwork:
         )
         if not (src_load <= self._src_limit).all():
             return None
-        self._share_dst[dirty_arr] = share
         self._rate[sub_slots] = new_sub
         self._inflow[dirty_arr] = np.bincount(
             sub, weights=new_sub, minlength=len(dirty_arr)

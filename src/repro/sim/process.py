@@ -74,11 +74,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    @property
-    def is_suspended(self) -> bool:
-        """True while the process is parked on an event (interruptible)."""
-        return self._waiting_on is not None
-
     # -- control -------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its wait point."""

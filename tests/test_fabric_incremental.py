@@ -64,7 +64,8 @@ def _assert_alloc_matches_batch(net: FlowNetwork) -> None:
     caps = net._last_caps
     assert caps is not None
     expected = max_min_fair_rates(
-        net._src[act], net._dst[act], net._cap_src, caps, net._fcap[act],
+        net._src[act], net._dst[act], net._cap_src, caps,
+        np.full(act.size, net.flow_cap),
     )
     got = net._rate[act]
     assert (got == expected).all(), (
@@ -85,21 +86,20 @@ def _churn(seed: int, n_ops: int, cap_src_val: float) -> FlowNetwork:
     n_src, n_sinks = 64, 16
     env = Environment()
     pool = MutableCapPool(np.full(n_sinks, 2e8))
-    net = FlowNetwork(env, np.full(n_src, cap_src_val), pool)
+    # One cap per network, finite or not: every flow carries it, so
+    # caps tie on purpose (exercise multi-wave waterfills).
+    flow_cap = (
+        np.inf
+        if rng.random() < 0.3
+        else float(rng.choice([5e6, 2e7, 9e7, 4e8]))
+    )
+    net = FlowNetwork(env, np.full(n_src, cap_src_val), pool,
+                      flow_cap=flow_cap)
     live: list[int] = []
 
     for _ in range(n_ops):
         op = rng.random()
         if op < 0.45 or not live:
-            # Arrival; mixed finite/infinite flow caps, duplicate cap
-            # values on purpose (exercise multi-wave waterfills).  A
-            # flow takes the network's cap when it starts, so setting
-            # the cap before each arrival mixes them.
-            net.default_flow_cap = (
-                np.inf
-                if rng.random() < 0.3
-                else float(rng.choice([5e6, 2e7, 9e7, 4e8]))
-            )
             ev, fid = net.start_flow_with_id(
                 int(rng.integers(n_src)),
                 int(rng.integers(n_sinks)),

@@ -102,6 +102,12 @@ class TestNamespace:
 
         run(env, scenario())
 
+    def test_nan_stripe_size_rejected(self):
+        # Refused up front, not mid-run when a layout converts it to
+        # an integer.
+        with pytest.raises(ValueError, match="default_stripe_size"):
+            make_fs(default_stripe_size=np.nan)
+
     def test_stripe_limit_enforced(self):
         env, fs = make_fs(n_osts=8, max_stripe=4)
 

@@ -95,3 +95,8 @@ class TestMetadataServer:
             MetadataServer(env, concurrency=0)
         with pytest.raises(ValueError):
             MetadataServer(env, mean_service_time=0)
+
+    def test_nan_service_time_rejected(self, env):
+        # Refused up front, not as an invalid delay in the first op.
+        with pytest.raises(ValueError, match="mean_service_time"):
+            MetadataServer(env, mean_service_time=np.nan)

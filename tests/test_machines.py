@@ -49,6 +49,16 @@ class TestSpecs:
         assert small.max_stripe_count == 8
         assert jaguar().max_stripe_count == 160
 
+    @pytest.mark.parametrize("name, value", [
+        ("nic_bandwidth", np.nan), ("nic_bandwidth", 0.0),
+        ("default_stripe_size", np.nan), ("default_stripe_size", -1.0),
+        ("per_stream_cap", np.nan),
+        ("mds_mean_service_time", np.nan), ("mds_mean_service_time", 0.0),
+    ])
+    def test_nan_or_nonpositive_physics_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            jaguar(n_osts=4).with_overrides(**{name: value})
+
 
 class TestBuild:
     def test_build_produces_live_machine(self):

@@ -110,6 +110,27 @@ def test_maxmin_golden(case_id):
 
 
 @pytest.mark.parametrize("case_id", CASES)
+def test_scalar_cap_matches_per_flow_array(case_id):
+    """One cap for every flow (the network's) allocates bit-identically
+    to the same cap repeated per flow, in both rounds and at caps that
+    bind, tie or never bind."""
+    src, dst, cap_src, cap_dst, _, counts_src, counts_dst = _inputs(case_id)
+    for cap in (np.inf, 5e7, 2e8):
+        got = fabric._max_min_shares(
+            src, dst, cap_src, cap_dst, cap,
+            counts_src=counts_src, counts_dst=counts_dst,
+        )
+        want = fabric._max_min_shares(
+            src, dst, cap_src, cap_dst, np.full(src.size, cap),
+            counts_src=counts_src, counts_dst=counts_dst,
+        )
+        assert _hex(got[0]) == _hex(want[0])
+        assert (got[1] is None) == (want[1] is None)
+        if got[1] is not None:
+            assert _hex(got[1]) == _hex(want[1])
+
+
+@pytest.mark.parametrize("case_id", CASES)
 def test_public_wrapper_returns_the_same_rates(case_id):
     src, dst, cap_src, cap_dst, fcap, counts_src, counts_dst = _inputs(case_id)
     rates = fabric.max_min_fair_rates(

@@ -149,7 +149,7 @@ class TestFlowNetwork:
         assert out["b"].end_time == pytest.approx(10.0)
 
     def test_default_flow_cap(self):
-        env, net = self.make(n_sink=1, sink_cap=100.0, default_flow_cap=10.0)
+        env, net = self.make(n_sink=1, sink_cap=100.0, flow_cap=10.0)
         out = {}
         env.process(_run_flow(env, net, 0, 0, 100.0, out, "f"))
         env.run()
@@ -214,7 +214,7 @@ class TestFlowNetwork:
             if flow_cap is None:
                 net.start_flow(0, 0, nbytes)
             else:
-                self.make(default_flow_cap=flow_cap)
+                self.make(flow_cap=flow_cap)
         env.run()
         assert out["ok"].duration == pytest.approx(2.0)
 
@@ -227,7 +227,7 @@ class TestFlowNetwork:
             FlowNetwork(env, np.array([100.0, np.nan]), pool)
         for cap in (np.nan, 0.0):
             with pytest.raises(ValueError):
-                FlowNetwork(env, np.full(2, 100.0), pool, default_flow_cap=cap)
+                FlowNetwork(env, np.full(2, 100.0), pool, flow_cap=cap)
 
     def test_nan_byte_adjustment_rejected(self):
         env, net = self.make()

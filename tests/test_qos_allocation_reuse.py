@@ -36,14 +36,14 @@ class RecomputeNetwork(FlowNetwork):
 
     def set_tenant_limits(self, limits):
         super().set_tenant_limits(limits)
-        self._alloc_gen = -1
+        self._limits_changed = True
         self._shares_valid = False
 
     def _qos_rates(self, act_slots, dst, counts, caps):
         limits = self._tenant_limits
         n_tenants = len(limits)
         src = self._src[act_slots]
-        fcap = self._fcap[act_slots]
+        fcap = np.full(act_slots.size, self.flow_cap)
         ten = self._tenant[act_slots]
         tagged = ten >= 0
         uncapped, _ = fabric._max_min_shares(
@@ -73,10 +73,10 @@ class RecomputeNetwork(FlowNetwork):
         return rates
 
 
-def _build(cls, n_src=N_SRC, n_sinks=N_SINKS):
+def _build(cls, n_src=N_SRC, n_sinks=N_SINKS, flow_cap=np.inf):
     env = Environment()
     pool = MutableCapPool(np.full(n_sinks, SINK_CAP))
-    return cls(env, np.full(n_src, 1.6e9), pool), pool
+    return cls(env, np.full(n_src, 1.6e9), pool, flow_cap=flow_cap), pool
 
 
 def _state(net: FlowNetwork) -> tuple:
@@ -112,7 +112,11 @@ def _churn(cls, seed: int, n_ops: int):
     in the same instant as an arrival or a capacity change.
     """
     rng = np.random.default_rng(seed)
-    net, pool = _build(cls)
+    # One cap per network, finite or not; the tenant limits still give
+    # the flows mixed effective caps.
+    flow_cap = np.inf if rng.random() < 0.5 else float(
+        rng.choice([2e7, 9e7, 4e8]))
+    net, pool = _build(cls, flow_cap=flow_cap)
     pushes = {"equal": 0, "changed": 0}
     limits = rng.uniform(5e7, 4e8, size=N_TENANTS)
 
@@ -130,13 +134,9 @@ def _churn(cls, seed: int, n_ops: int):
         net.set_tenant_limits(None if lim is None else lim.copy())
 
     def arrive():
-        # A flow takes the network's cap when it starts: setting the
-        # cap before each arrival mixes the caps.
         src = int(rng.integers(N_SRC))
         sink = int(rng.integers(N_SINKS))
         nbytes = float(rng.uniform(1e6, 5e10))
-        net.default_flow_cap = np.inf if rng.random() < 0.5 else float(
-            rng.choice([2e7, 9e7, 4e8]))
         ev, fid = net.start_flow_with_id(
             src, sink, nbytes, tenant=int(rng.integers(-1, N_TENANTS)),
         )
