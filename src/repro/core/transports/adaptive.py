@@ -67,6 +67,7 @@ from repro.errors import (
     WriteTimeout,
 )
 from repro.mpi.comm import SimComm
+from repro.sim.engine import Alarm
 from repro.sim.events import AllSettled
 from repro.sim.process import Mailbox
 
@@ -102,8 +103,11 @@ class _GroupStream:
     are the members' segments back to back.  Member boundaries are
     recovered with pure
     :meth:`~repro.net.fabric.FlowNetwork.flow_progress` queries: one
-    armed calendar timer for the *next* boundary, re-armed by a rate
-    watcher whenever interference changes the drain rate.
+    :class:`~repro.sim.engine.Alarm` for the *next* boundary, which a
+    rate watcher re-predicts whenever interference changes the drain
+    rate.  The alarm pushes a calendar entry only when the boundary
+    moves earlier; a later one is recorded and reached without a
+    progress query.
     The final member is completed by the flow's own completion event,
     so its end time carries no timer rounding.
 
@@ -159,7 +163,9 @@ class _GroupStream:
         self._done = 0  # members completed (index of the one in progress)
         self._seg_start = env.now
         self._fid = None  # aggregate flow id (lanes == 1)
-        self._timer = None  # armed next-boundary timer
+        # Next-boundary deadline, re-pushed only when a rate change
+        # moves the boundary earlier.
+        self._timer = Alarm(env, self._on_timer)
         self._lanes = run.transport.writers_per_target
         self._next_lane = 0  # next member index to get a lane (lanes > 1)
         self._lane_start = {}
@@ -219,15 +225,10 @@ class _GroupStream:
                 self.run.fs.fabric.adjust_flow_bytes(self._fid, -self.nbytes)
             except KeyError:  # pragma: no cover - defensive
                 pass
-            if (
-                self._timer is not None
-                and len(self.pending) - 1 <= self._done
-            ):
+            if len(self.pending) - 1 <= self._done:
                 # The in-progress member became the last: its end is
                 # now the flow's completion, not a boundary timer.
-                if not self._timer.processed:
-                    self._timer.cancel()
-                self._timer = None
+                self._timer.clear()
         self.env.process(
             self.run.steered_proc(self, rank, target, offset),
             name=f"adaptive.steer.{rank}",
@@ -245,44 +246,35 @@ class _GroupStream:
         while True:
             nxt = self._done + 1
             if nxt >= len(self.pending):
-                self._timer = None
+                self._timer.clear()
                 return  # the flow's completion event drives the last member
             try:
                 delivered, rate = fabric.flow_progress(self._fid)
             except KeyError:  # flow finished; _on_flow_done sweeps up
-                self._timer = None
+                self._timer.clear()
                 return
             target = nxt * self.nbytes
             if delivered + _BOUNDARY_TOL >= target:
                 self._finish_segment(self.env.now)
                 continue
             if rate <= 0.0:
-                self._timer = None  # starved; watcher re-arms on recovery
+                self._timer.clear()  # starved; watcher re-arms on recovery
                 return
-            self._timer = self.env.schedule_callback(
-                (target - delivered) / rate, self._on_timer
-            )
+            self._timer.set(self.env.now + (target - delivered) / rate)
             return
 
     def _on_timer(self) -> None:
-        self._timer = None
         self._arm_next()
 
     def _on_rate_change(self, _now: float, _rate: float) -> None:
         if self.finished:
             return
-        if self._timer is not None:
-            if not self._timer.processed:
-                self._timer.cancel()
-            self._timer = None
         self._arm_next()
 
     def _on_flow_done(self, ev) -> None:
         if not ev.ok:  # pragma: no cover - clean path never faults
             return
-        if self._timer is not None and not self._timer.processed:
-            self._timer.cancel()
-        self._timer = None
+        self._timer.clear()
         while self._done < len(self.pending):
             self._finish_segment(self.env.now)
         self.finished = True

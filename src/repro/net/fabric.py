@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Protocol, Set, Tuple
 import numpy as np
 
 from repro.errors import OstFailedError
+from repro.sim.engine import Alarm
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -430,13 +431,13 @@ class FlowNetwork:
         # cheaper than gathering the affected subset.
         self._incr_max_dirty = max(4, self.n_sinks // 8)
         self._sink_lut = np.full(self.n_sinks, -1, dtype=np.intp)
-        # Deferred-settle and timer calendar entries: the handles
-        # ``env.schedule_callback`` returns.  A superseded one is
-        # withdrawn with ``cancel()``; the calendar skips it when its
-        # heap entry comes up, so it never fires into a stale closure.
+        # The deferred settle's calendar entry (the handle
+        # ``env.schedule_callback`` returns; a synchronous settle
+        # withdraws it with ``cancel()``), and the "next state change"
+        # deadline, re-pushed only when a settle predicts it earlier.
         self._settle_pending = False
         self._settle_event: Optional[_Callback] = None
-        self._timer_event: Optional[_Callback] = None
+        self._timer = Alarm(env, self._on_timer)
         # Rate-change watchers (see watch_flow), in registration-order
         # columns -- fid, callback, slot, last notified rate, live flag
         # -- so a settle scans them with one fancy-index + compare;
@@ -1178,13 +1179,8 @@ class FlowNetwork:
         return rates
 
     def _arm_timer(self, delay: float) -> None:
-        if self._timer_event is not None:
-            # The previous "next state change" prediction is obsolete;
-            # withdraw it from the calendar (lazy heap discard) rather
-            # than letting a tombstone fire into a stale closure.
-            self._timer_event.cancel()
-            self._timer_event = None
         if not np.isfinite(delay):
+            self._timer.clear()
             return
         # Livelock tripwire: huge numbers of sub-nanosecond re-arms at
         # one simulated instant mean some state machine is stuck at a
@@ -1204,9 +1200,11 @@ class FlowNetwork:
         # early-by-rounding fire recomputes the same allocation and
         # re-arms, while bytes only ever move by measured elapsed time,
         # never by the prediction.  No epsilon padding is applied.
-        delay = max(delay, 0.0)
-        self._timer_event = self.env.schedule_callback(delay, self._on_timer)
+        # A prediction later than the armed one is only recorded (the
+        # alarm moves there without a settle when it comes due).
+        self._timer.set(self.env.now + max(delay, 0.0))
 
     def _on_timer(self) -> None:
-        self._timer_event = None
+        # Looked up per call, so a profiler's per-instance ``_settle``
+        # wrapper also times the settles the alarm fires.
         self._settle()

@@ -11,7 +11,7 @@ from repro.sim.process import Process
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.tracer import Tracer
 
-__all__ = ["Environment", "SimulationError", "Deadlock"]
+__all__ = ["Alarm", "Environment", "SimulationError", "Deadlock"]
 
 
 class SimulationError(RuntimeError):
@@ -45,7 +45,7 @@ class Deadlock(RuntimeError):
 
 
 class _Callback:
-    """The calendar entry :meth:`Environment.schedule_callback` returns.
+    """The calendar entry :meth:`Environment.schedule_callback_at` returns.
 
     Not an :class:`Event`: nothing waits on it, so it carries only the
     callable, whether it has fired (``processed``) and whether it was
@@ -70,6 +70,66 @@ class _Callback:
             raise RuntimeError(f"{self!r} already processed")
         self._cancelled = True
         return self
+
+
+class Alarm:
+    """One deadline, re-pushed only when it moves earlier.
+
+    A deadline that is re-predicted many times before it comes due (a
+    flow's next completion, a stream's next member boundary) would
+    otherwise cancel one calendar entry and push another per
+    prediction, leaving a tombstone each time.  An alarm keeps one
+    armed handle, the instant it sits at, and the instant currently
+    wanted:
+
+    * :meth:`set` with an instant at or after the armed one only
+      records it;
+    * an earlier instant withdraws the handle and pushes one there;
+    * a handle that comes due before the wanted instant re-pushes
+      itself there and does nothing else;
+    * :meth:`clear` withdraws the handle.
+
+    ``fn()`` runs only at the wanted instant, exactly as if the last
+    :meth:`set` had pushed a fresh entry; only same-instant tie order
+    with other entries can differ, since a re-push takes a later
+    sequence number.
+    """
+
+    __slots__ = ("env", "fn", "_handle", "_armed", "_wanted")
+
+    def __init__(self, env: "Environment", fn: Callable[[], None]):
+        self.env = env
+        self.fn = fn
+        self._handle: Optional[_Callback] = None
+        self._armed = float("inf")  # instant the handle sits at
+        self._wanted = float("inf")  # instant fn() is due
+
+    def set(self, when: float) -> None:
+        """Make ``fn()`` due at the absolute instant *when*."""
+        handle = self._handle
+        if handle is not None and when >= self._armed:
+            self._wanted = when
+            return
+        self._handle = self.env.schedule_callback_at(when, self._fire)
+        if handle is not None:
+            handle.cancel()
+        self._wanted = self._armed = when
+
+    def clear(self) -> None:
+        """Withdraw the deadline; a no-op when none is set."""
+        handle = self._handle
+        if handle is not None:
+            handle.cancel()
+            self._handle = None
+
+    def _fire(self) -> None:
+        wanted = self._wanted
+        if wanted > self._armed:  # came due early: move to the deadline
+            self._armed = wanted
+            self._handle = self.env.schedule_callback_at(wanted, self._fire)
+            return
+        self._handle = None
+        self.fn()
 
 
 class Environment:
@@ -175,26 +235,39 @@ class Environment:
     ) -> _Callback:
         """Run a plain callable at ``now + delay`` (no process needed).
 
-        Used by the flow network to arm its single "next state change"
-        timer.  Returns a handle with ``processed`` and ``cancel()``
-        (not an :class:`Event`: nothing can wait on it).  It takes one
-        sequence number like any event, so ties on time and priority
-        fire in schedule order across handles and events.  A cancelled
-        timer is discarded lazily when the calendar reaches it (the
-        heap entry is skipped without advancing the clock), so the
-        calendar stays a plain heap and cancelling the last pending
-        entry leaves it genuinely empty.  Callers that re-arm often
-        (the flow network) should cancel the superseded handle — a
-        cancelled entry is one tuple skipped during a heap pop, whereas
-        an uncancelled stale entry fires into a dead closure and, under
-        heavy churn, piles thousands of tombstones onto one simulated
-        instant.
+        The relative form of :meth:`schedule_callback_at`, with the
+        same handle and the same tie rule.
         """
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"invalid delay {delay!r}")
+        return self.schedule_callback_at(self._now + delay, fn, priority)
+
+    def schedule_callback_at(
+        self, when: float, fn: Callable[[], None], priority: int = 1
+    ) -> _Callback:
+        """Run a plain callable at the absolute instant *when*.
+
+        Returns a handle with ``processed`` and ``cancel()`` (not an
+        :class:`Event`: nothing can wait on it).  It takes one sequence
+        number like any event, so ties on time and priority fire in
+        schedule order across handles and events.  A cancelled handle
+        is discarded lazily when the calendar reaches it (the heap
+        entry is skipped without advancing the clock), so the calendar
+        stays a plain heap and cancelling the last pending entry
+        leaves it genuinely empty.  Every cancelled entry still costs
+        a push and a pop: a deadline that is re-predicted often
+        belongs in an :class:`Alarm`, which pushes only when the
+        deadline moves earlier.
+
+        The instant is taken as given, so a deadline computed once as
+        ``now + delay`` lands on that same float however late it is
+        pushed.  An instant before ``now``, or NaN, is rejected.
+        """
+        if not when >= self._now:  # also rejects NaN
+            raise ValueError(f"invalid instant {when!r} (now={self._now})")
         handle = _Callback(fn)
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, handle))
+        heapq.heappush(self._queue, (when, priority, self._seq, handle))
         return handle
 
     def _crash(self, process: Process, cause: BaseException) -> None:

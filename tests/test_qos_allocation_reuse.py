@@ -113,9 +113,11 @@ def _churn(cls, seed: int, n_ops: int):
     """
     rng = np.random.default_rng(seed)
     # One cap per network, finite or not; the tenant limits still give
-    # the flows mixed effective caps.
+    # the flows mixed effective caps.  Every finite cap binds: it is
+    # well below the 2e8 a sink starts with, so flows on lightly
+    # loaded sinks sit at it (about a third of the flows per settle).
     flow_cap = np.inf if rng.random() < 0.5 else float(
-        rng.choice([2e7, 9e7, 4e8]))
+        rng.choice([1e7, 2e7, 4e7]))
     net, pool = _build(cls, flow_cap=flow_cap)
     pushes = {"equal": 0, "changed": 0}
     limits = rng.uniform(5e7, 4e8, size=N_TENANTS)

@@ -378,3 +378,49 @@ class TestDelayValidation:
         env.schedule_callback(float("inf"), lambda: None)
         env.run(until=10.0)
         assert env.now == 10.0
+
+
+class TestAbsoluteCallbacks:
+    """``schedule_callback_at``: the absolute-instant push."""
+
+    def test_fires_at_the_given_float(self, env):
+        env.run(until=0.1)
+        when = 0.1 + 0.2  # 0.30000000000000004, not 0.3
+        hits = []
+        env.schedule_callback_at(when, lambda: hits.append(env.now))
+        env.run()
+        assert hits == [when]
+
+    def test_relative_push_is_now_plus_delay(self, env):
+        env.run(until=0.1)
+        h = env.schedule_callback(0.2, lambda: None)
+        (t, _, _, entry), = env._queue
+        assert entry is h and t == 0.1 + 0.2
+
+    @pytest.mark.parametrize("when", [float("nan"), 0.0, 1.0 - 1e-12])
+    def test_rejects_past_and_nan(self, env, when):
+        env.run(until=1.0)
+        with pytest.raises(ValueError, match="invalid instant"):
+            env.schedule_callback_at(when, lambda: None)
+        assert env.events_scheduled == 0
+
+    def test_now_and_infinity_allowed(self, env):
+        env.run(until=2.0)
+        hits = []
+        env.schedule_callback_at(2.0, lambda: hits.append(env.now))
+        env.schedule_callback_at(float("inf"), lambda: hits.append("never"))
+        env.run(until=5.0)
+        assert hits == [2.0]
+
+    def test_ties_follow_time_priority_seq(self, env):
+        order = []
+        env.schedule_callback_at(1.0, lambda: order.append("at1"))
+        env.schedule_callback(1.0, lambda: order.append("rel"))
+        env.timeout(1.0).add_callback(lambda _ev: order.append("ev"))
+        env.schedule_callback_at(1.0, lambda: order.append("at2"))
+        env.schedule_callback_at(1.0, lambda: order.append("urgent"),
+                                 priority=0)
+        env.schedule_callback_at(0.5, lambda: order.append("early"),
+                                 priority=2)
+        env.run()
+        assert order == ["early", "urgent", "at1", "rel", "ev", "at2"]
