@@ -530,15 +530,9 @@ class FileSystem:
                 remaining -= slice_bytes
         return self.env.now - start
 
-    def flush_marker(self, f: SimFile) -> np.ndarray:
-        """Per-OST absorbed-bytes watermark for a later :meth:`flush`."""
-        self.fabric.invalidate()  # bring pool accounting up to now
-        return self.pool.bytes_absorbed.copy()
-
     def flush(
         self,
         f: SimFile,
-        marker: Optional[np.ndarray] = None,
         timeout: Optional[float] = None,
     ) -> Generator:
         """Wait until the file's absorbed bytes are durable.
@@ -546,9 +540,9 @@ class FileSystem:
         Durable means on the platters *or* inside the storage
         target's battery-backed cache region (``stable_bytes`` of the
         pool config — real fsyncs on DDN-class hardware return from
-        mirrored NVRAM).  OST caches drain FIFO, so bytes absorbed
-        before watermark ``marker`` (default: now) are durable once
-        cumulative drained bytes pass ``marker - stable_bytes``.
+        mirrored NVRAM).  OST caches drain FIFO, so the bytes absorbed
+        by now are durable once cumulative drained bytes pass that
+        per-OST watermark less ``stable_bytes``.
         Returns elapsed seconds.
 
         A flush involving a FAILED target raises
@@ -558,14 +552,14 @@ class FileSystem:
         :class:`WriteTimeout` instead of re-arming its wait forever.
         """
         osts = set(f.layout.osts)
-        if marker is None:
-            marker = self.flush_marker(f)
+        self.fabric.sync()  # bring pool accounting up to now
+        marker = self.pool.bytes_absorbed.copy()
         start = self.env.now
         deadline = None if timeout is None else start + timeout
         idx = np.fromiter(osts, dtype=np.int64)
         stable = self.pool.config.stable_bytes
         while True:
-            self.fabric.invalidate()
+            self.fabric.sync()
             if self.pool.faults_active:
                 for o in idx:
                     if self.pool.state[o] == OstState.FAILED:
@@ -596,9 +590,9 @@ class FileSystem:
 
     # -- stats -------------------------------------------------------------
     def total_bytes_on_disk(self) -> float:
-        self.fabric.invalidate()
+        self.fabric.sync()
         return float(self.pool.bytes_drained.sum())
 
     def total_bytes_absorbed(self) -> float:
-        self.fabric.invalidate()
+        self.fabric.sync()
         return float(self.pool.bytes_absorbed.sum())

@@ -366,8 +366,20 @@ class FlowNetwork:
     simulated instant (a zero-delay, priority-2 calendar entry, which
     sorts after every same-instant control event).  All N flows a
     writer group releases at one timestamp are therefore priced at one
-    reallocation.  :meth:`invalidate` remains synchronous — callers use
-    it to force accounting up to *now* before reading state.
+    reallocation.  :meth:`invalidate` and :meth:`sync` remain
+    synchronous — callers use them to bring accounting up to *now*
+    before reading state.
+
+    A *repeat settle* is one requested at the instant the last full
+    settle ran, with no dirty sink, no tenant-limit change and no
+    :meth:`adjust_flow_bytes` since.  Nothing has drained (``dt == 0``)
+    and the allocation, the completion deadline and the pool's next
+    transition would come out as the same floats, so the settle only
+    withdraws a pending deferred settle, re-arms the delay the full
+    settle recorded, and runs the metrics, the zero-flow trace records
+    and the ``on_settle`` hook.  :meth:`sync`, the deferred settle and
+    the timer take it; :meth:`invalidate` never does.
+    ``settle_count`` counts settle requests served, repeats included.
     """
 
     def __init__(
@@ -438,6 +450,12 @@ class FlowNetwork:
         self._settle_pending = False
         self._settle_event: Optional[_Callback] = None
         self._timer = Alarm(env, self._on_timer)
+        # The instant of the last full settle and the delay it armed,
+        # which a repeat settle re-arms; None once something a dirty
+        # sink or `_limits_changed` does not record (a flow's byte
+        # count, an out-of-band pool change) may have moved since.
+        self._settled_at: Optional[float] = None
+        self._settled_delay = np.inf
         # Rate-change watchers (see watch_flow), in registration-order
         # columns -- fid, callback, slot, last notified rate, live flag
         # -- so a settle scans them with one fancy-index + compare;
@@ -519,7 +537,9 @@ class FlowNetwork:
         flows stay mutually fair.  Limits different from the installed
         ones mark the allocation stale, so the settle requested here
         reallocates and the change takes effect at the end of the
-        current instant.  Limits equal to the installed ones (``None``
+        current instant; the interval since the last advance is
+        integrated at the old throttle rate first.  Limits equal to
+        the installed ones (``None``
         again, or an ``array_equal`` array) keep the current allocation
         and throttle rate: the settle still runs, takes the
         skip-reallocation path and re-arms the completion timer from
@@ -541,6 +561,10 @@ class FlowNetwork:
         else:
             same = old is not None and np.array_equal(limits, old)
         if not same:
+            if old is not None:
+                # Integrate the elapsed interval at the old throttle
+                # rate before the change resets it.
+                self._advance_only()
             self._tenant_limits = limits
             if limits is None:
                 self._tenant_throttle_rate = None
@@ -702,6 +726,20 @@ class FlowNetwork:
 
         Synchronous: any deferred settle is folded in, and accounting
         (flow progress, pool state, completions) is current on return.
+        Always a full settle, even at an instant already settled: the
+        pool binds it for multiplier pushes and fault transitions,
+        which change sink state the fabric cannot see.
+        """
+        self._settled_at = None
+        self._settle()
+
+    def sync(self) -> None:
+        """Bring accounting up to now, for a reader of pool or flow state.
+
+        Like :meth:`invalidate`, but for callers that changed nothing
+        out-of-band: at an instant already settled, with no mutation
+        since, it is a repeat settle (see the class Notes) and does no
+        pool or allocator work.
         """
         self._settle()
 
@@ -745,6 +783,7 @@ class FlowNetwork:
             )
         self._remaining[slot] = new_remaining
         self._nbytes[slot] += float(delta)
+        self._settled_at = None  # the completion deadline moved
         self._request_settle()
         return new_remaining
 
@@ -906,7 +945,12 @@ class FlowNetwork:
         self._last_settle = now
 
     def _settle(self) -> None:
-        """Advance state to now, complete finished flows, reallocate."""
+        """Advance state to now, complete finished flows, reallocate.
+
+        A repeat settle (see the class Notes) re-arms the recorded
+        deadline instead: at the instant already settled, with nothing
+        changed since, the full pass would reproduce every float.
+        """
         if self._settle_pending:
             # Folding a deferred settle into this synchronous one;
             # withdraw its calendar entry instead of leaving a stale
@@ -915,94 +959,116 @@ class FlowNetwork:
             ev, self._settle_event = self._settle_event, None
             if ev is not None:
                 ev.cancel()
-        self._advance_only()
         now = self.env.now
         self.settle_count += 1
         tr = self.env.tracer
         traced = tr is not None
-
-        # Complete drained flows: bookkeeping in one vectorized pass,
-        # then each flow's event in ascending slot order.
-        act_slots = self._active_slots()
-        remaining = self._remaining[act_slots]
-        done = act_slots[remaining <= _EPS_BYTES]
-        if done.size:
-            src = self._src[done].tolist()
-            dst = self._dst[done].tolist()
-            nbytes = self._nbytes[done].tolist()
-            t0s = self._t0[done].tolist()
-            fids, events = self._retire(done)
-            for fid, ev, s, d, nb, t0 in zip(fids, events, src, dst,
-                                             nbytes, t0s):
-                if traced:
-                    tr.end("flow", cat="fabric", pid=f"ost/{d}",
-                           tid=f"flow {fid}", args={"duration": now - t0})
-                ev.succeed(FlowStats(fid, s, d, nb, t0, now))
+        repeat = (
+            now == self._settled_at
+            and not self._dirty_sinks
+            and not self._limits_changed
+        )
+        if repeat:
+            # dt == 0 and the flow set, remaining bytes, limits and pool
+            # state are those of the last full settle: no flow drains,
+            # and the allocation and both deadlines come out the same.
+            n_live = len(self._slot_of)
+            reallocated = not n_live  # the zero-flow branch below
+            delay = self._settled_delay
+        else:
+            self._advance_only()
+            # Complete drained flows: bookkeeping in one vectorized
+            # pass, then each flow's event in ascending slot order.
             act_slots = self._active_slots()
             remaining = self._remaining[act_slots]
+            done = act_slots[remaining <= _EPS_BYTES]
+            if done.size:
+                src = self._src[done].tolist()
+                dst = self._dst[done].tolist()
+                nbytes = self._nbytes[done].tolist()
+                t0s = self._t0[done].tolist()
+                fids, events = self._retire(done)
+                for fid, ev, s, d, nb, t0 in zip(fids, events, src, dst,
+                                                 nbytes, t0s):
+                    if traced:
+                        tr.end("flow", cat="fabric", pid=f"ost/{d}",
+                               tid=f"flow {fid}",
+                               args={"duration": now - t0})
+                    ev.succeed(FlowStats(fid, s, d, nb, t0, now))
+                act_slots = self._active_slots()
+                remaining = self._remaining[act_slots]
 
-        # The pool keeps the snapshot it is given (its advance() uses
-        # the counts from the *last* settle) and memoizes on its
-        # identity, so it never sees the live incremental array.
-        # capacities() is also where the pool updates internal state
-        # (e.g. the cache-full hysteresis flag) — it must run even with
-        # no flows, or a drained cache keeps reporting an overdue
-        # transition and the timer livelocks at delay 0.
-        counts = self._counts_snap
-        if counts is None:
-            counts = self._counts_snap = self._counts.copy()
-            counts.flags.writeable = False
-        caps = np.asarray(
-            self.pool.capacities(counts, now), dtype=np.float64
-        )
-        t_complete = np.inf
-        reallocated = True
-        if not act_slots.size:
-            self._inflow = np.zeros(self.n_sinks, dtype=np.float64)
-            self._last_caps = None
-            self._shares_valid = False
-            self._dirty_sinks.clear()
-            self._limits_changed = False
-            if self._tenant_throttle_rate is not None:
-                self._tenant_throttle_rate[:] = 0.0
-        else:
-            last = self._last_caps
-            changed = None if last is None else (caps != last).nonzero()[0]
-            if (
-                not self._dirty_sinks
-                and not self._limits_changed
-                and changed is not None
-                and not changed.size
-            ):
-                # Neither the flow set, the tenant limits nor any
-                # capacity changed since the current allocation was
-                # computed (a pool transition timer fired early, an
-                # out-of-band invalidate was a no-op, or a QoS tick
-                # pushed the limits already in force): existing rates
-                # are still the allocation, so skip straight to
-                # re-arming the timer.
-                rates = self._rate[act_slots]
-                reallocated = False
+            # The pool keeps the snapshot it is given (its advance()
+            # uses the counts from the *last* settle) and memoizes on
+            # its identity, so it never sees the live incremental
+            # array.  capacities() is also where the pool updates
+            # internal state (e.g. the cache-full hysteresis flag) — it
+            # must run even with no flows, or a drained cache keeps
+            # reporting an overdue transition and the timer livelocks
+            # at delay 0.
+            counts = self._counts_snap
+            if counts is None:
+                counts = self._counts_snap = self._counts.copy()
+                counts.flags.writeable = False
+            caps = np.asarray(
+                self.pool.capacities(counts, now), dtype=np.float64
+            )
+            n_live = int(act_slots.size)
+            t_complete = np.inf
+            reallocated = True
+            if not n_live:
+                self._inflow = np.zeros(self.n_sinks, dtype=np.float64)
+                self._last_caps = None
+                self._shares_valid = False
+                self._dirty_sinks.clear()
+                self._limits_changed = False
+                if self._tenant_throttle_rate is not None:
+                    self._tenant_throttle_rate[:] = 0.0
             else:
-                rates = self._reallocate(act_slots, counts, caps, changed)
-            finish = np.divide(remaining, rates,
-                               out=np.full(rates.shape, np.inf),
-                               where=rates > 0)
-            t_complete = float(finish.min())
+                last = self._last_caps
+                changed = (None if last is None
+                           else (caps != last).nonzero()[0])
+                if (
+                    not self._dirty_sinks
+                    and not self._limits_changed
+                    and changed is not None
+                    and not changed.size
+                ):
+                    # Neither the flow set, the tenant limits nor any
+                    # capacity changed since the current allocation was
+                    # computed (a pool transition timer fired early, an
+                    # out-of-band invalidate was a no-op, or a QoS tick
+                    # pushed the limits already in force): existing
+                    # rates are still the allocation, so skip straight
+                    # to re-arming the timer.
+                    rates = self._rate[act_slots]
+                    reallocated = False
+                else:
+                    rates = self._reallocate(act_slots, counts, caps,
+                                             changed)
+                finish = np.divide(remaining, rates,
+                                   out=np.full(rates.shape, np.inf),
+                                   where=rates > 0)
+                t_complete = float(finish.min())
+            t_pool = self.pool.next_transition(self._inflow, counts, now)
+            delay = min(t_complete, t_pool)
+            # Recorded before the watchers run: one that adjusts a
+            # flow's bytes clears the record again.
+            self._settled_at = now
+            self._settled_delay = delay
         if traced and reallocated:
             total = float(self._inflow.sum())
             tr.instant(
                 "reallocate", cat="fabric", pid="fabric", tid="settle",
-                args={"flows": int(act_slots.size), "total_inflow": total},
+                args={"flows": n_live, "total_inflow": total},
             )
             tr.counter("inflow", pid="fabric",
                        values={"bytes_per_s": total})
-        t_pool = self.pool.next_transition(self._inflow, counts, now)
-        self._arm_timer(min(t_complete, t_pool))
+        self._arm_timer(delay)
         if self._m_settles is not None:
             self._m_settles.inc()
-            self._m_flows.set(int(act_slots.size))
-        if self._watchers:
+            self._m_flows.set(n_live)
+        if self._watchers and not repeat:
             self._notify_watchers(now)
         hook = self.on_settle
         if hook is not None:

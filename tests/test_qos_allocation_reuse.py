@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.net import fabric
-from repro.net.fabric import FlowNetwork
+from repro.net.fabric import FlowNetwork, UniformSinkPool
 from repro.sim.engine import Environment
 from tests.test_fabric_incremental import MutableCapPool, swallow
 
@@ -302,3 +302,19 @@ def test_infinite_limit_lets_flow_finish():
     net.env.run(until=50.0)
     assert ev.processed and ev.ok
     assert not net._slot_of
+
+
+def test_changed_push_keeps_the_elapsed_throttled_bytes():
+    """A changed push integrates the interval before it at the old
+    throttle rate, with no ``tenant_accounting()`` call in between."""
+    env = Environment()
+    net = FlowNetwork(env, np.full(2, 1.6e9), UniformSinkPool(2, 1e8))
+    swallow(net.start_flow(0, 0, 1e12, tenant=0))
+    swallow(net.start_flow(1, 1, 1e12, tenant=1))
+    net.set_tenant_limits(np.array([5e7, np.inf]))  # throttles 5e7 B/s
+    env.run(until=1.0)
+    net.set_tenant_limits(np.array([2e7, np.inf]))  # throttles 8e7 B/s
+    env.run(until=2.0)
+    served, throttled = net.tenant_accounting()
+    assert throttled.tolist() == [1.3e8, 0.0]
+    assert served.tolist() == [7e7, 2e8]
