@@ -33,7 +33,7 @@ from repro.sim.events import (
     EventAborted,
     Timeout,
 )
-from repro.sim.process import Interrupt, Mailbox, Process, ProcessKilled
+from repro.sim.process import Mailbox, Process, ProcessKilled
 from repro.sim.engine import Deadlock, Environment, SimulationError
 from repro.sim.queues import Resource
 from repro.sim.rng import RngRegistry
@@ -46,7 +46,6 @@ __all__ = [
     "Environment",
     "Event",
     "EventAborted",
-    "Interrupt",
     "Mailbox",
     "Process",
     "ProcessKilled",

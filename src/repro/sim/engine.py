@@ -59,10 +59,6 @@ class _Callback:
         self.processed = False
         self._cancelled = False
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def cancel(self) -> "_Callback":
         """Withdraw the entry; a no-op the second time, an error once
         it has fired (as :meth:`Event.cancel`)."""
@@ -223,12 +219,12 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+    def _schedule(self, event: Event) -> None:
         if event._scheduled:
             raise RuntimeError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._queue, (self._now, 1, self._seq, event))
 
     def schedule_callback(
         self, delay: float, fn: Callable[[], None], priority: int = 1
@@ -284,32 +280,7 @@ class Environment:
         """
         return [p for p in self._live if p.is_alive]
 
-    def check_deadlock(self) -> None:
-        """Raise :class:`Deadlock` if the calendar is empty but processes wait.
-
-        Cheap enough to call after any :meth:`run` that returned without
-        its awaited condition: an empty calendar with live processes
-        means nothing will ever wake them.
-        """
-        if self.peek() != float("inf"):
-            return
-        waiting = self.unfinished_processes()
-        if waiting:
-            raise Deadlock(waiting)
-
     # -- run loop -----------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if idle.
-
-        Cancelled entries are discarded here rather than at their fire
-        time, so they never hold the clock hostage: cancelling the last
-        pending event leaves the calendar genuinely empty.
-        """
-        q = self._queue
-        while q and q[0][3]._cancelled:
-            heapq.heappop(q)
-        return q[0][0] if q else float("inf")
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the calendar drains, *until* time passes, or event fires.
 
@@ -333,10 +304,11 @@ class Environment:
                     f"until={stop_time} is in the past (now={self._now})"
                 )
 
-        # The hot loop: peek() and fire one entry per iteration, but
-        # with the heap scanned once, the heap/pop lookups hoisted, and
-        # the stop-event check reduced to a slot load.  The simulation
-        # spends most of its wall-clock here.
+        # The hot loop: skip cancelled entries, fire one entry per
+        # iteration, with the heap/pop lookups hoisted and the
+        # stop-event check reduced to a slot load.  Cancelled entries
+        # are discarded before the clock moves, so they never hold it
+        # hostage.  The simulation spends most of its wall-clock here.
         q = self._queue
         pop = heapq.heappop
         callback = _Callback

@@ -137,21 +137,11 @@ class Event:
         self._cancelled = True
         return self
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     # -- chaining ------------------------------------------------------
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
             raise RuntimeError(f"{self!r} already processed")
         self.callbacks.append(fn)
-
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (

@@ -18,19 +18,7 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["Process", "Interrupt", "ProcessKilled", "Mailbox"]
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The interrupted process may catch it and continue; the event it was
-    waiting on remains pending and may be re-awaited.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Process", "ProcessKilled", "Mailbox"]
 
 
 class ProcessKilled(Exception):
@@ -75,30 +63,6 @@ class Process(Event):
         return not self.triggered
 
     # -- control -------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if not self.is_alive:
-            raise RuntimeError(f"{self.name}: cannot interrupt a dead process")
-        if self._waiting_on is None:
-            raise RuntimeError(
-                f"{self.name}: cannot interrupt before first suspension"
-            )
-        # Detach from the event we were waiting on; it may still fire but
-        # must not resume us twice.
-        waited = self._waiting_on
-        self._waiting_on = None
-        if waited.callbacks is not None:
-            try:
-                waited.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        # Resume immediately (at current time) with the interrupt.
-        kick = Event(self.env)
-        kick._ok = False
-        kick._value = Interrupt(cause)
-        kick.add_callback(self._resume_with_interrupt)
-        self.env._schedule(kick, priority=0)
-
     def kill(self, cause: Any = None, cancel_wait: bool = False) -> None:
         """Terminate the process; its event fails with ProcessKilled.
 
@@ -131,12 +95,12 @@ class Process(Event):
             return
         self._step()
 
-    def _resume_with_interrupt(self, kick: Event) -> None:
-        self._step(throw=kick._value)
-
     def _resume(self, event: Event) -> None:
-        if self._waiting_on is not event and self._waiting_on is not None:
-            return  # stale callback after interrupt
+        if self._waiting_on is not event:
+            # Killed by an earlier callback of the same event: the
+            # event's callback list was already taken, so kill() could
+            # not detach this one.
+            return
         self._waiting_on = None
         if event.ok:
             self._step(send=event._value)
@@ -218,9 +182,6 @@ class Mailbox:
         self.env = env
         self._items: deque = deque()
         self._waiter: Optional[Event] = None
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: Any) -> None:
         """Enqueue an item; wakes the waiting consumer, if any."""

@@ -40,10 +40,6 @@ class Resource:
         self._waiters: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         return len(self._waiters)
 

@@ -48,16 +48,5 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def fork(self, name: str) -> "RngRegistry":
-        """A sub-registry whose streams are namespaced under *name*.
-
-        Used to give each sample of a multi-sample experiment its own
-        coherent universe of streams.
-        """
-        return RngRegistry(self._derive(f"fork:{name}"))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngRegistry(seed={self.seed}, streams={len(self._streams)})"

@@ -217,7 +217,7 @@ class TestFaultedPath:
         assert len(res.per_writer) == 48
         live = [
             entry[3] for entry in m.env._queue
-            if not entry[3].cancelled and not entry[3].processed
+            if not entry[3]._cancelled and not entry[3].processed
         ]
         # Permissible O(1) survivors: the run-timeout backstop and the
         # writer-release goodbye grace (both one-shot ``any_of``

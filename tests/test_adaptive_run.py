@@ -28,6 +28,7 @@ from repro.core.transports.adaptive import (
 from repro.faults import FaultPlan
 from repro.machines import jaguar
 from repro.units import MB
+from tests.simcal import next_instant
 
 N_RANKS, N_OSTS = 16, 4  # four groups of four ranks; rank 0 is C
 
@@ -164,5 +165,5 @@ class TestRelocation:
 @pytest.mark.parametrize("hardened", [False, True])
 def test_constructing_a_run_schedules_nothing(hardened):
     run = make_run(hardened)
-    assert run.env.peek() == float("inf")
+    assert next_instant(run.env) == float("inf")
     assert run.done is None

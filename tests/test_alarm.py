@@ -17,6 +17,7 @@ import pytest
 
 from repro.net.fabric import FlowNetwork
 from repro.sim.engine import Alarm, Environment
+from tests.simcal import next_instant
 from tests.test_fabric_incremental import MutableCapPool
 
 
@@ -47,7 +48,7 @@ class TestAlarm:
         alarm.set(3.0)
         env.run(until=2.0)
         assert hits == []
-        assert env.peek() == 3.0
+        assert next_instant(env) == 3.0
         env.run()
         assert hits == [3.0]
 
@@ -74,7 +75,7 @@ class TestAlarm:
         depth = env.calendar_depth
         alarm.clear()
         assert env.calendar_depth == depth
-        assert env.peek() == float("inf")
+        assert next_instant(env) == float("inf")
         env.run()
         assert hits == [] and env.now == 0.0
         alarm.clear()  # a no-op when nothing is armed
@@ -148,7 +149,7 @@ def test_early_fire_does_not_settle():
     env.run(until=1.25)  # past the stale 1.0 prediction
     assert net.settle_count == settles
     assert net._active.any()
-    assert env.peek() == 1.5
+    assert next_instant(env) == 1.5
     env.run()
     assert net.settle_count == settles + 1
     assert not net._active.any()

@@ -21,6 +21,7 @@ from repro.net.fabric import FlowNetwork
 from repro.sim.engine import Environment
 from repro.trace import Tracer
 from repro.units import MB
+from tests.simcal import next_instant
 from tests.test_fabric_incremental import MutableCapPool, swallow
 
 N_SRC = 12
@@ -256,11 +257,11 @@ def test_deferred_settle_after_a_no_op_mutation_is_a_repeat():
 def test_adjust_then_sync_rearms_at_the_new_finish():
     net, pool, done = _settled()
     calls = pool.calls
-    assert net.env.peek() == 1.0
+    assert next_instant(net.env) == 1.0
     assert net.adjust_flow_bytes(0, -5e7) == 2.5e7
     net.sync()
     assert pool.calls == calls + 2
-    assert net.env.peek() == 0.5
+    assert next_instant(net.env) == 0.5
     net.env.run()
     assert done == [0.5]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, ProcessKilled, SimulationError
+from repro.sim import Environment, ProcessKilled, SimulationError
 
 
 @pytest.fixture
@@ -23,9 +23,6 @@ class TestClock:
         env.run(until=5.0)
         with pytest.raises(ValueError):
             env.run(until=1.0)
-
-    def test_peek_empty_is_inf(self, env):
-        assert env.peek() == float("inf")
 
 
 def _ticker(env, period, log):
@@ -108,52 +105,7 @@ class TestProcesses:
 
 
 class TestInterrupt:
-    def test_interrupt_resumes_with_exception(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                log.append((env.now, i.cause))
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(3)
-            p.interrupt("wakeup")
-
-        env.process(interrupter(env))
-        env.run()
-        assert log == [(3.0, "wakeup")]
-
-    def test_interrupted_process_continues(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(2)
-            return env.now
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(1)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert p.value == 3.0
-
-    def test_cannot_interrupt_dead_process(self, env):
-        def quick(env):
-            yield env.timeout(1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
+    """Stopping a process from outside: kill."""
 
     def test_kill(self, env):
         def sleeper(env):
@@ -169,6 +121,29 @@ class TestInterrupt:
         env.run()
         assert p.triggered and not p.ok
         assert isinstance(p._value, ProcessKilled)
+
+    def test_kill_by_an_earlier_waiter_of_the_same_event(self, env):
+        """A process killed by an earlier callback of the event it waits
+        on stays dead: the event's callback list is already taken, so
+        kill() cannot detach the victim's resume from it."""
+        ev = env.event()
+
+        def killer(env):
+            yield ev
+            victim.kill("k")
+
+        def sleeper(env):
+            yield ev
+            yield env.timeout(1)
+
+        env.process(killer(env), name="killer")
+        victim = env.process(sleeper(env), name="victim")
+        env.schedule_callback(1.0, ev.succeed)
+        env.run()
+        assert victim.triggered and not victim.ok
+        assert isinstance(victim._value, ProcessKilled)
+        assert victim._value.args == ("k",)
+        assert env.now == 1.0
 
     def test_kill_before_first_step(self, env):
         ran = []
@@ -236,6 +211,8 @@ class TestDeadlockDetection:
         assert alive == [w]
 
     def test_check_deadlock_raises_only_when_calendar_empty(self, env):
+        """``run(until=event)`` checks for deadlock once the calendar
+        drains, not while anything is still scheduled."""
         gate = env.event()
 
         def waiter(env):
@@ -245,18 +222,17 @@ class TestDeadlockDetection:
         env.process(_ticker_once(env))
         from repro.sim import Deadlock
 
-        env.check_deadlock()  # ticker still scheduled: no deadlock yet
-        env.run()
         with pytest.raises(Deadlock):
-            env.check_deadlock()
+            env.run(until=gate)
+        assert env.now == 2.0  # the ticker ran before the check fired
 
     def test_check_deadlock_quiet_when_all_finished(self, env):
         def body(env):
             yield env.timeout(1)
 
-        env.process(body(env))
-        env.run()
-        env.check_deadlock()  # must not raise
+        p = env.process(body(env))
+        env.run(until=p)  # must not raise
+        assert env.now == 1.0
 
 
 def _ticker_once(env):
@@ -283,22 +259,16 @@ class TestCallbackHandles:
         env.schedule_callback(1.0, lambda: hits.append(env.now))
         late = env.schedule_callback(5.0, lambda: hits.append(env.now))
         late.cancel()
-        assert late.cancelled and not late.processed
+        assert late._cancelled and not late.processed
         env.run()
         assert hits == [1.0]
         assert env.now == 1.0
-
-    def test_peek_skips_cancelled_handle(self, env):
-        first = env.schedule_callback(1.0, lambda: None)
-        env.schedule_callback(3.0, lambda: None)
-        first.cancel()
-        assert env.peek() == 3.0
 
     def test_cancel_twice_is_noop_and_after_firing_raises(self, env):
         h = env.schedule_callback(1.0, lambda: None)
         h.cancel()
         h.cancel()
-        assert h.cancelled
+        assert h._cancelled
         fired = env.schedule_callback(1.0, lambda: None)
         env.run()
         with pytest.raises(RuntimeError, match="already processed"):

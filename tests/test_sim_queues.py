@@ -65,7 +65,7 @@ class TestResource:
         env.process(holder(env))
         env.process(holder(env))
         env.run(until=1.0)
-        assert res.in_use == 2
+        assert res._in_use == 2
         assert res.queue_length == 1
 
     def test_invalid_capacity(self, env):
