@@ -2,7 +2,6 @@
 
 from repro.metrics.stats import (
     SampleStats,
-    coefficient_of_variation,
     imbalance_factor,
     summarize,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "Histogram",
     "SampleStats",
     "WriterTimeline",
-    "coefficient_of_variation",
     "imbalance_factor",
     "summarize",
     "text_histogram",

@@ -37,24 +37,8 @@ class Histogram:
         counts, edges = np.histogram(arr, bins=n_bins, range=(lo, hi))
         return cls(edges=edges, counts=counts)
 
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def mode_bin(self) -> int:
-        return int(self.counts.argmax())
-
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    def spread_mass(self, frac_of_mode: float = 0.5) -> int:
-        """Number of bins at least ``frac_of_mode`` of the peak —
-        a width proxy for comparing histogram shapes."""
-        peak = self.counts.max()
-        if peak == 0:
-            return 0
-        return int((self.counts >= frac_of_mode * peak).sum())
 
 
 def text_histogram(

@@ -16,25 +16,9 @@ import numpy as np
 
 __all__ = [
     "SampleStats",
-    "coefficient_of_variation",
     "imbalance_factor",
     "summarize",
 ]
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """std/mean (the paper's "covariance"), as a fraction.
-
-    Uses the population standard deviation, matching how monitoring
-    repositories summarize full sample sets.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one value")
-    mean = arr.mean()
-    if mean == 0:
-        return float("inf")
-    return float(arr.std() / mean)
 
 
 def imbalance_factor(write_times: Sequence[float]) -> float:
@@ -62,7 +46,11 @@ class SampleStats:
 
     @property
     def cov(self) -> float:
-        """Coefficient of variation (std/mean)."""
+        """std/mean (the paper's "covariance"), as a fraction.
+
+        The std is the population one, matching how monitoring
+        repositories summarize full sample sets.
+        """
         if self.mean == 0:
             return float("inf")
         return self.std / self.mean
@@ -70,15 +58,6 @@ class SampleStats:
     @property
     def cov_percent(self) -> float:
         return 100.0 * self.cov
-
-    def row(self, scale: float = 1.0) -> tuple:
-        """(n, mean, std, cov%) scaled — a Table-I-shaped row."""
-        return (
-            self.n,
-            self.mean / scale,
-            self.std / scale,
-            self.cov_percent,
-        )
 
 
 def summarize(values: Sequence[float]) -> SampleStats:

@@ -19,10 +19,6 @@ __all__ = [
     "KiB",
     "MiB",
     "GiB",
-    "bytes_to_mb",
-    "bytes_to_gb",
-    "mb",
-    "gb",
     "fmt_bytes",
     "fmt_rate",
 ]
@@ -35,24 +31,6 @@ TB = 1000**4
 KiB = 1024
 MiB = 1024**2
 GiB = 1024**3
-
-
-def mb(n: float) -> float:
-    """*n* megabytes in bytes."""
-    return n * MB
-
-
-def gb(n: float) -> float:
-    """*n* gigabytes in bytes."""
-    return n * GB
-
-
-def bytes_to_mb(n: float) -> float:
-    return n / MB
-
-
-def bytes_to_gb(n: float) -> float:
-    return n / GB
 
 
 def fmt_bytes(n: float) -> str:

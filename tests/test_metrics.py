@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.metrics import (
     Histogram,
     WriterTimeline,
-    coefficient_of_variation,
     imbalance_factor,
     summarize,
     text_histogram,
@@ -18,16 +17,16 @@ from repro.core.transports.base import WriterTiming
 
 class TestStats:
     def test_cov_basic(self):
-        assert coefficient_of_variation([1, 1, 1]) == 0.0
-        v = coefficient_of_variation([1.0, 3.0])
+        assert summarize([1, 1, 1]).cov == 0.0
+        v = summarize([1.0, 3.0]).cov
         assert v == pytest.approx(0.5)
 
     def test_cov_zero_mean(self):
-        assert coefficient_of_variation([1.0, -1.0]) == float("inf")
+        assert summarize([1.0, -1.0]).cov == float("inf")
 
     def test_cov_empty_rejected(self):
         with pytest.raises(ValueError):
-            coefficient_of_variation([])
+            summarize([])
 
     def test_imbalance_factor_paper_example(self):
         # Slowest/fastest write time; factor 3.44 in the paper's Test 1.
@@ -54,12 +53,6 @@ class TestStats:
         assert s.cov == pytest.approx(s.std / 2.0)
         assert s.cov_percent == pytest.approx(100 * s.cov)
 
-    def test_summary_row_scaling(self):
-        s = summarize([1e6, 3e6])
-        n, mean, std, cov = s.row(scale=1e6)
-        assert mean == pytest.approx(2.0)
-        assert cov == pytest.approx(50.0)
-
     @given(st.lists(st.floats(0.1, 1e6), min_size=1, max_size=100))
     @settings(max_examples=100)
     def test_imbalance_at_least_one(self, times):
@@ -69,33 +62,27 @@ class TestStats:
            st.floats(0.5, 10.0))
     @settings(max_examples=100)
     def test_cov_scale_invariant(self, values, k):
-        a = coefficient_of_variation(values)
-        b = coefficient_of_variation([v * k for v in values])
+        a = summarize(values).cov
+        b = summarize([v * k for v in values]).cov
         assert a == pytest.approx(b, rel=1e-6)
 
 
 class TestHistogram:
     def test_of_counts_sum(self):
         h = Histogram.of([1, 2, 2, 3, 10], n_bins=5)
-        assert h.n == 5
+        assert h.counts.sum() == 5
         assert len(h.counts) == 5
         assert len(h.edges) == 6
 
     def test_degenerate_range(self):
         h = Histogram.of([5.0, 5.0], n_bins=4)
-        assert h.n == 2
+        assert h.counts.sum() == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Histogram.of([], n_bins=3)
         with pytest.raises(ValueError):
             Histogram.of([1.0], n_bins=0)
-
-    def test_mode_and_spread(self):
-        h = Histogram.of([1] * 10 + [5] * 2, n_bins=4, low=0, high=8)
-        assert h.mode_bin == 0
-        assert h.spread_mass(0.5) == 1
-        assert h.spread_mass(0.1) == 2
 
     def test_text_histogram_lines(self):
         h = Histogram.of([1, 2, 3, 4], n_bins=4)
@@ -108,7 +95,7 @@ class TestHistogram:
     @settings(max_examples=100)
     def test_counts_conserved(self, values, bins):
         h = Histogram.of(values, n_bins=bins)
-        assert h.n == len(values)
+        assert h.counts.sum() == len(values)
 
 
 class TestWriterTimeline:

@@ -8,12 +8,8 @@ from repro.units import (
     KB,
     MB,
     TB,
-    bytes_to_gb,
-    bytes_to_mb,
     fmt_bytes,
     fmt_rate,
-    gb,
-    mb,
 )
 
 
@@ -24,18 +20,14 @@ class TestUnits:
         assert GB == 1_000_000_000
         assert TB == 1_000_000_000_000
 
-    def test_round_trips(self):
-        assert bytes_to_mb(mb(128)) == pytest.approx(128)
-        assert bytes_to_gb(gb(3.5)) == pytest.approx(3.5)
-
     def test_paper_arithmetic(self):
         # "200 MB per process yields 3 TB" for ~15 000 processes...
         # the paper's own numbers: 150 000 procs x 200 MB = 30 TB per
         # 10 output steps, i.e. 3 TB every 30 minutes at 15k procs.
-        assert 15_000 * mb(200) == pytest.approx(3 * TB)
+        assert 15_000 * 200 * MB == pytest.approx(3 * TB)
         # "672 OSTs x 180 MB/s" is within the paper's 60-90 GB/s
         # theoretical-peak window (accounting for network overheads).
-        assert 672 * mb(180) > 60 * GB
+        assert 672 * 180 * MB > 60 * GB
 
     def test_fmt_bytes(self):
         assert fmt_bytes(3e9) == "3.00 GB"
