@@ -52,11 +52,6 @@ class WriterCounters:
     def fastest_phase(self) -> str:
         return min(PHASES, key=lambda p: self.time[p])
 
-    @property
-    def bandwidth(self) -> float:
-        t = self.time["write"]
-        return self.bytes_written / t if t > 0 else float("inf")
-
 
 def per_writer_counters(events: List[TraceEvent]) -> List[WriterCounters]:
     """Fold writer-phase spans into per-(run, writer) counters.

@@ -41,7 +41,6 @@ registry.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
@@ -88,12 +87,6 @@ class Tracer(RunSequence):
             return
         base = self._rebase(max(ev.run for ev in events) + 1)
         self.events.extend(replace(ev, run=base + ev.run) for ev in events)
-
-    def clear(self) -> None:
-        self.events.clear()
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def _ts(self, ts: Optional[float]) -> float:
         if ts is not None:
@@ -171,16 +164,6 @@ class Tracer(RunSequence):
             TraceEvent("C", name, "counter", self._ts(ts), pid, tid,
                        self.run, args=dict(values))
         )
-
-    @contextmanager
-    def span(self, name: str, cat: str, pid: str, tid: str,
-             args: Optional[dict] = None):
-        """Context-manager convenience for non-yielding code paths."""
-        self.begin(name, cat, pid, tid, args=args)
-        try:
-            yield
-        finally:
-            self.end(name, cat, pid, tid)
 
     def close_open_spans(self, ts: Optional[float] = None) -> int:
         """Close every still-open ``B`` span of the current run.

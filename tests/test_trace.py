@@ -73,7 +73,7 @@ class TestTracerCore:
             m = jaguar(n_osts=N_OSTS).build(n_ranks=N_RANKS, seed=0)
         m.env.set_tracer(None)
         AdaptiveTransport(n_osts_used=N_OSTS).run(m, app(), output_name="out")
-        assert len(tr) == 0
+        assert len(tr.events) == 0
 
     def test_active_tracer_scoping(self):
         assert active_session() is None
@@ -308,32 +308,30 @@ class TestReportEdgeCases:
         counters — the report must say so, not crash on max()."""
         tr = Tracer()
         tr.instant("ost.failstop", cat="fault", pid="p", tid="t")
-        with tr.span("settle", cat="fabric", pid="p", tid="t"):
-            pass
+        tr.begin("settle", cat="fabric", pid="p", tid="t")
+        tr.end("settle", cat="fabric", pid="p", tid="t")
         counters = per_writer_counters(tr.events)
         assert counters == []
         assert "was tracing enabled?" in render_report(counters)
 
     def test_zero_byte_writer_renders_0_b(self):
         """A writer whose write span moved no data must render '0 B'
-        (not divide by zero or print an empty cell), and its bandwidth
-        is inf by convention when write time is zero too."""
+        (not divide by zero or print an empty cell), with zero write
+        time too."""
         tr = Tracer()
         self._span(tr, "write", 0.0, 1.0, args={"nbytes": 0.0})
         counters = per_writer_counters(tr.events)
         assert len(counters) == 1
         wc = counters[0]
         assert wc.bytes_written == 0.0
-        assert wc.bandwidth == 0.0  # 0 bytes / 1s
         report = render_report(counters)
         assert "0 B" in report
-        # Zero write *time* with zero bytes: bandwidth is inf by the
-        # t<=0 convention, and the report still renders.
+        # Zero write *time* with zero bytes: the report still renders.
         tr2 = Tracer()
         self._span(tr2, "write", 2.0, 2.0, tid="rank 1",
                    args={"nbytes": 0.0})
         wc2 = per_writer_counters(tr2.events)[0]
-        assert wc2.bandwidth == float("inf")
+        assert wc2.time["write"] == 0.0
         assert "0 B" in render_report([wc2])
 
     def test_integrity_columns_only_when_detections_present(self):
@@ -386,8 +384,8 @@ class TestAbortedRunTraces:
 
     def test_close_open_spans_noop_when_balanced(self):
         tr = Tracer()
-        with tr.span("a", cat="t", pid="p", tid="t"):
-            pass
+        tr.begin("a", cat="t", pid="p", tid="t")
+        tr.end("a", cat="t", pid="p", tid="t")
         assert tr.close_open_spans() == 0
 
     def test_aborted_faulted_run_trace_is_well_formed(self):
