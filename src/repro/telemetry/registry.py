@@ -198,9 +198,6 @@ class MetricsRegistry(RunSequence):
         self._instruments: Dict[Tuple[str, str, LabelsKey], object] = {}
 
     # -- lifecycle -------------------------------------------------------
-    def clear(self) -> None:
-        self._instruments.clear()
-
     def __len__(self) -> int:
         return len(self._instruments)
 

@@ -21,8 +21,8 @@ into an explicit online flag stream:
   spell, so it neither enters the baseline nor changes its flag.
 
 Flags are computed online: transports (and the auto-tuning hook that
-ROADMAP item 3 plans) may call :meth:`StragglerDetector.is_straggler`
-/ :meth:`stragglers` mid-run.  Flag *transitions* are recorded so the
+ROADMAP item 3 plans) may call :meth:`StragglerDetector.stragglers`
+mid-run.  Flag *transitions* are recorded so the
 dashboard can annotate when each OST went bad.
 """
 
@@ -62,7 +62,6 @@ class StragglerDetector:
         self.n_osts = n_osts
         self.ewma = np.zeros(n_osts)
         self.n_updates = np.zeros(n_osts, dtype=np.int64)
-        self._z = np.zeros(n_osts)
         self._flagged = np.zeros(n_osts, dtype=bool)
         self.first_flag_time: Dict[int, float] = {}
         #: (t, ost, flagged) transitions, for dashboard annotations.
@@ -95,7 +94,6 @@ class StragglerDetector:
 
     def _rescore(self, t: float, active: np.ndarray) -> None:
         judged = np.nonzero(active & (self.n_updates >= self.min_samples))[0]
-        self._z[:] = 0.0
         new_flags = self._flagged & ~active
         if judged.size >= 3:
             vals = self.ewma[judged]
@@ -106,7 +104,6 @@ class StragglerDetector:
                 # infinite z-scores out of float dust.
                 mad = max(mad, 1e-6 * med)
                 z = _MAD_SIGMA * (vals - med) / mad
-                self._z[judged] = z
                 new_flags[judged] = (z < -self.z_threshold) & (
                     vals < self.deficit * med
                 )
@@ -121,9 +118,6 @@ class StragglerDetector:
         self._flagged = new_flags
 
     # -- queries (safe to call mid-run) ----------------------------------
-    def is_straggler(self, ost: int) -> bool:
-        return bool(self._flagged[int(ost)])
-
     def stragglers(self) -> Set[int]:
         """Currently-flagged OST indices."""
         return {int(i) for i in np.nonzero(self._flagged)[0]}
@@ -131,18 +125,3 @@ class StragglerDetector:
     def ever_flagged(self) -> Set[int]:
         """Every OST flagged at any point during the run."""
         return set(self.first_flag_time)
-
-    def zscores(self) -> np.ndarray:
-        """Latest robust z-score per OST (0 where not judged)."""
-        return self._z.copy()
-
-    def summary(self) -> dict:
-        return {
-            "flagged": sorted(self.stragglers()),
-            "ever_flagged": sorted(self.ever_flagged()),
-            "first_flag_time": {
-                str(k): float(v)
-                for k, v in sorted(self.first_flag_time.items())
-            },
-            "z_threshold": self.z_threshold,
-        }

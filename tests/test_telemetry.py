@@ -233,13 +233,8 @@ class TestStragglerDetector:
         rates = [10.0] + [100.0] * 7
         self._feed(det, rates, 5)
         assert det.stragglers() == {0}
-        assert det.is_straggler(0) and not det.is_straggler(1)
         assert det.ever_flagged() == {0}
         assert det.first_flag_time[0] == 2.0  # 3rd sample: min_samples
-        assert det.zscores()[0] < -det.z_threshold
-        summary = det.summary()
-        assert summary["flagged"] == [0]
-        assert summary["first_flag_time"] == {"0": 2.0}
 
     def test_uniform_pool_never_flags(self):
         det = StragglerDetector(8)
