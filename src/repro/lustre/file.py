@@ -78,13 +78,6 @@ class WriteLog(SequenceABC):
         k = (i % n) * self._WIDTH
         return WriteRecord(*self._rows[k:k + self._WIDTH])
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (WriteLog, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"WriteLog({list(self)!r})"
 
@@ -250,12 +243,6 @@ class BlockLedger(Mapping):
                 self.checksum_at(row)
         self._app = self._run_first = self._run_rank = None
 
-    @property
-    def checksum(self) -> List[Optional[int]]:
-        """Per-row stored checksums (None: checksum-free)."""
-        self._materialise()
-        return self._checksum
-
     def _extents(self) -> Dict[Tuple[float, float], int]:
         """``extent -> live row``, folding in the rows stored since."""
         rows = self._rows
@@ -332,10 +319,6 @@ class SimFile:
         self.writes.add(offset, nbytes, start_time, end_time, writer)
         if payload is not None:
             self.payloads[(offset, nbytes)] = payload
-
-    def payload_at(self, offset: float, nbytes: float) -> object:
-        """The payload tag stored for an exact extent, or None."""
-        return self.payloads.get((offset, nbytes))
 
     def attach_local_index(self, entries) -> None:
         """Attach the file's local-index footer as a metadata payload.

@@ -76,20 +76,17 @@ class MetadataServer:
         self.max_queue_length = max(
             self.max_queue_length, self._server.queue_length + 1
         )
-        yield self._server.request()
-        wait = self.env.now - arrived
-        service = self._draw_service_time()
+        req = self._server.request()
         try:
+            yield req
+            wait = self.env.now - arrived
+            service = self._draw_service_time()
             yield self.env.timeout(service)
         finally:
-            self._server.release()
+            # A rank killed while queued must not keep (or be handed)
+            # a slot.
+            self._server.withdraw(req)
         self.ops_completed += 1
         self.total_wait_time += wait
         self.total_service_time += service
         return wait, service
-
-    @property
-    def mean_wait_time(self) -> float:
-        if self.ops_completed == 0:
-            return 0.0
-        return self.total_wait_time / self.ops_completed

@@ -51,12 +51,6 @@ class OstState:
     HUNG = 2
     FAILED = 3
 
-    NAMES = ("UP", "DEGRADED", "HUNG", "FAILED")
-
-    @classmethod
-    def name(cls, code: int) -> str:
-        return cls.NAMES[int(code)]
-
 
 class EfficiencyCurve:
     """Throughput efficiency as a function of concurrent stream count.
@@ -514,9 +508,6 @@ class OstPool:
         if cap <= 0:
             return np.ones(self.n_sinks)
         return self.cache_level / cap
-
-    def is_full(self) -> np.ndarray:
-        return self._full.copy()
 
     def congestion_scores(self) -> np.ndarray:
         """Per-OST congestion score in [0, 1] for the QoS controller.

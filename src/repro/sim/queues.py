@@ -24,11 +24,15 @@ class Resource:
     Usage::
 
         req = resource.request()
-        yield req
         try:
+            yield req
             ...critical section...
         finally:
-            resource.release()
+            resource.withdraw(req)
+
+    ``withdraw`` (rather than ``release``) also covers a waiter killed
+    while still queued: its request leaves the queue instead of being
+    handed the next free slot.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1):
@@ -60,3 +64,11 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
+
+    def withdraw(self, req: Event) -> None:
+        """Give *req* back: release its slot if it was granted, else
+        take it out of the queue."""
+        if req.triggered:
+            self.release()
+        else:
+            self._waiters.remove(req)

@@ -233,7 +233,7 @@ class TestWritePath:
             return f
 
         f = run(env, scenario())
-        assert f.payload_at(0, 10.0) == {"idx": 1}
+        assert f.payloads[(0, 10.0)] == {"idx": 1}
 
     def test_two_writers_one_ost_contend(self):
         env, fs = make_fs(cache=0.0)

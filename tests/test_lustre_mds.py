@@ -53,7 +53,24 @@ class TestMetadataServer:
             env.process(op())
         env.run()
         assert mds.total_service_time == pytest.approx(0.015)
-        assert mds.mean_wait_time == pytest.approx((0 + 0.005 + 0.01) / 3)
+        assert mds.total_wait_time == pytest.approx(0 + 0.005 + 0.01)
+
+    def test_rank_killed_while_queued_leaves_no_slot_behind(self, env):
+        """A rank killed while its op waits in the queue gives its
+        request back: the next release goes to the rank behind it."""
+        mds = MetadataServer(env, concurrency=1, mean_service_time=1.0)
+        done = {}
+
+        def rank(r):
+            yield from mds.operation("open")
+            done[r] = env.now
+
+        procs = [env.process(rank(r), name=f"rank {r}") for r in range(3)]
+        env.schedule_callback(0.5, lambda: procs[1].kill("crash"))
+        env.run()
+        assert done == {0: 1.0, 2: 2.0}
+        assert mds._server._in_use == 0
+        assert mds._server.queue_length == 0
 
     def test_lognormal_jitter_mean(self, env):
         rng = np.random.default_rng(0)

@@ -117,13 +117,13 @@ class TestOstPoolDynamics:
         pool.capacities(counts, 0.0)
         pool.advance(10.0, np.array([200.0, 0.0]), 10.0)
         pool.capacities(counts, 10.0)
-        assert pool.is_full()[0]
+        assert pool._full[0]
         # Now inflow stops; cache drains at 100 B/s; threshold 95%.
         t = pool.next_transition(np.array([0.0, 0.0]), counts, 10.0)
         assert t == pytest.approx(0.5)  # 50 bytes to drain below 950
         pool.advance(0.5, np.array([0.0, 0.0]), 10.5)
         caps = pool.capacities(counts, 10.5)
-        assert not pool.is_full()[0]
+        assert not pool._full[0]
         assert caps[0] == pytest.approx(200.0)
 
     def test_drained_accounting_conserves_bytes(self):
@@ -329,8 +329,8 @@ class TestCachedPoolEquivalence:
                         p.recover_ost(ost)
             caps = pool.capacities(snapshot, now)
             assert np.array_equal(caps, ref.capacities(snapshot, now))
-            assert np.array_equal(pool.is_full(), ref.is_full())
-            n_full.append(int(pool.is_full().sum()))
+            assert np.array_equal(pool._full, ref._full)
+            n_full.append(int(pool._full.sum()))
             inflow = caps * rng.uniform(0.5, 1.0, self.N) * (snapshot > 0)
             t = pool.next_transition(inflow, snapshot, now)
             assert t == ref.next_transition(inflow, snapshot, now)

@@ -86,7 +86,7 @@ def _state(net: FlowNetwork, pool: OstPool) -> tuple:
         pool.cache_level.tolist(),
         pool.bytes_absorbed.tolist(),
         pool.bytes_drained.tolist(),
-        pool.is_full().tolist(),
+        pool._full.tolist(),
         ledger(net.tenant_served),
         ledger(net.tenant_throttled),
         ledger(net._tenant_throttle_rate),
