@@ -10,14 +10,13 @@ tests), "small" (the benchmark default — reduced machine, full shape),
 
 from repro.harness.experiment import Scale, n_samples_override, scale_from_env
 from repro.harness.parallel import parallel_map, resolve_jobs, run_samples
-from repro.harness.report import format_table, render_series
+from repro.harness.report import format_table
 
 __all__ = [
     "Scale",
     "format_table",
     "n_samples_override",
     "parallel_map",
-    "render_series",
     "resolve_jobs",
     "run_samples",
     "scale_from_env",

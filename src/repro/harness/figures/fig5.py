@@ -38,21 +38,6 @@ class Fig5Result:
             self.panels[m].render(titles[m]) for m in MODELS
         )
 
-    def headline_speedup(self, model: str = "xl") -> float:
-        """Adaptive/MPI-IO at the largest process count, base case."""
-        sweep = self.panels[model]
-        n = sweep.config.proc_counts[-1]
-        return sweep.speedup("base", n)
-
-    def to_dict(self) -> Dict:
-        """Machine-readable summary (JSON-safe scalars only)."""
-        return {
-            "panels": {m: s.to_dict() for m, s in self.panels.items()},
-            "headline_speedups": {
-                m: self.headline_speedup(m) for m in self.panels
-            },
-        }
-
 
 def run(
     scale: "Scale | str" = Scale.SMALL,

@@ -25,22 +25,6 @@ class Fig6Result:
             "Fig. 6 — XGC1 IO performance (38 MB/process)"
         )
 
-    def min_improvement_percent(self) -> float:
-        """Smallest adaptive-over-MPI improvement across the sweep."""
-        speedups = [
-            self.sweep.speedup(cond, n)
-            for n in self.sweep.config.proc_counts
-            for cond in ("base", "interference")
-        ]
-        return (min(speedups) - 1.0) * 100.0
-
-    def to_dict(self) -> dict:
-        """Machine-readable summary (JSON-safe scalars only)."""
-        return {
-            "sweep": self.sweep.to_dict(),
-            "min_improvement_percent": self.min_improvement_percent(),
-        }
-
 
 def run(scale: "Scale | str" = Scale.SMALL, base_seed: int = 0) -> Fig6Result:
     return Fig6Result(sweep=sweep_app(xgc1, scale, base_seed))

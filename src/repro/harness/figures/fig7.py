@@ -51,28 +51,6 @@ class Fig7Result:
         n, mpi_std, ad_std = rows[-1]
         return ad_std <= mpi_std
 
-    def to_dict(self) -> Dict:
-        """Machine-readable summary (JSON-safe scalars only)."""
-        return {
-            "condition": self.condition,
-            "cases": {
-                case: {
-                    "std_rows": [
-                        {
-                            "n_procs": int(n),
-                            "mpiio_std": float(mpi),
-                            "adaptive_std": float(ad),
-                        }
-                        for n, mpi, ad in self.std_rows(case)
-                    ],
-                    "adaptive_less_variable_at_scale": (
-                        self.adaptive_less_variable_at_scale(case)
-                    ),
-                }
-                for case in self.sweeps
-            },
-        }
-
     def render(self) -> str:
         titles = {
             "pixie3d.small": "(a) Pixie3D Small",

@@ -230,9 +230,6 @@ class QosResult:
     )  # n_tenants -> mode prefix -> mean metrics
     fault_check: Dict[str, float] = field(default_factory=dict)
 
-    def metric(self, n_tenants: int, mode: str, key: str) -> float:
-        return self.cells[n_tenants][mode][key]
-
     @property
     def headline(self) -> Dict[str, Dict[str, float]]:
         """The largest-N cell — the committed gate numbers."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-__all__ = ["format_table", "render_series"]
+__all__ = ["format_table"]
 
 
 def _fmt(value, width: int) -> str:
@@ -49,17 +49,3 @@ def format_table(
             "  ".join(c.rjust(w) for c, w in zip(cells, widths))
         )
     return "\n".join(lines)
-
-
-def render_series(
-    title: str,
-    x_label: str,
-    xs: Sequence,
-    series: dict,
-) -> str:
-    """A figure as a table: one x column plus one column per series."""
-    headers = [x_label] + list(series)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [series[name][i] for name in series])
-    return format_table(headers, rows, title=title)

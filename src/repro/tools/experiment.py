@@ -95,8 +95,10 @@ def _qos(scale, seed):
     return qos.run(scale, seed)
 
 
-#: name -> callable returning the artifact's *result object* (render
-#: with ``.render()``; machine-readable payload via ``.to_dict()``).
+#: name -> callable returning the artifact's *result object*, rendered
+#: with ``.render()``.  Most results give a machine-readable payload
+#: via ``.to_dict()``; fig5, fig6 and fig7 give theirs per
+#: ``SweepResult``, on ``.panels``, ``.sweep`` and ``.sweeps``.
 ARTIFACTS: Dict[str, Callable] = {
     "fig1": _fig1,
     "table1": _table1,

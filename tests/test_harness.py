@@ -5,7 +5,6 @@ import pytest
 from repro.harness import (
     Scale,
     format_table,
-    render_series,
     run_samples,
     scale_from_env,
 )
@@ -57,13 +56,6 @@ class TestReport:
     def test_format_table_wrong_width(self):
         with pytest.raises(ValueError):
             format_table(["a"], [(1, 2)])
-
-    def test_render_series(self):
-        out = render_series(
-            "S", "x", [1, 2], {"y1": [10, 20], "y2": [30, 40]}
-        )
-        assert "y1" in out and "y2" in out
-        assert "40" in out
 
 
 class TestFigureSmokes:
