@@ -89,7 +89,3 @@ class GroupMap:
 
     def group_size(self, group: int) -> int:
         return len(self.ranks_in(group))
-
-    @property
-    def max_group_size(self) -> int:
-        return max(self.sizes)

@@ -401,10 +401,6 @@ class LocalIndex:
             self._table.permute(order)
         return self._table
 
-    @property
-    def entries(self) -> Tuple[IndexEntry, ...]:
-        return tuple(self._table)
-
     def __len__(self) -> int:
         return len(self._table)
 
