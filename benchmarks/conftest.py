@@ -112,7 +112,7 @@ def pytest_configure(config):
         # the scale and no seed.
         try:
             open_sweep(state_dir, ["benchmarks"],
-                       scale_from_env(Scale.SMALL).value, None)
+                       scale_from_env().value, None)
         except SystemExit as exc:
             raise pytest.UsageError(str(exc)) from None
     # If --trace carried a path, make sure pytest's debugging plugin
@@ -142,7 +142,7 @@ def _session_trace(request):
 
 @pytest.fixture(scope="session")
 def scale() -> Scale:
-    return scale_from_env(Scale.SMALL)
+    return scale_from_env()
 
 
 @pytest.fixture(scope="session")

@@ -68,7 +68,7 @@ def main() -> None:
     entry, seconds = machine.env.run(until=proc)
     print(
         f"\nread back 'bx' of writer 17: {fmt_bytes(entry.nbytes)} "
-        f"from {reader.locate('bx', writer=17)[0][0]} "
+        f"from {[p for p, e in reader.locate('bx') if e.writer == 17][0]} "
         f"in {seconds:.2f} s (simulated)"
     )
 

@@ -61,7 +61,7 @@ def main() -> None:
         machine.fs, index=None,
         files=[p for p in res.files if "index" not in p],
     )
-    hits = scanning_reader.locate("temp", writer=42)
+    hits = [h for h in scanning_reader.locate("temp") if h[1].writer == 42]
     print(
         f"no-global-index mode: scanned "
         f"{len(scanning_reader.files)} file indices to find the same "

@@ -12,18 +12,19 @@ from repro.apps.base import AppKernel, Variable
 __all__ = ["gtc"]
 
 
-def gtc(particles_per_process: int = 2_000_000) -> AppKernel:
-    """A GTC restart kernel; default ~128 MB/process.
+PARTICLES_PER_PROCESS = 2_000_000
+
+
+def gtc() -> AppKernel:
+    """A GTC restart kernel, ~128 MB/process.
 
     8 phase-space components per particle at 8 bytes each =
     64 B/particle; 2 M particles -> 128 MB.
     """
-    if particles_per_process < 1:
-        raise ValueError("particles_per_process must be >= 1")
     variables = [
         Variable(
             "zion",
-            shape=(particles_per_process, 8),
+            shape=(PARTICLES_PER_PROCESS, 8),
             dtype="f8",
             value_range=(-1.0, 1.0),
         ),

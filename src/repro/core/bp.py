@@ -16,7 +16,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Generator,
-    Iterable,
     List,
     Optional,
     Tuple,
@@ -74,25 +73,17 @@ class BpReader:
         self.verify = bool(verify)
 
     # -- lookup ------------------------------------------------------------
-    def locate(
-        self, var: str, writer: Optional[int] = None
-    ) -> List[Tuple[str, IndexEntry]]:
+    def locate(self, var: str) -> List[Tuple[str, IndexEntry]]:
         """(file, entry) for every block of *var* — one index lookup."""
         if self.index is not None:
-            hits = self.index.lookup(var, writer=writer)
+            hits = self.index.lookup(var)
         else:
-            hits = self._scan_files(var, writer)
+            hits = self._scan_files(var)
         if not hits:
-            raise KeyError(
-                f"variable {var!r}"
-                + (f" of writer {writer}" if writer is not None else "")
-                + " not found"
-            )
+            raise KeyError(f"variable {var!r} not found")
         return hits
 
-    def _scan_files(
-        self, var: str, writer: Optional[int]
-    ) -> List[Tuple[str, IndexEntry]]:
+    def _scan_files(self, var: str) -> List[Tuple[str, IndexEntry]]:
         """The interim no-global-index mode: scan each file's local index."""
         hits: List[Tuple[str, IndexEntry]] = []
         for path in self.files:
@@ -103,11 +94,8 @@ class BpReader:
                     and payload
                     and payload[0] == "local_index"
                 ):
-                    for e in payload[1]:
-                        if e.var == var and (
-                            writer is None or e.writer == writer
-                        ):
-                            hits.append((path, e))
+                    hits.extend((path, e) for e in payload[1]
+                                if e.var == var)
         return hits
 
     # -- data path -----------------------------------------------------------
@@ -126,7 +114,9 @@ class BpReader:
         self, node: int, var: str, writer: int
     ) -> Generator:
         """Simulate reading one writer's block; returns (entry, seconds)."""
-        hits = self.locate(var, writer=writer)
+        hits = [h for h in self.locate(var) if h[1].writer == writer]
+        if not hits:
+            raise KeyError(f"variable {var!r} of writer {writer} not found")
         if len(hits) > 1:
             raise FileSystemError(
                 f"{var!r} of writer {writer} has {len(hits)} blocks; "
@@ -161,40 +151,34 @@ class BpReader:
         return start_bytes, t
 
     # -- scrubbing -----------------------------------------------------------
-    def _indexed_walk(
-        self, extra_files: Optional[Iterable[str]] = None
-    ) -> Tuple[Dict[str, List[IndexEntry]], List[str]]:
+    def _indexed_walk(self) -> Tuple[Dict[str, List[IndexEntry]], List[str]]:
         """``file -> entries`` in scrub order, plus the full file set.
 
         With no global index, rebuilds one from the per-file local
         indices first — the fsck path for a damaged output set.  The
-        file set is the indexed files plus ``extra_files`` (e.g.
-        superseded ``NNNN.eK.bp`` incarnations a relocation left
-        behind), which are walked for unindexed blocks only.
+        file set is the indexed files plus the reader's files, which
+        are walked for unindexed blocks only.
         """
         index = self.index
         if index is None:
             index, _uncovered = rebuild_global_index(self.fs, self.files)
         by_file = index.entries_by_file()
         file_set = list(by_file)
-        for path in list(self.files) + list(extra_files or ()):
+        for path in self.files:
             if path not in by_file:
                 by_file[path] = []
                 file_set.append(path)
         return by_file, file_set
 
-    def scrub(
-        self, extra_files: Optional[Iterable[str]] = None
-    ) -> ScrubReport:
+    def scrub(self) -> ScrubReport:
         """Full-output integrity walk (pure state; no simulated time).
 
         Classifies every indexed block against its stored state, then
-        sweeps every file — including ``extra_files`` such as relocated
-        epoch incarnations — for stored blocks no index entry points
-        at (``unindexed``).  See :meth:`scrub_sim` for the simulated
+        sweeps every file for stored blocks no index entry points at
+        (``unindexed``).  See :meth:`scrub_sim` for the simulated
         read-back cost of the same walk.
         """
-        by_file, file_set = self._indexed_walk(extra_files)
+        by_file, file_set = self._indexed_walk()
         counts = {s: 0 for s in BLOCK_STATUSES}
         bad: List[BlockReport] = []
         missing_files: List[str] = []
@@ -248,9 +232,7 @@ class BpReader:
             missing_files=tuple(sorted(missing_files)),
         )
 
-    def scrub_sim(
-        self, node: int, extra_files: Optional[Iterable[str]] = None
-    ) -> Generator:
+    def scrub_sim(self, node: int) -> Generator:
         """Scrub with simulated read-back cost; returns (report, seconds).
 
         Walks the same blocks as :meth:`scrub` but pays a simulated
@@ -262,7 +244,7 @@ class BpReader:
         """
         from repro.lustre.ost import OstState
 
-        report = self.scrub(extra_files)
+        report = self.scrub()
         tr = self.fs.env.tracer
         start = self.fs.env.now
         if tr is not None:
@@ -270,7 +252,7 @@ class BpReader:
                      tid="scrubber",
                      args={"n_blocks": report.n_blocks,
                            "n_files": report.n_files})
-        by_file, _file_set = self._indexed_walk(extra_files)
+        by_file, _file_set = self._indexed_walk()
         for path in sorted(by_file):
             entries = by_file[path]
             if not entries:

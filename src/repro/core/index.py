@@ -435,10 +435,8 @@ class GlobalIndex:
     def __init__(self):
         self._tables: Dict[str, EntryTable] = {}
         # Built on the first query after a change: var -> (file
-        # ordinals, rows) in (file added, row) order, and per var
-        # writer -> positions in those lists.
+        # ordinals, rows) in (file added, row) order.
         self._hits: Optional[Dict[str, Tuple[List[int], List[int]]]] = None
-        self._writer_hits: Dict[str, Dict[int, List[int]]] = {}
 
     def add_file(self, file_path: str, entries: Iterable[IndexEntry]) -> None:
         if file_path in self._tables:
@@ -448,7 +446,6 @@ class GlobalIndex:
             else EntryTable(entries)
         )
         self._hits = None
-        self._writer_hits = {}
 
     def _var_hits(self) -> Dict[str, Tuple[List[int], List[int]]]:
         if self._hits is None:
@@ -462,19 +459,6 @@ class GlobalIndex:
                     h[1].append(row)
             self._hits = hits
         return self._hits
-
-    def _positions(self, var: str, writer: Optional[int]) -> Sequence:
-        """Positions in ``var``'s hit lists, optionally one writer's."""
-        files, rows = self._var_hits().get(var, ((), ()))
-        if writer is None:
-            return range(len(rows))
-        by_writer = self._writer_hits.get(var)
-        if by_writer is None:
-            tables = list(self._tables.values())
-            by_writer = self._writer_hits[var] = {}
-            for pos, (k, row) in enumerate(zip(files, rows)):
-                by_writer.setdefault(tables[k].writer[row], []).append(pos)
-        return by_writer.get(writer, ())
 
     def _entries(self, var: str, positions) -> List[Tuple[str, IndexEntry]]:
         files, rows = self._var_hits()[var]
@@ -505,12 +489,10 @@ class GlobalIndex:
         return {path: [t[row] for row in t.rows("var", "writer")]
                 for path, t in self._tables.items()}
 
-    def lookup(
-        self, var: str, writer: Optional[int] = None
-    ) -> List[Tuple[str, IndexEntry]]:
-        """All blocks of *var* (optionally one writer's)."""
-        positions = self._positions(var, writer)
-        return self._entries(var, positions) if positions else []
+    def lookup(self, var: str) -> List[Tuple[str, IndexEntry]]:
+        """All blocks of *var*."""
+        _files, rows = self._var_hits().get(var, ((), ()))
+        return self._entries(var, range(len(rows))) if rows else []
 
     def query_value_range(
         self, var: str, low: float, high: float

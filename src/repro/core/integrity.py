@@ -143,7 +143,7 @@ class ScrubReport:
     bad: Tuple[BlockReport, ...]  # every damaged block, sorted
     bytes_scanned: float
     bytes_bad: float
-    missing_files: Tuple[str, ...] = ()
+    missing_files: Tuple[str, ...]  # indexed files gone from the namespace
 
     @property
     def ok(self) -> bool:

@@ -157,9 +157,10 @@ class WriteFailed:
     source_group: int
     target_group: int
     nbytes: float
-    epoch: int = 0
-    adaptive: bool = False
-    recovery: bool = False
+    # Copied from the abandoned WriteStart.
+    epoch: int
+    adaptive: bool
+    recovery: bool
     reason: str = ""
 
 

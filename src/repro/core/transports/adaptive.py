@@ -70,6 +70,7 @@ from repro.mpi.comm import SimComm
 from repro.sim.engine import Alarm
 from repro.sim.events import AllSettled
 from repro.sim.process import Mailbox
+from repro.trace.tracer import rank_track
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import AppKernel
@@ -290,10 +291,9 @@ class _GroupStream:
         rank = self.pending[k]
         self._lane_start[k] = self.env.now
         run = self.run
-        ev = run.fs.fabric.start_flow(
-            run.machine.node_of(rank), self.ost, self.nbytes,
-            tenant=run.tenant,
-        )
+        ev = run.fs.fabric.start_flow_with_id(
+            run.machine.node_of(rank), self.ost, self.nbytes, run.tenant,
+        )[0]
         ev.add_callback(lambda _ev, _k=k: self._on_lane_done(_k))
 
     def _on_lane_done(self, k: int) -> None:
@@ -327,7 +327,8 @@ class _GroupStream:
         )
         if run.traced:
             tr = run.tracer
-            wpid, wtid = f"node/{node}", f"rank {rank}"
+            wpid = f"node/{node}"
+            wtid = rank_track(run.machine.rank_base, rank)
             t0 = self.t_open
             tr.begin("wait", cat="writer", pid=wpid, tid=wtid, ts=t0)
             tr.end(
@@ -683,6 +684,7 @@ class _AdaptiveRun:
         groups = self.groups = transport._make_group_map(n_ranks, n_groups)
         self.comm = SimComm(env, n_ranks, latency=machine.spec.latency)
         self.comm.faults = faults
+        self.comm.rank_base = machine.rank_base
         self.nbytes = app.per_process_bytes
         self.index_nbytes = app.index_nbytes
         # Control-plane flight times the cohorts account without sending
@@ -900,7 +902,9 @@ class _AdaptiveRun:
         hop, build, nbytes = self.hop, self.build, self.nbytes
         yield env.timeout(hop)  # the steal signal's flight
         node = self.machine.node_of(rank)
-        wpid, wtid = f"node/{node}", f"rank {rank}"
+        if traced:
+            wpid = f"node/{node}"
+            wtid = rank_track(self.machine.rank_base, rank)
         t_sig = env.now
         if build:
             yield env.timeout(build)
@@ -954,7 +958,9 @@ class _AdaptiveRun:
         yield self.files_ready
         g = self.group_of[rank]
         node = self.machine.node_of(rank)
-        wpid, wtid = f"node/{node}", f"rank {rank}"
+        if traced:
+            wpid = f"node/{node}"
+            wtid = rank_track(self.machine.rank_base, rank)
         built_index = False
         while True:
             if traced:
@@ -1085,7 +1091,7 @@ class _AdaptiveRun:
             node = self.machine.node_of(rank)
             self.tracer.instant(
                 "write.abort", cat="fault", pid=f"node/{node}",
-                tid=f"rank {rank}",
+                tid=rank_track(self.machine.rank_base, rank),
                 args={"target_group": target, "epoch": ws.epoch,
                       "reason": failure},
             )

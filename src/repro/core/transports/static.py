@@ -40,6 +40,7 @@ from repro.core.transports.base import (
     osts_used,
 )
 from repro.errors import OstFailedError, WriteTimeout
+from repro.trace.tracer import rank_track
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import AppKernel
@@ -186,7 +187,8 @@ class StaticTransport(Transport):
             file_settled()
 
         def thread(rank: int):
-            return f"node/{machine.node_of(rank)}", f"rank {rank}"
+            return (f"node/{machine.node_of(rank)}",
+                    rank_track(machine.rank_base, rank))
 
         def fail(m: _Member, exc: Exception) -> None:
             # No retry: the failure is recorded, the member ends, and
@@ -204,7 +206,8 @@ class StaticTransport(Transport):
             write failed up front."""
             node = machine.node_of(m.rank)
             if tr is not None:
-                pid, tid = f"node/{node}", f"rank {m.rank}"
+                pid, tid = f"node/{node}", rank_track(machine.rank_base,
+                                                      m.rank)
                 if pre_wait:
                     tr.end("wait", cat="writer", pid=pid, tid=tid)
                 tr.begin("write", cat="writer", pid=pid, tid=tid,

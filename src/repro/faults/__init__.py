@@ -28,7 +28,6 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
     RetryPolicy,
-    two_ost_failure_plan,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "resolve_fault_plan",
-    "two_ost_failure_plan",
 ]
 
 

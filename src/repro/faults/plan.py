@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import FaultPlanError
 
@@ -23,7 +23,6 @@ __all__ = [
     "FaultEvent",
     "RetryPolicy",
     "FaultPlan",
-    "two_ost_failure_plan",
 ]
 
 #: Recognized fault kinds and what ``target`` means for each.
@@ -341,14 +340,3 @@ class FaultPlan:
         timeline.sort(key=lambda e: e.time)
         return tuple(timeline)
 
-
-def two_ost_failure_plan(
-    osts: Sequence[int] = (0, 1), at: float = 0.5, **policy
-) -> FaultPlan:
-    """The README's quick-start: fail-stop two targets mid-write."""
-    return FaultPlan(
-        events=tuple(
-            FaultEvent(time=at, kind="ost_fail", target=int(o)) for o in osts
-        ),
-        policy=RetryPolicy(**policy),
-    )

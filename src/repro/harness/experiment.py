@@ -39,9 +39,10 @@ class Scale(str, Enum):
             ) from None
 
 
-def scale_from_env(default: "str | Scale" = Scale.SMALL) -> Scale:
-    """Scale selected by the REPRO_SCALE environment variable."""
-    return Scale.parse(os.environ.get("REPRO_SCALE", default))
+def scale_from_env() -> Scale:
+    """Scale selected by the REPRO_SCALE environment variable (small
+    when unset)."""
+    return Scale.parse(os.environ.get("REPRO_SCALE", Scale.SMALL))
 
 
 # LARGE validates that a full-machine cell *completes* — figures that

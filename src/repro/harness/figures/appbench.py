@@ -104,7 +104,7 @@ class SweepResult:
     per_process_bytes: float
     config: SweepConfig
     cells: Dict[Tuple[str, str, int], List[CellSample]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )
 
     # -- accessors ---------------------------------------------------------
@@ -244,7 +244,6 @@ def sweep_app(
     app_factory: Callable[[], AppKernel],
     scale: "Scale | str" = Scale.SMALL,
     base_seed: int = 0,
-    conditions: Tuple[str, ...] = CONDITIONS,
 ) -> SweepResult:
     """Run the full transport x condition x scale sweep for one app."""
     cfg = preset_for(scale)
@@ -258,7 +257,7 @@ def sweep_app(
         config=cfg,
     )
     for n_procs in cfg.proc_counts:
-        for cond in conditions:
+        for cond in CONDITIONS:
             for tname in TRANSPORTS:
                 # partial over the module-level cell runner keeps the
                 # sample fn picklable for the parallel executor; the

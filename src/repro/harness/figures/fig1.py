@@ -65,10 +65,10 @@ class Fig1Result:
     sizes_mb: Tuple[int, ...]
     # (size_mb, n_writers) -> list of aggregate bandwidths (bytes/s)
     aggregate: Dict[Tuple[int, int], List[float]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )
     per_writer: Dict[Tuple[int, int], List[float]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )
 
     def aggregate_stats(self, size_mb: int, n_writers: int):

@@ -36,7 +36,7 @@ class Fig2Result:
             blocks.append("")
             blocks.append(titles[cond])
             blocks.extend(
-                text_histogram(hist, label_fmt="{:9.0f}", unit=" MB/s")
+                text_histogram(hist)
             )
         return "\n".join(blocks)
 
@@ -72,9 +72,7 @@ class Fig2Result:
 def run(scale: "Scale | str" = Scale.SMALL, base_seed: int = 0) -> Fig2Result:
     source = _table1.run(scale, base_seed)
     histograms = {
-        cond: Histogram.of(
-            [b / 1e6 for b in source.bandwidths[cond]], n_bins=12
-        )
+        cond: Histogram.of([b / 1e6 for b in source.bandwidths[cond]])
         for cond in _table1.CONDITIONS
     }
     return Fig2Result(histograms=histograms, source=source)

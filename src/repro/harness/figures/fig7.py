@@ -13,7 +13,7 @@ time at each process count, per transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 from repro.apps.pixie3d import pixie3d
 from repro.apps.xgc1 import xgc1
@@ -29,7 +29,8 @@ CASES = ("pixie3d.small", "pixie3d.large", "pixie3d.xl", "xgc1")
 @dataclass
 class Fig7Result:
     sweeps: Dict[str, SweepResult]
-    condition: str = "base"
+    # The paper's Fig. 7 plots the quiet-system spread.
+    condition: ClassVar[str] = "base"
 
     def std_rows(self, case: str):
         sweep = self.sweeps[case]

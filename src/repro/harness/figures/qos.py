@@ -226,9 +226,9 @@ class QosResult:
     n_samples: int
     tenant_counts: List[int]
     cells: Dict[int, Dict[str, Dict[str, float]]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )  # n_tenants -> mode prefix -> mean metrics
-    fault_check: Dict[str, float] = field(default_factory=dict)
+    fault_check: Dict[str, float] = field(default_factory=dict, init=False)
 
     @property
     def headline(self) -> Dict[str, Dict[str, float]]:

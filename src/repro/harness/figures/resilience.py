@@ -246,10 +246,10 @@ class ResilienceResult:
     preset: Dict[str, float]
     n_samples: int
     cells: Dict[str, Dict[int, Dict[str, float]]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )  # method -> k -> mean metrics
     integrity: Dict[str, Dict[str, float]] = field(
-        default_factory=dict
+        default_factory=dict, init=False
     )  # method -> mean detection/overhead metrics
 
     def goodput(self, method: str, k: int) -> float:

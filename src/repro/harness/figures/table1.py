@@ -54,7 +54,8 @@ CONDITIONS = (
 
 @dataclass
 class Table1Result:
-    bandwidths: Dict[str, List[float]] = field(default_factory=dict)
+    bandwidths: Dict[str, List[float]] = field(default_factory=dict,
+                                               init=False)
 
     def stats(self, condition: str) -> SampleStats:
         return summarize(self.bandwidths[condition])

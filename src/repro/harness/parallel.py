@@ -20,10 +20,10 @@ execution:
   pickled originals) and recomputes only the rest from their
   pre-derived seeds, so crash/resume preserves the same contract.
 
-Job count resolution, in priority order: the explicit ``jobs``
-argument, the ``REPRO_JOBS`` environment variable (``0`` means "all
-cores"), else serial.  ``--jobs N`` on ``repro.tools.experiment`` and
-on the benchmark suite sets ``REPRO_JOBS`` for everything below it.
+Job count: the ``REPRO_JOBS`` environment variable (``0`` means "all
+cores"), else serial; it is the one spelling of the worker count.
+``--jobs N`` on ``repro.tools.experiment`` and on the benchmark suite
+sets ``REPRO_JOBS`` for everything below it.
 
 Checkpointing engages when ``REPRO_JOURNAL=DIR`` names a journal state
 directory (set by ``--journal`` on the experiment CLI and benchmark
@@ -67,21 +67,22 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count to use: explicit *jobs*, else ``REPRO_JOBS``, else 1.
+def resolve_jobs() -> int:
+    """Worker count to use: ``REPRO_JOBS``, else 1.
 
-    ``0`` (or any negative value) means "one worker per CPU core".
+    ``REPRO_JOBS`` is the one spelling of the worker count (the
+    experiment CLI's ``--jobs`` sets it).  ``0`` (or any negative
+    value) means "one worker per CPU core".
     """
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer, got {env!r}"
-            ) from None
+    env = os.environ.get("REPRO_JOBS", "").strip()
+    if not env:
+        return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_JOBS must be an integer, got {env!r}"
+        ) from None
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return jobs
@@ -129,14 +130,13 @@ def _serial(fn: Callable[[T], U], items: List[T]) -> List[U]:
 def parallel_map(
     fn: Callable[[T], U],
     items: Sequence[T],
-    jobs: Optional[int] = None,
     label: Optional[str] = None,
 ) -> List[U]:
     """``[fn(x) for x in items]``, scheduled over worker shards.
 
     Order-stable: result *i* corresponds to ``items[i]`` no matter
     which worker finished first (or died and had its job adopted).
-    With ``jobs == 1`` (the default when ``REPRO_JOBS`` is unset) and
+    With one worker (``REPRO_JOBS`` unset or 1) and
     no active journal, no scheduler is created and, with no
     instrumentation session active, this *is* the list comprehension.
     A non-picklable *fn* (closure, lambda, bound local) triggers a
@@ -147,7 +147,7 @@ def parallel_map(
     """
     from repro.service.journal import get_active_state_dir
 
-    n_jobs = resolve_jobs(jobs)
+    n_jobs = resolve_jobs()
     items = list(items)
     state_dir = get_active_state_dir()
     if state_dir is None and (n_jobs <= 1 or len(items) <= 1):
@@ -194,7 +194,6 @@ def run_samples(
     fn: Callable[[int], T],
     n_samples: int,
     base_seed: int = 0,
-    jobs: Optional[int] = None,
     label: Optional[str] = None,
 ) -> List[T]:
     """Run ``fn(seed)`` for each of *n_samples* derived seeds.
@@ -210,4 +209,4 @@ def run_samples(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     seeds = [sample_seed(base_seed, i) for i in range(n_samples)]
-    return parallel_map(fn, seeds, jobs=jobs, label=label)
+    return parallel_map(fn, seeds, label=label)

@@ -147,20 +147,16 @@ class MarkovLoadModel:
         machine: "Machine",
         apply,
         rng: np.random.Generator,
-        initial_state: Optional[int] = None,
     ):
-        """A simulation process evolving one chain instance.
+        """A simulation process evolving one chain instance from a
+        stationary draw.
 
         ``apply(multiplier)`` is invoked on every state entry — the
         caller decides whether the multiplier drives one OST or the
         global modulator.
         """
         env = machine.env
-        state = (
-            self.sample_stationary_state(rng)
-            if initial_state is None
-            else initial_state
-        )
+        state = self.sample_stationary_state(rng)
         while True:
             st = self.states[state]
             apply(st.draw_multiplier(rng))

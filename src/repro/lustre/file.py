@@ -292,10 +292,12 @@ class SimFile:
     path: str
     layout: StripeLayout
     create_time: float = 0.0
-    writes: WriteLog = field(default_factory=WriteLog)
-    payloads: Dict[Tuple[float, float], object] = field(default_factory=dict)
-    blocks: BlockLedger = field(default_factory=BlockLedger)
-    closed: bool = False
+    # A file starts empty and open; writes and close fill these in.
+    writes: WriteLog = field(default_factory=WriteLog, init=False)
+    payloads: Dict[Tuple[float, float], object] = field(
+        default_factory=dict, init=False)
+    blocks: BlockLedger = field(default_factory=BlockLedger, init=False)
+    closed: bool = field(default=False, init=False)
 
     @property
     def size(self) -> float:

@@ -180,26 +180,20 @@ class FileSystem:
             raise FileNotFoundInNamespace(path)
         del self._namespace[path]
 
-    def allocate_osts(
-        self, stripe_count: int, stripe_offset: Optional[int] = None
-    ) -> List[int]:
+    def allocate_osts(self, stripe_count: int) -> List[int]:
         """Round-robin OST allocation (Lustre's default allocator).
 
-        ``stripe_offset`` pins the first OST (``lfs setstripe -o``);
-        otherwise a filesystem-wide cursor rotates so consecutive
-        creates land on different targets.
+        A filesystem-wide cursor rotates so consecutive creates land on
+        different targets.
         """
         n = self.n_osts
         if stripe_count > n:
             raise StripeLimitExceeded(
                 f"stripe_count {stripe_count} exceeds pool size {n}"
             )
-        start = self._alloc_cursor if stripe_offset is None else stripe_offset
-        if not 0 <= start < n:
-            raise ValueError(f"stripe_offset {start} out of range")
+        start = self._alloc_cursor
         osts = [(start + i) % n for i in range(stripe_count)]
-        if stripe_offset is None:
-            self._alloc_cursor = (start + stripe_count) % n
+        self._alloc_cursor = (start + stripe_count) % n
         return osts
 
     def allocate_healthy_osts(self, stripe_count: int) -> List[int]:
@@ -228,13 +222,11 @@ class FileSystem:
         path: str,
         stripe_count: int = 4,
         stripe_size: Optional[float] = None,
-        stripe_offset: Optional[int] = None,
         osts: Optional[Sequence[int]] = None,
     ) -> Generator:
         """Create a file (a metadata op); returns the SimFile.
 
-        Either give explicit ``osts`` or a ``stripe_count`` (optionally
-        anchored with ``stripe_offset``).
+        Either give explicit ``osts`` or a ``stripe_count``.
         """
         if path in self._namespace:
             raise FileExistsInNamespace(path)
@@ -243,7 +235,7 @@ class FileSystem:
             if any(not 0 <= o < self.n_osts for o in ost_list):
                 raise ValueError("explicit OST index out of range")
         else:
-            ost_list = self.allocate_osts(stripe_count, stripe_offset)
+            ost_list = self.allocate_osts(stripe_count)
         if len(ost_list) > self.max_stripe_count:
             raise StripeLimitExceeded(
                 f"{len(ost_list)} stripes > file system limit "
@@ -450,7 +442,6 @@ class FileSystem:
         start_time: float,
         end_time: float,
         writer: Optional[int] = None,
-        payload: object = None,
         blocks: Optional[Blocks] = None,
     ) -> None:
         """Bookkeeping for a write whose bytes rode an aggregate flow.
@@ -480,7 +471,7 @@ class FileSystem:
                 tr.end("ost.service", cat="ost", pid=f"ost/{ost}", tid=tid,
                        ts=end_time)
         self._record_write(
-            f, offset, nbytes, start_time, end_time, writer, payload, blocks
+            f, offset, nbytes, start_time, end_time, writer, None, blocks
         )
 
     def _record_write(self, f, offset, nbytes, start_time, end_time,

@@ -189,8 +189,12 @@ class Machine:
     rngs: RngRegistry
     service_node_base: int = 0
     n_service_nodes: int = 0
-    faults: Optional["FaultInjector"] = None
-    monitor: Optional["OnlineMonitor"] = None
+    # Installed by ``MachineSpec.build`` after the machine exists.
+    faults: Optional["FaultInjector"] = field(default=None, init=False)
+    monitor: Optional["OnlineMonitor"] = field(default=None, init=False)
+    # A whole machine's ranks are host ranks (a TenantView's start at
+    # its block); trace tracks name host ranks.
+    rank_base = 0
 
     def service_node(self, i: int) -> int:
         """Source index of the i-th reserved interference node."""

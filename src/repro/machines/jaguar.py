@@ -15,12 +15,9 @@ from repro.units import GB, MB
 __all__ = ["jaguar"]
 
 
-def jaguar(
-    n_osts: int = 672,
-    per_ost_peak: float = 180.0 * MB,
-    cache_capacity: float = 192.0 * MB,
-) -> MachineSpec:
-    """The Jaguar/Spider machine spec (parameters overridable for tests)."""
+def jaguar(n_osts: int = 672) -> MachineSpec:
+    """The Jaguar/Spider machine spec (tests and scaled-down presets
+    pick a smaller pool)."""
     return MachineSpec(
         name="jaguar",
         max_cores=224_160,
@@ -28,9 +25,9 @@ def jaguar(
         nic_bandwidth=1.6 * GB,
         ost_config=OstPoolConfig(
             n_osts=n_osts,
-            drain_peak=per_ost_peak,
+            drain_peak=180.0 * MB,
             ingest_peak=450.0 * MB,
-            cache_capacity=cache_capacity,
+            cache_capacity=192.0 * MB,
         ),
         max_stripe_count=160,
         default_stripe_size=1.0 * MB,

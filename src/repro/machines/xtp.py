@@ -18,15 +18,15 @@ from repro.units import GB, MB
 __all__ = ["xtp"]
 
 
-def xtp(n_blades: int = 40) -> MachineSpec:
-    """The XTP machine spec (StorageBlades play the OST role)."""
+def xtp() -> MachineSpec:
+    """The XTP machine spec (40 StorageBlades play the OST role)."""
     return MachineSpec(
         name="xtp",
         max_cores=1_920,
         cores_per_node=12,
         nic_bandwidth=1.6 * GB,
         ost_config=OstPoolConfig(
-            n_osts=n_blades,
+            n_osts=40,
             drain_peak=220.0 * MB,
             ingest_peak=500.0 * MB,
             cache_capacity=4.0 * GB,  # blade NVRAM staging is generous

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.net.latency import MessageLatencyModel
 from repro.sim.events import Event
+from repro.trace.tracer import rank_track
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -97,6 +98,10 @@ class SimComm:
         # loss/extra delay.  None in fault-free runs — zero overhead.
         self.faults = None
 
+    # The host rank of this communicator's rank 0, for trace tracks: a
+    # tenant's communicator starts at its block of the host machine.
+    rank_base = 0
+
     def _check_rank(self, rank: int, what: str = "rank") -> None:
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"{what} {rank} out of range [0, {self.n_ranks})")
@@ -154,7 +159,7 @@ class SimComm:
                     name,
                     cat="mpi",
                     pid="mpi",
-                    tid=f"rank {dest}",
+                    tid=rank_track(self.rank_base, dest),
                     ts=sent_at,
                     dur=now - sent_at,
                     args={"source": source, "dest": dest, "tag": tag},

@@ -593,15 +593,10 @@ class FlowNetwork:
             self._advance_only()
         return self.tenant_served.copy(), self.tenant_throttled.copy()
 
-    def start_flow(
-        self,
-        source: int,
-        sink: int,
-        nbytes: float,
-        tenant: int = -1,
-    ) -> Event:
-        """Begin a transfer; the returned event fires with a FlowStats."""
-        return self.start_flow_with_id(source, sink, nbytes, tenant)[0]
+    def start_flow(self, source: int, sink: int, nbytes: float) -> Event:
+        """Begin an untagged transfer; the returned event fires with a
+        FlowStats."""
+        return self.start_flow_with_id(source, sink, nbytes)[0]
 
     def start_flow_with_id(
         self,

@@ -112,8 +112,9 @@ class TenantOutcome:
     result: Optional[object]  # OutputResult (partial when error is set)
     error: Optional[TransportError]
     completion_seconds: float
-    served_bytes: float = 0.0
-    throttled_bytes: float = 0.0
+    # Read off the fabric's tenant ledger once the run ends.
+    served_bytes: float = field(default=0.0, init=False)
+    throttled_bytes: float = field(default=0.0, init=False)
 
     @property
     def clean(self) -> bool:
@@ -139,7 +140,7 @@ class MultiTenantResult:
     outcomes: List[TenantOutcome]
     qos: Optional[Dict] = None
     makespan: float = 0.0
-    extra: Dict[str, float] = field(default_factory=dict)
+    extra: Dict[str, float] = field(default_factory=dict, init=False)
 
     @property
     def clean(self) -> bool:

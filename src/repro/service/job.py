@@ -126,24 +126,22 @@ def make_job(
     arg: Any,
     label: Optional[str] = None,
     index: Optional[int] = None,
-    sample_seed: Optional[int] = None,
 ) -> JobSpec:
     """Build a :class:`JobSpec` with a derived label and id.
 
     The default label is the qualified function name; an *index* (the
     job's position in its batch) is appended so sibling shards of one
-    cell stay distinguishable in journals and failure messages.
+    cell stay distinguishable in journals and failure messages.  An
+    integer *arg* is the job's sample seed.
     """
     if label is None:
         label = describe_fn(fn)[0]
     if index is not None:
         label = f"{label}#{index}"
-    if sample_seed is None and isinstance(arg, int):
-        sample_seed = arg
     return JobSpec(
         job_id=job_id(label, fn, arg),
         label=label,
         fn=fn,
         arg=arg,
-        sample_seed=sample_seed,
+        sample_seed=arg if isinstance(arg, int) else None,
     )

@@ -70,15 +70,16 @@ class SchedulerStats:
     """Observable outcome of one :meth:`Scheduler.run` batch."""
 
     jobs: int = 0
-    done: int = 0
-    failed: int = 0
-    restored: int = 0
-    retries: int = 0
-    adoptions: int = 0
-    timeouts: int = 0
-    respawns: int = 0
-    checkpoint_bytes: int = 0
-    serial_fallback: bool = False
+    # Counted as the batch runs, never passed in.
+    done: int = field(default=0, init=False)
+    failed: int = field(default=0, init=False)
+    restored: int = field(default=0, init=False)
+    retries: int = field(default=0, init=False)
+    adoptions: int = field(default=0, init=False)
+    timeouts: int = field(default=0, init=False)
+    respawns: int = field(default=0, init=False)
+    checkpoint_bytes: int = field(default=0, init=False)
+    serial_fallback: bool = field(default=False, init=False)
 
 
 def _worker_main(conn, session: Optional[Session]) -> None:
@@ -153,7 +154,7 @@ class _Pending:
     ready_at: float
     seq: int
     spec: JobSpec = field(compare=False)
-    attempt: int = field(default=0, compare=False)
+    attempt: int = field(compare=False)
 
     def __lt__(self, other):
         return (self.ready_at, self.seq) < (other.ready_at, other.seq)

@@ -186,9 +186,9 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing *delay* time units from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        """An event firing *delay* time units from now (value ``None``)."""
+        return Timeout(self, delay)
 
     def process(
         self,

@@ -162,7 +162,7 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float):
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"invalid delay {delay!r}")
         # Inlined Event.__init__ + Environment._schedule: a timeout is
@@ -172,7 +172,7 @@ class Timeout(Event):
         self.env = env
         self.callbacks = []
         self._ok = True
-        self._value = value
+        self._value = None
         self._scheduled = True
         self._cancelled = False
         self.delay = delay

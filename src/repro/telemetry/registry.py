@@ -96,28 +96,17 @@ class Gauge:
         self.value = state  # last writer wins, like set()
 
 
-# Default bucket bounds suit simulated-seconds latencies (sub-ms to
-# minutes); pass explicit ``buckets`` for anything else.
-_DEFAULT_BUCKETS = (0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0)
-
-
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics)."""
 
-    __slots__ = ("name", "labels", "bounds", "counts", "sum", "count")
+    __slots__ = ("name", "labels", "counts", "sum", "count")
     kind = "histogram"
+    # Every histogram records simulated seconds (sub-ms to minutes).
+    bounds = (0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0)
 
-    def __init__(
-        self,
-        name: str,
-        labels: LabelsKey = (),
-        buckets: Tuple[float, ...] = _DEFAULT_BUCKETS,
-    ):
+    def __init__(self, name: str, labels: LabelsKey = ()):
         self.name = name
         self.labels = labels
-        self.bounds = tuple(float(b) for b in buckets)
-        if list(self.bounds) != sorted(set(self.bounds)):
-            raise ValueError("histogram buckets must be strictly increasing")
         self.counts = [0] * (len(self.bounds) + 1)  # last = +Inf overflow
         self.sum = 0.0
         self.count = 0
@@ -202,15 +191,14 @@ class MetricsRegistry(RunSequence):
         return len(self._instruments)
 
     # -- instrument accessors (get-or-create) ----------------------------
-    def _get(self, kind: str, name: str, labels: Dict[str, object],
-             **kwargs):
+    def _get(self, kind: str, name: str, labels: Dict[str, object]):
         key = (kind, name, _labels_key(labels))
         inst = self._instruments.get(key)
         if inst is None:
             if kind == "series":
                 inst = Series(name, key[2], registry=self)
             else:
-                inst = _KINDS[kind](name, key[2], **kwargs)
+                inst = _KINDS[kind](name, key[2])
             self._instruments[key] = inst
         return inst
 
@@ -220,13 +208,8 @@ class MetricsRegistry(RunSequence):
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get("gauge", name, labels)
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Tuple[float, ...] = _DEFAULT_BUCKETS,
-        **labels,
-    ) -> Histogram:
-        return self._get("histogram", name, labels, buckets=buckets)
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._get("histogram", name, labels)
 
     def series(self, name: str, **labels) -> Series:
         return self._get("series", name, labels)
@@ -274,21 +257,17 @@ class MetricsRegistry(RunSequence):
         for m in snap.get("metrics", ()):
             kind, name = m["kind"], m["name"]
             labels = m.get("labels", {})
-            if kind == "histogram":
-                inst = self._get(kind, name, labels,
-                                 buckets=tuple(m["state"]["bounds"]))
-            else:
-                inst = self._get(kind, name, labels)
+            inst = self._get(kind, name, labels)
             if kind == "series":
                 inst.merge(m["state"], run_base=run_base)
             else:
                 inst.merge(m["state"])
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, default=float)
+    def to_json(self) -> str:
+        return json.dumps(self.snapshot(), indent=2, default=float)
 
     # -- Prometheus text exposition --------------------------------------
-    def to_prometheus(self, prefix: str = "repro") -> str:
+    def to_prometheus(self) -> str:
         """Text exposition format (one point in time).
 
         Counters export as ``<name>_total``; histograms as the
@@ -302,7 +281,7 @@ class MetricsRegistry(RunSequence):
             by_name.setdefault((kind, name), []).append(inst)
         lines: List[str] = []
         for (kind, name), insts in by_name.items():
-            metric = f"{prefix}_{_sanitize(name)}"
+            metric = f"repro_{_sanitize(name)}"
             if kind == "counter":
                 metric += "_total"
             lines.append(f"# TYPE {metric} "

@@ -62,7 +62,7 @@ def _flatten(data: dict, prefix: str = "") -> Dict[str, float]:
 
 
 def collect(results_dir: pathlib.Path,
-            only: Optional[List[str]] = None) -> List[dict]:
+            only: Optional[List[str]]) -> List[dict]:
     """One record per benchmark: name + per-metric current/previous."""
     records = []
     for path in sorted(results_dir.glob("BENCH_*.json")):

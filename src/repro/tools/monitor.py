@@ -51,13 +51,18 @@ def _apps() -> Dict[str, Callable[[], AppKernel]]:
 def run_demo_cell(
     app_name: str = "gtc",
     transport_name: str = "adaptive",
-    n_procs: int = 128,
-    pool_osts: int = 32,
-    interfere_osts: int = 6,
-    seed: int = 0,
+    *,
+    n_procs: int,
+    pool_osts: int,
+    interfere_osts: int,
+    seed: int,
     profile: bool = False,
 ):
     """One interference cell under full telemetry.
+
+    The sizes and the seed come from the CLI's ``--procs``,
+    ``--pool-osts``, ``--interfere-osts`` and ``--seed``, which hold
+    their defaults.
 
     Returns ``(registry, detector, ground_truth, profile_dict)``.
     ``interfere_osts`` must stay a *minority* of the pool: the robust

@@ -29,15 +29,18 @@ class WriterCounters:
     run: int
     writer: str  # tid label, e.g. "rank 5"
     node: str  # pid label, e.g. "node/3"
-    bytes_written: float = 0.0
-    write_count: int = 0
-    adaptive_writes: int = 0
-    retries: int = 0  # write.retry fault instants (timeout + backoff)
-    aborts: int = 0  # write.abort fault instants (gave up)
-    corrupt_detected: int = 0  # verify failures + scrub detections
-    repaired: int = 0  # block.repair integrity instants
+    # Folded from the trace, never passed in.
+    bytes_written: float = field(default=0.0, init=False)
+    write_count: int = field(default=0, init=False)
+    adaptive_writes: int = field(default=0, init=False)
+    # write.retry fault instants (timeout + backoff)
+    retries: int = field(default=0, init=False)
+    aborts: int = field(default=0, init=False)  # write.abort (gave up)
+    # verify failures + scrub detections
+    corrupt_detected: int = field(default=0, init=False)
+    repaired: int = field(default=0, init=False)  # block.repair instants
     time: Dict[str, float] = field(
-        default_factory=lambda: {p: 0.0 for p in PHASES}
+        default_factory=lambda: {p: 0.0 for p in PHASES}, init=False
     )
 
     @property

@@ -157,15 +157,15 @@ class Tracer(RunSequence):
         name: str,
         pid: str,
         values: Dict[str, float],
-        tid: str = "counters",
         ts: Optional[float] = None,
     ) -> None:
+        """A counter sample on *pid*'s ``counters`` track."""
         self.events.append(
-            TraceEvent("C", name, "counter", self._ts(ts), pid, tid,
+            TraceEvent("C", name, "counter", self._ts(ts), pid, "counters",
                        self.run, args=dict(values))
         )
 
-    def close_open_spans(self, ts: Optional[float] = None) -> int:
+    def close_open_spans(self) -> int:
         """Close every still-open ``B`` span of the current run.
 
         When a transport aborts mid-run (a fault made it raise), the
@@ -186,7 +186,7 @@ class Tracer(RunSequence):
                 stack = stacks.get(key)
                 if stack:
                     stack.pop()
-        t = self._ts(ts)
+        t = self._ts(None)
         closed = 0
         for (pid, tid), stack in stacks.items():
             for b in reversed(stack):
@@ -196,6 +196,18 @@ class Tracer(RunSequence):
                 )
                 closed += 1
         return closed
+
+
+def rank_track(rank_base: int, rank: int) -> str:
+    """The trace track (tid) of one rank: its rank on the host machine.
+
+    Tenants sharing a machine number their ranks from 0 (a
+    ``TenantView`` maps its rank ``r`` to host rank ``rank_base + r``),
+    so a track named by the local rank would put two tenants' writers
+    on one track.  On a whole machine ``rank_base`` is 0 and the name
+    is the rank itself.
+    """
+    return f"rank {rank_base + rank}"
 
 
 def check_well_formed(

@@ -31,11 +31,12 @@ import pytest
 
 from repro.core.transports import AdaptiveTransport
 from repro.core.transports.history import HistoryAwareAdaptiveTransport
-from repro.faults import FaultEvent, FaultPlan, two_ost_failure_plan
+from repro.faults import FaultEvent, FaultPlan
 from repro.interference import install_production_noise
 from repro.session import instrumented
 from repro.trace import Tracer
 from repro.trace.chrome import to_chrome
+from tests.faultplans import two_ost_failure_plan
 from tests.golden import num, register
 from tests.test_static_goldens import N_OSTS, N_RANKS, SEED, app, run_doc, spec
 

@@ -83,7 +83,8 @@ class TestOffsetsAndIndex:
         steered = [w for w in res.per_writer if w.adaptive]
         assert steered
         for w in steered:
-            hits = res.index.lookup("v0", writer=w.rank)
+            hits = [h for h in res.index.lookup("v0")
+                    if h[1].writer == w.rank]
             assert len(hits) == 1
             path, entry = hits[0]
             f = m.fs.lookup(path)

@@ -134,7 +134,8 @@ class TestRelocation:
         assert run.files[g].path == "/out.bp.dir/0001.bp"
 
         del sent[:]
-        to_sc(5, WriteFailed(5, g, g, nb, epoch=0, reason="ost failed"))
+        to_sc(5, WriteFailed(5, g, g, nb, epoch=0, adaptive=False,
+                             recovery=False, reason="ost failed"))
         path = "/out.bp.dir/0001.e1.bp"
         assert run.paths_at[(g, 1)] == path
         assert run.files[g] is run.files_at[(g, 1)]
@@ -156,7 +157,8 @@ class TestRelocation:
         for h in range(N_OSTS):
             env.process(run.hardened_sc_proc(h), name=f"adaptive.sc.{h}")
         env.run(until=run.files_ready)
-        run.comm.send(5, 4, WriteFailed(5, 1, 1, run.nbytes, epoch=7),
+        run.comm.send(5, 4, WriteFailed(5, 1, 1, run.nbytes, epoch=7,
+                                        adaptive=False, recovery=False),
                       tag=TAG_SC)
         env.run(until=env.now + 1.0)
         assert run.relocations == 0 and (1, 1) not in run.files_at

@@ -29,7 +29,7 @@ class TestIndexedReads:
     def test_locate_block(self, written):
         machine, app, res = written
         reader = BpReader(machine.fs, res.index)
-        hits = reader.locate("alpha", writer=5)
+        hits = [h for h in reader.locate("alpha") if h[1].writer == 5]
         assert len(hits) == 1
         path, entry = hits[0]
         assert entry.writer == 5
@@ -41,7 +41,7 @@ class TestIndexedReads:
         with pytest.raises(KeyError):
             reader.locate("gamma")
         with pytest.raises(KeyError):
-            reader.locate("alpha", writer=999)
+            next(reader.read_block(node=0, var="alpha", writer=999))
 
     def test_read_block_simulates_time(self, written):
         machine, _, res = written
@@ -75,10 +75,11 @@ class TestScanFallback:
         machine, _, res = written
         data_files = [p for p in res.files if "index" not in p]
         reader = BpReader(machine.fs, index=None, files=data_files)
-        hits = reader.locate("alpha", writer=5)
+        hits = [h for h in reader.locate("alpha") if h[1].writer == 5]
         assert len(hits) == 1
         # Must agree with the indexed path.
-        indexed = BpReader(machine.fs, res.index).locate("alpha", writer=5)
+        indexed = [h for h in BpReader(machine.fs, res.index).locate("alpha")
+                   if h[1].writer == 5]
         assert hits[0][1] == indexed[0][1]
 
     def test_scan_mode_rejects_range_query(self, written):

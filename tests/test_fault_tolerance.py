@@ -21,9 +21,10 @@ from repro.core.transports import (
     StaggerTransport,
 )
 from repro.errors import TransportError
-from repro.faults import FaultEvent, FaultPlan, two_ost_failure_plan
+from repro.faults import FaultEvent, FaultPlan
 from repro.machines import jaguar
 from repro.units import MB
+from tests.faultplans import two_ost_failure_plan
 
 N_RANKS = 64
 N_OSTS = 16

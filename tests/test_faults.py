@@ -14,11 +14,11 @@ from repro.faults import (
     FaultPlan,
     RetryPolicy,
     resolve_fault_plan,
-    two_ost_failure_plan,
 )
 from repro.lustre.ost import OstState
 from repro.machines import jaguar
 from repro.sim.rng import RngRegistry
+from tests.faultplans import two_ost_failure_plan
 
 
 def build(seed=0, n_osts=8, n_ranks=8, plan=None):

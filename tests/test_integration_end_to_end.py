@@ -1,5 +1,7 @@
 """End-to-end integration scenarios spanning multiple subsystems."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ from repro.interference import (
     install_production_noise,
 )
 from repro.machines import bluegene_p, franklin, jaguar, xtp
+
+
+def _xtp(n_blades):
+    """XTP with a smaller blade pool."""
+    spec = xtp()
+    return spec.with_overrides(
+        ost_config=replace(spec.ost_config, n_osts=n_blades))
 
 
 class TestMultiStepCampaign:
@@ -56,7 +65,7 @@ class TestInterferenceIntegration:
     def test_background_job_slows_the_application(self):
         times = {}
         for label, with_job in (("quiet", False), ("noisy", True)):
-            m = xtp(n_blades=8).build(
+            m = _xtp(8).build(
                 n_ranks=32, seed=3, extra_service_nodes=2
             )
             if with_job:
@@ -105,7 +114,7 @@ class TestCrossMachineSanity:
         [
             (lambda: jaguar(n_osts=8), 16),
             (lambda: franklin(n_osts=8), 16),
-            (lambda: xtp(n_blades=8), 16),
+            (lambda: _xtp(8), 16),
             (lambda: bluegene_p(n_nsd_servers=8), 16),
         ],
         ids=["jaguar", "franklin", "xtp", "bluegene_p"],
@@ -126,7 +135,7 @@ class TestCrossMachineSanity:
         results = {}
         for name, spec, n in (
             ("jaguar", jaguar(n_osts=64), 256),
-            ("xtp", xtp(n_blades=8), 96),
+            ("xtp", _xtp(8), 96),
         ):
             m = spec.build(n_ranks=n, seed=6)
             res = Adios(m, method="adaptive").write_output(

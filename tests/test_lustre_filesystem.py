@@ -138,16 +138,6 @@ class TestNamespace:
         f = run(env, scenario())
         assert f.layout.osts == (3,)
 
-    def test_stripe_offset_pins_first_ost(self):
-        env, fs = make_fs(n_osts=4)
-
-        def scenario():
-            f = yield from fs.create("/p", stripe_count=2, stripe_offset=2)
-            return f
-
-        f = run(env, scenario())
-        assert f.layout.osts == (2, 3)
-
 
 class TestWritePath:
     def test_single_ost_write_duration(self):

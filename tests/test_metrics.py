@@ -68,25 +68,29 @@ class TestStats:
 
 
 class TestHistogram:
-    def test_of_counts_sum(self):
-        h = Histogram.of([1, 2, 2, 3, 10], n_bins=5)
+    def test_of_counts_sum(self, monkeypatch):
+        monkeypatch.setattr(Histogram, "n_bins", 5)
+        h = Histogram.of([1, 2, 2, 3, 10])
         assert h.counts.sum() == 5
         assert len(h.counts) == 5
         assert len(h.edges) == 6
 
-    def test_degenerate_range(self):
-        h = Histogram.of([5.0, 5.0], n_bins=4)
+    def test_degenerate_range(self, monkeypatch):
+        monkeypatch.setattr(Histogram, "n_bins", 4)
+        h = Histogram.of([5.0, 5.0])
         assert h.counts.sum() == 2
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
-            Histogram.of([], n_bins=3)
+            Histogram.of([])
+        monkeypatch.setattr(Histogram, "n_bins", 0)
         with pytest.raises(ValueError):
-            Histogram.of([1.0], n_bins=0)
+            Histogram.of([1.0])
 
-    def test_text_histogram_lines(self):
-        h = Histogram.of([1, 2, 3, 4], n_bins=4)
-        lines = text_histogram(h, width=10)
+    def test_text_histogram_lines(self, monkeypatch):
+        monkeypatch.setattr(Histogram, "n_bins", 4)
+        h = Histogram.of([1, 2, 3, 4])
+        lines = text_histogram(h)
         assert len(lines) == 4
         assert all("|" in line for line in lines)
 
@@ -94,7 +98,9 @@ class TestHistogram:
            st.integers(1, 30))
     @settings(max_examples=100)
     def test_counts_conserved(self, values, bins):
-        h = Histogram.of(values, n_bins=bins)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Histogram, "n_bins", bins)
+            h = Histogram.of(values)
         assert h.counts.sum() == len(values)
 
 

@@ -22,6 +22,7 @@ from repro.harness.parallel import parallel_map, resolve_jobs, run_samples
 from repro.session import active_session, instrumented
 from repro.telemetry import MetricsRegistry
 from repro.trace import TraceEvent, Tracer
+from tests.sweepenv import repro_jobs
 
 
 def _echo_seed(seed: int) -> int:
@@ -60,17 +61,13 @@ class TestResolveJobs:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs() == 1
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        assert resolve_jobs(3) == 3
-
     def test_env_used_when_no_arg(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
         assert resolve_jobs() == 5
 
     def test_zero_means_all_cores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        monkeypatch.setenv("REPRO_JOBS", "-1")
+        assert resolve_jobs() == (os.cpu_count() or 1)
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert resolve_jobs() == (os.cpu_count() or 1)
 
@@ -82,11 +79,13 @@ class TestResolveJobs:
 
 class TestRunSamples:
     def test_seed_derivation_and_order(self):
-        out = run_samples(_echo_seed, 5, base_seed=42, jobs=1)
+        with repro_jobs(1):
+            out = run_samples(_echo_seed, 5, base_seed=42)
         assert out == [sample_seed(42, i) for i in range(5)]
 
     def test_parallel_seed_derivation_and_order(self):
-        out = run_samples(_echo_seed, 5, base_seed=42, jobs=2)
+        with repro_jobs(2):
+            out = run_samples(_echo_seed, 5, base_seed=42)
         assert out == [sample_seed(42, i) for i in range(5)]
 
     def test_rejects_zero_samples(self):
@@ -99,8 +98,10 @@ class TestRunSamples:
         base=st.integers(min_value=0, max_value=2**20),
     )
     def test_parallel_bit_identical_to_serial(self, n, base):
-        serial = run_samples(_simulate, n, base, jobs=1)
-        parallel = run_samples(_simulate, n, base, jobs=2)
+        with repro_jobs(1):
+            serial = run_samples(_simulate, n, base)
+        with repro_jobs(2):
+            parallel = run_samples(_simulate, n, base)
         # == on floats, not approx: the contract is bit-equality.
         assert serial == parallel
 
@@ -118,10 +119,12 @@ class TestRunSamples:
 class TestParallelMap:
     def test_order_stability(self):
         items = list(range(10))
-        assert parallel_map(_echo_seed, items, jobs=3) == items
+        with repro_jobs(3):
+            assert parallel_map(_echo_seed, items) == items
 
     def test_serial_when_jobs_one(self):
-        assert parallel_map(_echo_seed, [1, 2, 3], jobs=1) == [1, 2, 3]
+        with repro_jobs(1):
+            assert parallel_map(_echo_seed, [1, 2, 3]) == [1, 2, 3]
 
     def test_non_picklable_falls_back_with_warning(self):
         captured = []
@@ -130,7 +133,8 @@ class TestParallelMap:
             pickle.dumps(fn)
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            out = parallel_map(fn, [1, 2, 3], jobs=2)
+            with repro_jobs(2):
+                out = parallel_map(fn, [1, 2, 3])
             captured = [x for x in w if x.category is RuntimeWarning]
         assert out == [2, 4, 6]
         assert captured, "expected a RuntimeWarning on serial fallback"
@@ -141,11 +145,13 @@ class TestParallelMap:
         pickle.dumps(fn)  # must not raise
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert parallel_map(fn, [1, 2], jobs=2) == [1, 2]
+            with repro_jobs(2):
+                assert parallel_map(fn, [1, 2]) == [1, 2]
 
     def test_tracer_collects_worker_events_in_sample_order(self):
         with instrumented(tracer=Tracer()) as session:
-            parallel_map(_traced_sample, [10, 11, 12], jobs=2)
+            with repro_jobs(2):
+                parallel_map(_traced_sample, [10, 11, 12])
         t = session.tracer
         names = [(e.tid, e.run) for e in t.events if e.name == "sample"]
         # One run per sample, in submission order, distinct run indices.
@@ -171,7 +177,8 @@ class TestFailedJobInstrumentation:
         tracer, registry = Tracer(), MetricsRegistry()
         with instrumented(tracer=tracer, registry=registry):
             with pytest.raises(Exception, match="seed 1 failed"):
-                parallel_map(_record_then_fail, [0, 1], jobs=jobs)
+                with repro_jobs(jobs):
+                    parallel_map(_record_then_fail, [0, 1])
         assert [ev.tid for ev in tracer.events] == ["seed 0", "seed 1"]
         assert [ev.run for ev in tracer.events] == [0, 1]
         assert registry.find("counter", "test.samples").value == 2.0
@@ -222,8 +229,10 @@ class TestChurnHeavyCellParallel:
         cell = partial(
             _run_cell, xgc1(), "adaptive", "interference", 24, cfg=cfg
         )
-        serial = run_samples(cell, 2, base_seed=3, jobs=1)
-        parallel = run_samples(cell, 2, base_seed=3, jobs=2)
+        with repro_jobs(1):
+            serial = run_samples(cell, 2, base_seed=3)
+        with repro_jobs(2):
+            parallel = run_samples(cell, 2, base_seed=3)
         assert serial == parallel
 
 
@@ -239,8 +248,10 @@ class TestFaultedRunsParallel:
             _one_cell, method="adaptive", k=2,
             n_osts=16, cap=4, n_ranks=64, mb=16.0,
         )
-        serial = run_samples(cell, 2, base_seed=0, jobs=1)
-        parallel = run_samples(cell, 2, base_seed=0, jobs=2)
+        with repro_jobs(1):
+            serial = run_samples(cell, 2, base_seed=0)
+        with repro_jobs(2):
+            parallel = run_samples(cell, 2, base_seed=0)
         assert serial == parallel
 
     def test_corruption_cell_bit_identical_to_serial(self):
@@ -253,8 +264,10 @@ class TestFaultedRunsParallel:
             _integrity_cell, method="adaptive",
             n_osts=16, cap=4, n_ranks=64, mb=16.0,
         )
-        serial = run_samples(cell, 2, base_seed=0, jobs=1)
-        parallel = run_samples(cell, 2, base_seed=0, jobs=2)
+        with repro_jobs(1):
+            serial = run_samples(cell, 2, base_seed=0)
+        with repro_jobs(2):
+            parallel = run_samples(cell, 2, base_seed=0)
         assert serial == parallel
         assert all(s["undetected"] == 0.0 for s in serial)
 
@@ -262,17 +275,19 @@ class TestFaultedRunsParallel:
         """REPRO_FAULTS (the --faults propagation channel) must be
         honoured by worker processes: machines built in a worker pick
         the plan up from the environment."""
-        from repro.faults import two_ost_failure_plan
+        from tests.faultplans import two_ost_failure_plan
 
         path = tmp_path / "plan.json"
         two_ost_failure_plan(osts=(0, 1), at=0.01).save_json(str(path))
         os.environ["REPRO_FAULTS"] = str(path)
         try:
-            out = parallel_map(_machine_has_faults, [0, 1], jobs=2)
+            with repro_jobs(2):
+                out = parallel_map(_machine_has_faults, [0, 1])
         finally:
             del os.environ["REPRO_FAULTS"]
         assert out == [True, True]
-        assert parallel_map(_machine_has_faults, [0], jobs=1) == [False]
+        with repro_jobs(1):
+            assert parallel_map(_machine_has_faults, [0]) == [False]
 
 
 def _machine_has_faults(seed: int) -> bool:
@@ -328,9 +343,11 @@ class TestTelemetryParallel:
         for n_samples in (2, 4):
             reg_serial, reg_par = MetricsRegistry(), MetricsRegistry()
             with instrumented(registry=reg_serial):
-                serial = run_samples(_metered_cell, n_samples, 3, jobs=1)
+                with repro_jobs(1):
+                    serial = run_samples(_metered_cell, n_samples, 3)
             with instrumented(registry=reg_par):
-                parallel = run_samples(_metered_cell, n_samples, 3, jobs=2)
+                with repro_jobs(2):
+                    parallel = run_samples(_metered_cell, n_samples, 3)
             assert serial == parallel
             assert reg_serial.n_runs == reg_par.n_runs == n_samples
             assert reg_serial.find("counter", "fs.writes").value > 0
@@ -345,7 +362,8 @@ class TestTelemetryParallel:
         def sweep(jobs):
             with instrumented(tracer=Tracer(),
                               registry=MetricsRegistry()) as session:
-                results = run_samples(_metered_cell, 3, 5, jobs=jobs)
+                with repro_jobs(jobs):
+                    results = run_samples(_metered_cell, 3, 5)
             return results, session.tracer, session.registry
 
         serial, t_serial, reg_serial = sweep(1)

@@ -29,6 +29,7 @@ from repro.qos import (
     jain_index,
     run_tenants,
 )
+from tests.sweepenv import repro_jobs
 
 
 # -- token buckets -------------------------------------------------------
@@ -268,8 +269,10 @@ def test_tenant_sweep_parallel_serial_bit_identical():
         aggressor_mb=24.0,
         fault_check=True,
     )
-    serial = run_samples(cell, 2, base_seed=3, jobs=1, label="qos-serial")
-    fanned = run_samples(cell, 2, base_seed=3, jobs=2, label="qos-fanned")
+    with repro_jobs(1):
+        serial = run_samples(cell, 2, base_seed=3, label="qos-serial")
+    with repro_jobs(2):
+        fanned = run_samples(cell, 2, base_seed=3, label="qos-fanned")
     assert serial == fanned, (
         "tenant sweep must be bit-identical serial vs parallel"
     )

@@ -223,7 +223,7 @@ def _qos_net(monkeypatch):
     """Two tagged tenants on four sinks, limits installed and settled."""
     net, pool = _build(FlowNetwork, n_src=8, n_sinks=4)
     for i in range(6):
-        swallow(net.start_flow(i, i % 4, 1e12, tenant=i % 2))
+        swallow(net.start_flow_with_id(i, i % 4, 1e12, tenant=i % 2)[0])
     net.set_tenant_limits(np.array([1e8, 3e8]))
     net.env.run(until=1e-3)
     return net, pool, _CountPasses(monkeypatch)
@@ -255,14 +255,14 @@ def test_changed_push_reruns_only_the_capped_pass(monkeypatch):
 
 def test_arrival_recomputes_the_shadow_pass(monkeypatch):
     net, _, passes = _qos_net(monkeypatch)
-    swallow(net.start_flow(7, 0, 1e12, tenant=0))
+    swallow(net.start_flow_with_id(7, 0, 1e12, tenant=0)[0])
     net.env.run(until=net.env.now)
     assert passes.calls == 2
 
 
 def test_completion_recomputes_the_shadow_pass(monkeypatch):
     net, _, passes = _qos_net(monkeypatch)
-    swallow(net.start_flow(7, 0, 1e3, tenant=1))
+    swallow(net.start_flow_with_id(7, 0, 1e3, tenant=1)[0])
     net.env.run(until=net.env.now)
     passes.calls = 0
     net.env.run(until=net.env.now + 1.0)  # the 1 kB flow completes
@@ -297,7 +297,7 @@ def test_nan_or_negative_limit_rejected(bad):
 
 def test_infinite_limit_lets_flow_finish():
     net, _ = _build(FlowNetwork, n_src=2, n_sinks=2)
-    ev = net.start_flow(0, 0, 1e3, tenant=0)
+    ev = net.start_flow_with_id(0, 0, 1e3, tenant=0)[0]
     net.set_tenant_limits(np.array([np.inf, 1e8]))
     net.env.run(until=50.0)
     assert ev.processed and ev.ok
@@ -309,8 +309,8 @@ def test_changed_push_keeps_the_elapsed_throttled_bytes():
     throttle rate, with no ``tenant_accounting()`` call in between."""
     env = Environment()
     net = FlowNetwork(env, np.full(2, 1.6e9), UniformSinkPool(2, 1e8))
-    swallow(net.start_flow(0, 0, 1e12, tenant=0))
-    swallow(net.start_flow(1, 1, 1e12, tenant=1))
+    swallow(net.start_flow_with_id(0, 0, 1e12, tenant=0)[0])
+    swallow(net.start_flow_with_id(1, 1, 1e12, tenant=1)[0])
     net.set_tenant_limits(np.array([5e7, np.inf]))  # throttles 5e7 B/s
     env.run(until=1.0)
     net.set_tenant_limits(np.array([2e7, np.inf]))  # throttles 8e7 B/s

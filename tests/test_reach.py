@@ -1,5 +1,5 @@
-"""The reachability audit (``python -m tests.reach``) on a toy package,
-and DESIGN's kept table against ``src/``."""
+"""The reachability audit (``python -m tests.reach``) on toy packages,
+and DESIGN's kept tables against ``src/``."""
 
 import sys
 import textwrap
@@ -119,3 +119,110 @@ def test_kept_table_names_existing_defs():
     defs = {f.id for f in reach.functions()}
     assert sorted(set(kept) - defs) == []
     assert all(reason for reason in kept.values())
+
+
+OPTS = '''\
+import dataclasses
+import multiprocessing
+
+
+def twice(x, width=8):
+    return x
+
+
+def left(x, width=8, *, mode="a"):
+    return x
+
+
+def forked(level=1):
+    return level
+
+
+def _in_worker(v):
+    return forked(level=v)
+
+
+def via_pool():
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        return pool.map(_in_worker, [2])
+
+
+def example_only(scale=1):
+    return scale
+
+
+def stepped(n=1):
+    n += 1
+    yield n
+    yield n
+
+
+def never(x=0):
+    return x
+
+
+def _private(x=1):
+    return x
+
+
+@dataclasses.dataclass(frozen=True)
+class Conf:
+    size: int = 4
+    name: str = "x"
+    memo: dict = dataclasses.field(default_factory=dict, init=False)
+'''
+
+# The artifact set: the second step, tagged as an example, sets values
+# that must not count.
+OPTS_ARTIFACT = ("import toy.opts as o; o.twice(1); o.twice(1, width=9); "
+                 "o.left(1); o.forked(); assert o.via_pool() == [2]; "
+                 "o.example_only(); list(o.stepped()); o._private(); "
+                 "o.Conf(); o.Conf(name='y')")
+OPTS_EXAMPLE = "import toy.opts as o; o.example_only(scale=5); o.left(2, 3)"
+
+
+def test_value_collector_on_a_toy_package(tmp_path):
+    root = tmp_path / "src"
+    (root / "toy").mkdir(parents=True)
+    (root / "toy" / "__init__.py").write_text("")
+    (root / "toy" / "opts.py").write_text(OPTS)
+    log = tmp_path / "artifact.log"
+    settings = reach.settables(root)
+    watch = reach.ValueWatch(tmp_path / "watch.json", log, settings)
+    steps = [reach.Step([sys.executable, "-c", OPTS_ARTIFACT], {}),
+             reach.Step([sys.executable, "-c", OPTS_EXAMPLE], {},
+                        values=False)]
+    bad = reach.run_steps(steps, reach.hook_env(tmp_path / "hook", root, log),
+                          tmp_path, verbose=False, watch=watch)
+    assert bad == []
+    values = reach.read_values(log)
+    options = reach.classify_values(settings, values)
+    ids = {k: {st.id.split(":")[1] for st in v} for k, v in options.items()}
+    # Two values from one process, or a second one only in a forked pool
+    # worker, make a setting multi-valued; a default never overridden, a
+    # value only an example sets, and a generator's rebinding of its own
+    # parameter between resumes do not.  A dataclass field is recorded at
+    # the generated __init__; an init=False field and a private def's
+    # parameter are not settings.
+    assert ids == {
+        "more": {"twice(width)", "forked(level)", "Conf(name)"},
+        "one": {"left(width)", "left(mode)", "example_only(scale)",
+                "stepped(n)", "Conf(size)"},
+        "none": {"never(x)"},
+    }
+    assert values["toy.opts:left(width)"] == {"8"}
+    assert values["toy.opts:Conf(size)"] == {"4"}
+    assert reach.value_summary(options, {"toy.opts:left(width)"}) == (
+        "9 settable values; one value in use 5 (1 kept); two or more 3; "
+        "none in use 1")
+
+
+def test_option_table_names_existing_settings():
+    """Every row of DESIGN's table of options with one value in use
+    names a settable value in src/ (AST only) and says where its value
+    comes from."""
+    rows = reach.kept_options()
+    assert rows, "DESIGN's options table is empty or its heading moved"
+    ids = {st.id for st in reach.settables()}
+    assert sorted(set(rows) - ids) == []
+    assert all(source for source in rows.values())

@@ -220,7 +220,7 @@ class TestAbortedRuns:
         series: samples up to the abort are kept and the sample matrix
         stays rectangular."""
         from repro.errors import TransportError
-        from repro.faults import two_ost_failure_plan
+        from tests.faultplans import two_ost_failure_plan
 
         plan = two_ost_failure_plan(osts=(0, 1), at=0.05)
         m = build(faults=plan)

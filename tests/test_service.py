@@ -45,6 +45,7 @@ from repro.service.journal import (
     replay,
     summarize,
 )
+from tests.sweepenv import repro_jobs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -370,7 +371,7 @@ def slow(seed):
     return [seed, seed * 0.5, "s%d" % seed]
 
 from repro.harness.parallel import run_samples
-out = run_samples(slow, 6, base_seed=5, jobs=1, label="killable")
+out = run_samples(slow, 6, base_seed=5, label="killable")
 with open({out!r}, "w") as fh:
     json.dump(out, fh)
 """
@@ -578,9 +579,11 @@ class TestRunSamplesJournalEnv:
         state = str(tmp_path / "state")
         os.environ["REPRO_JOURNAL"] = state
         fn = partial(_record_and_double, out_dir=str(tmp_path))
-        first = run_samples(fn, 3, base_seed=1, jobs=1, label="envcell")
+        with repro_jobs(1):
+            first = run_samples(fn, 3, base_seed=1, label="envcell")
         executions = len(os.listdir(tmp_path)) - 1
         assert executions == 3
-        second = run_samples(fn, 3, base_seed=1, jobs=1, label="envcell")
+        with repro_jobs(1):
+            second = run_samples(fn, 3, base_seed=1, label="envcell")
         assert second == first
         assert len(os.listdir(tmp_path)) - 1 == 3  # restored, not rerun

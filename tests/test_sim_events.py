@@ -5,6 +5,13 @@ import pytest
 from repro.sim import AllOf, AnyOf, Environment, Event, EventAborted, Timeout
 
 
+def _valued(env, delay, value):
+    """An event firing *delay* from now with *value*."""
+    ev = env.event()
+    env.schedule_callback(delay, lambda: ev.succeed(value))
+    return ev
+
+
 @pytest.fixture
 def env():
     return Environment()
@@ -118,7 +125,7 @@ class TestTimeout:
         got = []
 
         def proc(env):
-            v = yield env.timeout(1, value="payload")
+            v = yield _valued(env, 1, "payload")
             got.append(v)
 
         env.process(proc(env))
@@ -144,8 +151,8 @@ class TestConditions:
         done = []
 
         def proc(env):
-            t1 = env.timeout(1, value="x")
-            t2 = env.timeout(5, value="y")
+            t1 = _valued(env, 1, "x")
+            t2 = _valued(env, 5, "y")
             res = yield AllOf(env, [t1, t2])
             done.append((env.now, sorted(res.values())))
 
@@ -157,8 +164,8 @@ class TestConditions:
         done = []
 
         def proc(env):
-            t1 = env.timeout(1, value="fast")
-            t2 = env.timeout(5, value="slow")
+            t1 = _valued(env, 1, "fast")
+            t2 = _valued(env, 5, "slow")
             res = yield AnyOf(env, [t1, t2])
             done.append((env.now, list(res.values())))
 

@@ -33,13 +33,14 @@ from repro.core.transports import (
     StaggerTransport,
 )
 from repro.errors import TransportError
-from repro.faults import FaultEvent, FaultPlan, two_ost_failure_plan
+from repro.faults import FaultEvent, FaultPlan
 from repro.interference import install_production_noise
 from repro.machines import jaguar
 from repro.session import instrumented
 from repro.trace import Tracer
 from repro.trace.chrome import to_chrome
 from repro.units import MB
+from tests.faultplans import two_ost_failure_plan
 from tests.golden import num, register
 
 N_RANKS = 64

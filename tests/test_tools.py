@@ -36,7 +36,7 @@ class TestExperimentCli:
     def test_faults_skip_artifacts_with_their_own_plans(
         self, tmp_path, monkeypatch
     ):
-        from repro.faults import two_ost_failure_plan
+        from tests.faultplans import two_ost_failure_plan
 
         plan = tmp_path / "plan.json"
         two_ost_failure_plan().save_json(str(plan))

@@ -272,6 +272,23 @@ class TestMultiRun:
         assert len(counters) == 2 * N_RANKS
 
 
+class TestTenantTracks:
+    def test_each_writer_has_its_own_track(self):
+        """Tenants sharing a machine name their writers' tracks by host
+        rank: the QoS smoke sweep nests properly, its faulted run
+        included, and reports one row per writer (40 in the two-tenant
+        runs, 48 in the three-tenant ones)."""
+        from repro.harness.figures import qos
+
+        tr = Tracer()
+        with instrumented(tracer=tr):
+            qos.run("smoke")
+        assert check_well_formed(tr.events, allow_unclosed=True) == []
+        counters = per_writer_counters(tr.events)
+        assert [sum(c.run == r for c in counters) for r in range(5)] == [
+            40, 40, 48, 48, 48]
+
+
 class TestCli:
     def test_trace_cli_summary_and_check(self, tmp_path, capsys):
         from repro.tools.trace import main
@@ -373,7 +390,7 @@ class TestAbortedRunTraces:
         tr.begin("outer", cat="t", pid="p", tid="t1", ts=0.0)
         tr.begin("inner", cat="t", pid="p", tid="t1", ts=1.0)
         tr.begin("other", cat="t", pid="q", tid="t2", ts=0.5)
-        closed = tr.close_open_spans(ts=2.0)
+        closed = tr.close_open_spans()
         assert closed == 3
         assert check_well_formed(tr.events) == []
         ends = [e for e in tr.events if e.ph == "E"]
@@ -392,7 +409,7 @@ class TestAbortedRunTraces:
         """A transport killed mid-write by a fault plan must leave a
         well-formed trace: the failure path closes dangling spans."""
         from repro.errors import TransportError
-        from repro.faults import two_ost_failure_plan
+        from tests.faultplans import two_ost_failure_plan
 
         tr = Tracer()
         plan = two_ost_failure_plan(osts=(0, 1), at=0.01)
@@ -411,7 +428,7 @@ class TestAbortedRunTraces:
         counters and surface in the report; fault-free reports carry
         no retry/abort columns."""
         from repro.errors import TransportError
-        from repro.faults import two_ost_failure_plan
+        from tests.faultplans import two_ost_failure_plan
 
         tr = Tracer()
         plan = two_ost_failure_plan(osts=(0, 1), at=0.01)

@@ -301,7 +301,8 @@ class TestAdaptiveTransport:
         # Every writer's every variable must be findable.
         for rank in range(16):
             for var in ("a", "b"):
-                assert len(res.index.lookup(var, writer=rank)) == 1
+                assert len([h for h in res.index.lookup(var)
+                            if h[1].writer == rank]) == 1
 
     def test_index_extents_disjoint_per_file(self):
         m = small_machine(n_ranks=16, n_osts=4)
