@@ -171,8 +171,8 @@ class Tracer(RunSequence):
         When a transport aborts mid-run (a fault made it raise), the
         processes holding spans open never reach their ``end()`` calls
         and the Chrome trace would carry dangling ``B`` events.  This
-        appends matching ``E`` events (tagged ``{"aborted": True}``) in
-        proper nesting order, so :func:`check_well_formed` passes on
+        appends matching ``E`` events (tagged ``{"aborted": True}``) at
+        the current instant, in proper nesting order, so :func:`check_well_formed` passes on
         aborted runs too.  Returns the number of spans closed.
         """
         stacks: Dict[tuple, List[TraceEvent]] = {}
