@@ -682,9 +682,9 @@ class _AdaptiveRun:
         self.tenant = getattr(machine, "tenant", -1)
         n_groups = self.n_groups = transport._n_groups(machine)
         groups = self.groups = transport._make_group_map(n_ranks, n_groups)
-        self.comm = SimComm(env, n_ranks, latency=machine.spec.latency)
+        self.comm = SimComm(env, n_ranks, machine.rank_base,
+                            latency=machine.spec.latency)
         self.comm.faults = faults
-        self.comm.rank_base = machine.rank_base
         self.nbytes = app.per_process_bytes
         self.index_nbytes = app.index_nbytes
         # Control-plane flight times the cohorts account without sending

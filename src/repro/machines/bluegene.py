@@ -76,7 +76,6 @@ def bluegene_p(n_nsd_servers: int = 128) -> MachineSpec:
             cache_capacity=1.0 * GB,  # NSD pagepool is generous
             drain_curve=gpfs_drain_curve(),
             ingest_curve=gpfs_ingest_curve(),
-            stable_fraction=0.75,
         ),
         # GPFS wide-striping: no Lustre-style per-file cap.
         max_stripe_count=n_nsd_servers,

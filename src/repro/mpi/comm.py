@@ -73,6 +73,10 @@ class SimComm:
         Simulation environment.
     n_ranks:
         Communicator size.
+    rank_base:
+        The host rank of this communicator's rank 0, which names its
+        trace tracks: 0 on a whole machine, a tenant's first rank on a
+        shared one.
     latency:
         alpha-beta model for control messages.
 
@@ -84,12 +88,14 @@ class SimComm:
         self,
         env: "Environment",
         n_ranks: int,
+        rank_base: int,
         latency: Optional[MessageLatencyModel] = None,
     ):
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         self.env = env
         self.n_ranks = n_ranks
+        self.rank_base = rank_base
         self.latency = latency if latency is not None else MessageLatencyModel()
         self._inboxes: Dict[int, _Inbox] = {}
         self.messages_sent = 0
@@ -97,10 +103,6 @@ class SimComm:
         # Optional fault hook (a FaultInjector): consulted per send for
         # loss/extra delay.  None in fault-free runs — zero overhead.
         self.faults = None
-
-    # The host rank of this communicator's rank 0, for trace tracks: a
-    # tenant's communicator starts at its block of the host machine.
-    rank_base = 0
 
     def _check_rank(self, rank: int, what: str = "rank") -> None:
         if not 0 <= rank < self.n_ranks:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import json
 import os
 import re
@@ -220,6 +221,15 @@ def settables(root: Path = SRC) -> List[Setting]:
 
 # -- the collector ------------------------------------------------------------
 
+def entry_offset(instructions) -> int:
+    """The ``f_lasti`` a generator's frame shows ``sys.settrace`` at its
+    first entry, given the instructions of its code: the offset of its
+    ``RESUME`` from Python 3.11 on, and -1 ("nothing run yet") on 3.10,
+    which has no ``RESUME``.  Every later entry is a resume."""
+    return next((i.offset for i in instructions if i.opname == "RESUME"),
+                -1)
+
+
 _HOOK = '''\
 import os as _os
 import sys as _sys
@@ -249,6 +259,8 @@ _FUNCTION = type(_write)
 _FACTORY = "_HAS_DEFAULT_FACTORY_CLASS"  # dataclasses' "use the factory"
 _GENERATOR = 0x20 | 0x80 | 0x200  # CO_GENERATOR, CO_COROUTINE, CO_ASYNC_GENERATOR
 
+
+{entry_offset}
 
 def _value(v):
     # A value's identity across processes: its repr for plain data, its
@@ -289,8 +301,7 @@ def _watch(code, frame, resumes):
         start = None
         if names and resumes and code.co_flags & _GENERATOR:
             import dis
-            start = next(i.offset for i in dis.get_instructions(code)
-                         if i.opname == "RESUME")
+            start = entry_offset(dis.get_instructions(code))
     return [start, [[label, name, _MISSING] for label, name in names]]
 
 
@@ -353,7 +364,8 @@ def hook_env(hook_dir: Path, root: Path, log: Path,
     """An environment whose Python processes log what they run under *root*."""
     hook_dir.mkdir(parents=True, exist_ok=True)
     (hook_dir / "sitecustomize.py").write_text(
-        _HOOK.format(root=str(root.resolve()) + os.sep, log=str(log)))
+        _HOOK.format(root=str(root.resolve()) + os.sep, log=str(log),
+                     entry_offset=inspect.getsource(entry_offset)))
     env = dict(os.environ)
     for name in ("REPRO_SCALE", "REPRO_SAMPLES", "REPRO_JOBS",
                  "REPRO_JOURNAL", "REPRO_FAULTS", "REACH_VALUES"):

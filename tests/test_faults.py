@@ -258,7 +258,7 @@ class TestInjector:
             m = build(seed=seed, plan=plan)
             from repro.mpi.comm import SimComm
 
-            comm = SimComm(m.env, 4)
+            comm = SimComm(m.env, 4, 0)
             comm.faults = m.faults
             m.faults.arm()
             m.env.run(until=0.1)

@@ -1,7 +1,5 @@
 """End-to-end integration scenarios spanning multiple subsystems."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -12,14 +10,8 @@ from repro.interference import (
     BackgroundWriterJob,
     install_production_noise,
 )
-from repro.machines import bluegene_p, franklin, jaguar, xtp
-
-
-def _xtp(n_blades):
-    """XTP with a smaller blade pool."""
-    spec = xtp()
-    return spec.with_overrides(
-        ost_config=replace(spec.ost_config, n_osts=n_blades))
+from repro.machines import bluegene_p, franklin, jaguar
+from tests.specs import small_xtp
 
 
 class TestMultiStepCampaign:
@@ -65,7 +57,7 @@ class TestInterferenceIntegration:
     def test_background_job_slows_the_application(self):
         times = {}
         for label, with_job in (("quiet", False), ("noisy", True)):
-            m = _xtp(8).build(
+            m = small_xtp(8).build(
                 n_ranks=32, seed=3, extra_service_nodes=2
             )
             if with_job:
@@ -114,7 +106,7 @@ class TestCrossMachineSanity:
         [
             (lambda: jaguar(n_osts=8), 16),
             (lambda: franklin(n_osts=8), 16),
-            (lambda: _xtp(8), 16),
+            (lambda: small_xtp(8), 16),
             (lambda: bluegene_p(n_nsd_servers=8), 16),
         ],
         ids=["jaguar", "franklin", "xtp", "bluegene_p"],
@@ -135,7 +127,7 @@ class TestCrossMachineSanity:
         results = {}
         for name, spec, n in (
             ("jaguar", jaguar(n_osts=64), 256),
-            ("xtp", _xtp(8), 96),
+            ("xtp", small_xtp(8), 96),
         ):
             m = spec.build(n_ranks=n, seed=6)
             res = Adios(m, method="adaptive").write_output(

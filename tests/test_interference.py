@@ -1,7 +1,5 @@
 """Tests for the interference generators."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,15 +11,9 @@ from repro.interference import (
     production_noise,
 )
 from repro.interference.markov import global_chain, per_ost_chain
-from repro.machines import jaguar, xtp
+from repro.machines import jaguar
 from repro.units import MB
-
-
-def _xtp(n_blades):
-    """XTP with a smaller blade pool."""
-    spec = xtp()
-    return spec.with_overrides(
-        ost_config=replace(spec.ost_config, n_osts=n_blades))
+from tests.specs import small_xtp
 
 
 class TestLoadState:
@@ -164,7 +156,7 @@ class TestProductionNoise:
 
 class TestBackgroundWriterJob:
     def make_machine(self):
-        return _xtp(10).build(
+        return small_xtp(10).build(
             n_ranks=12, seed=0, extra_service_nodes=2
         )
 
@@ -198,7 +190,7 @@ class TestBackgroundWriterJob:
         assert m.fs.fabric.active_flow_count == 0
 
     def test_needs_service_nodes(self):
-        m = _xtp(10).build(n_ranks=12, seed=0)
+        m = small_xtp(10).build(n_ranks=12, seed=0)
         with pytest.raises(ValueError):
             BackgroundWriterJob(m)
 

@@ -15,6 +15,14 @@ from repro.lustre.ost import EfficiencyCurve, OstPool, OstPoolConfig
 from repro.sim import Environment
 
 
+def pool_config(stable_fraction, **kw):
+    """An ``OstPoolConfig`` whose battery-backed cache share is
+    *stable_fraction*: a class constant, so a subclass sets it."""
+    cls = type("FlatPoolConfig", (OstPoolConfig,),
+               {"stable_fraction": stable_fraction})
+    return cls(**kw)
+
+
 def make_fs(
     n_osts=4,
     n_nodes=2,
@@ -29,14 +37,14 @@ def make_fs(
     env = Environment()
     flat = EfficiencyCurve([(1, 1.0)])
     pool = OstPool(
-        OstPoolConfig(
+        pool_config(
+            stable_fraction,
             n_osts=n_osts,
             drain_peak=drain,
             ingest_peak=ingest,
             cache_capacity=cache,
             drain_curve=flat,
             ingest_curve=flat,
-            stable_fraction=stable_fraction,
         )
     )
     fs = FileSystem(

@@ -13,7 +13,7 @@ def env():
 
 
 def make_comm(env, n=4, alpha=1e-6):
-    return SimComm(env, n, latency=MessageLatencyModel(alpha=alpha, beta=0))
+    return SimComm(env, n, 0, latency=MessageLatencyModel(alpha=alpha, beta=0))
 
 
 class TestPointToPoint:
@@ -162,7 +162,7 @@ class TestPointToPoint:
         with pytest.raises(ValueError):
             comm.recv(9)
         with pytest.raises(ValueError):
-            SimComm(env, 0)
+            SimComm(env, 0, 0)
 
     def test_message_counters(self, env):
         comm = make_comm(env)

@@ -22,7 +22,6 @@ from repro.harness.parallel import parallel_map, resolve_jobs, run_samples
 from repro.session import active_session, instrumented
 from repro.telemetry import MetricsRegistry
 from repro.trace import TraceEvent, Tracer
-from tests.sweepenv import repro_jobs
 
 
 def _echo_seed(seed: int) -> int:
@@ -78,14 +77,14 @@ class TestResolveJobs:
 
 
 class TestRunSamples:
-    def test_seed_derivation_and_order(self):
-        with repro_jobs(1):
-            out = run_samples(_echo_seed, 5, base_seed=42)
+    def test_seed_derivation_and_order(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        out = run_samples(_echo_seed, 5, base_seed=42)
         assert out == [sample_seed(42, i) for i in range(5)]
 
-    def test_parallel_seed_derivation_and_order(self):
-        with repro_jobs(2):
-            out = run_samples(_echo_seed, 5, base_seed=42)
+    def test_parallel_seed_derivation_and_order(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        out = run_samples(_echo_seed, 5, base_seed=42)
         assert out == [sample_seed(42, i) for i in range(5)]
 
     def test_rejects_zero_samples(self):
@@ -98,9 +97,10 @@ class TestRunSamples:
         base=st.integers(min_value=0, max_value=2**20),
     )
     def test_parallel_bit_identical_to_serial(self, n, base):
-        with repro_jobs(1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_JOBS", "1")
             serial = run_samples(_simulate, n, base)
-        with repro_jobs(2):
+            mp.setenv("REPRO_JOBS", "2")
             parallel = run_samples(_simulate, n, base)
         # == on floats, not approx: the contract is bit-equality.
         assert serial == parallel
@@ -117,41 +117,41 @@ class TestRunSamples:
 
 
 class TestParallelMap:
-    def test_order_stability(self):
+    def test_order_stability(self, monkeypatch):
         items = list(range(10))
-        with repro_jobs(3):
-            assert parallel_map(_echo_seed, items) == items
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert parallel_map(_echo_seed, items) == items
 
-    def test_serial_when_jobs_one(self):
-        with repro_jobs(1):
-            assert parallel_map(_echo_seed, [1, 2, 3]) == [1, 2, 3]
+    def test_serial_when_jobs_one(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        assert parallel_map(_echo_seed, [1, 2, 3]) == [1, 2, 3]
 
-    def test_non_picklable_falls_back_with_warning(self):
+    def test_non_picklable_falls_back_with_warning(self, monkeypatch):
         captured = []
         fn = lambda x: x * 2  # noqa: E731 - deliberately unpicklable
         with pytest.raises(Exception):
             pickle.dumps(fn)
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            with repro_jobs(2):
-                out = parallel_map(fn, [1, 2, 3])
+            monkeypatch.setenv("REPRO_JOBS", "2")
+            out = parallel_map(fn, [1, 2, 3])
             captured = [x for x in w if x.category is RuntimeWarning]
         assert out == [2, 4, 6]
         assert captured, "expected a RuntimeWarning on serial fallback"
         assert "not picklable" in str(captured[0].message)
 
-    def test_partial_of_module_function_is_parallelizable(self):
+    def test_partial_of_module_function_is_parallelizable(self, monkeypatch):
         fn = partial(_echo_seed)
         pickle.dumps(fn)  # must not raise
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with repro_jobs(2):
-                assert parallel_map(fn, [1, 2]) == [1, 2]
+            monkeypatch.setenv("REPRO_JOBS", "2")
+            assert parallel_map(fn, [1, 2]) == [1, 2]
 
-    def test_tracer_collects_worker_events_in_sample_order(self):
+    def test_tracer_collects_worker_events_in_sample_order(self, monkeypatch):
         with instrumented(tracer=Tracer()) as session:
-            with repro_jobs(2):
-                parallel_map(_traced_sample, [10, 11, 12])
+            monkeypatch.setenv("REPRO_JOBS", "2")
+            parallel_map(_traced_sample, [10, 11, 12])
         t = session.tracer
         names = [(e.tid, e.run) for e in t.events if e.name == "sample"]
         # One run per sample, in submission order, distinct run indices.
@@ -177,8 +177,8 @@ class TestFailedJobInstrumentation:
         tracer, registry = Tracer(), MetricsRegistry()
         with instrumented(tracer=tracer, registry=registry):
             with pytest.raises(Exception, match="seed 1 failed"):
-                with repro_jobs(jobs):
-                    parallel_map(_record_then_fail, [0, 1])
+                monkeypatch.setenv("REPRO_JOBS", str(jobs))
+                parallel_map(_record_then_fail, [0, 1])
         assert [ev.tid for ev in tracer.events] == ["seed 0", "seed 1"]
         assert [ev.run for ev in tracer.events] == [0, 1]
         assert registry.find("counter", "test.samples").value == 2.0
@@ -212,7 +212,7 @@ class TestTracerAbsorb:
 
 
 class TestChurnHeavyCellParallel:
-    def test_interference_cell_bit_identical_to_serial(self):
+    def test_interference_cell_bit_identical_to_serial(self, monkeypatch):
         """Churn is where the incremental reallocator and same-instant
         settle coalescing live: an interference cell keeps background
         writers starting/finishing flows continuously, so most settles
@@ -229,15 +229,15 @@ class TestChurnHeavyCellParallel:
         cell = partial(
             _run_cell, xgc1(), "adaptive", "interference", 24, cfg=cfg
         )
-        with repro_jobs(1):
-            serial = run_samples(cell, 2, base_seed=3)
-        with repro_jobs(2):
-            parallel = run_samples(cell, 2, base_seed=3)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        serial = run_samples(cell, 2, base_seed=3)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        parallel = run_samples(cell, 2, base_seed=3)
         assert serial == parallel
 
 
 class TestFaultedRunsParallel:
-    def test_faulted_sweep_cell_bit_identical_to_serial(self):
+    def test_faulted_sweep_cell_bit_identical_to_serial(self, monkeypatch):
         """Fault injection must not break the parallel contract: a
         resilience cell (baseline run + faulted run + re-run model)
         fans out over workers bit-identically, because each sample
@@ -248,13 +248,13 @@ class TestFaultedRunsParallel:
             _one_cell, method="adaptive", k=2,
             n_osts=16, cap=4, n_ranks=64, mb=16.0,
         )
-        with repro_jobs(1):
-            serial = run_samples(cell, 2, base_seed=0)
-        with repro_jobs(2):
-            parallel = run_samples(cell, 2, base_seed=0)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        serial = run_samples(cell, 2, base_seed=0)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        parallel = run_samples(cell, 2, base_seed=0)
         assert serial == parallel
 
-    def test_corruption_cell_bit_identical_to_serial(self):
+    def test_corruption_cell_bit_identical_to_serial(self, monkeypatch):
         """Corruption faults + scrub are seed-deterministic: an
         integrity cell (three runs + a scrub + detection stats) must
         produce identical reports serial and fanned out."""
@@ -264,14 +264,14 @@ class TestFaultedRunsParallel:
             _integrity_cell, method="adaptive",
             n_osts=16, cap=4, n_ranks=64, mb=16.0,
         )
-        with repro_jobs(1):
-            serial = run_samples(cell, 2, base_seed=0)
-        with repro_jobs(2):
-            parallel = run_samples(cell, 2, base_seed=0)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        serial = run_samples(cell, 2, base_seed=0)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        parallel = run_samples(cell, 2, base_seed=0)
         assert serial == parallel
         assert all(s["undetected"] == 0.0 for s in serial)
 
-    def test_env_fault_plan_reaches_workers(self, tmp_path):
+    def test_env_fault_plan_reaches_workers(self, tmp_path, monkeypatch):
         """REPRO_FAULTS (the --faults propagation channel) must be
         honoured by worker processes: machines built in a worker pick
         the plan up from the environment."""
@@ -281,13 +281,13 @@ class TestFaultedRunsParallel:
         two_ost_failure_plan(osts=(0, 1), at=0.01).save_json(str(path))
         os.environ["REPRO_FAULTS"] = str(path)
         try:
-            with repro_jobs(2):
-                out = parallel_map(_machine_has_faults, [0, 1])
+            monkeypatch.setenv("REPRO_JOBS", "2")
+            out = parallel_map(_machine_has_faults, [0, 1])
         finally:
             del os.environ["REPRO_FAULTS"]
         assert out == [True, True]
-        with repro_jobs(1):
-            assert parallel_map(_machine_has_faults, [0]) == [False]
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        assert parallel_map(_machine_has_faults, [0]) == [False]
 
 
 def _machine_has_faults(seed: int) -> bool:
@@ -333,7 +333,7 @@ class TestTelemetryParallel:
         assert metered == plain
         assert disabled == plain
 
-    def test_parallel_metrics_merge_matches_serial(self):
+    def test_parallel_metrics_merge_matches_serial(self, monkeypatch):
         """Every job collects into its own registry and the parent
         absorbs them in submission order — on the serial path and in
         the workers alike.  Results stay bit-identical and the whole
@@ -343,11 +343,11 @@ class TestTelemetryParallel:
         for n_samples in (2, 4):
             reg_serial, reg_par = MetricsRegistry(), MetricsRegistry()
             with instrumented(registry=reg_serial):
-                with repro_jobs(1):
-                    serial = run_samples(_metered_cell, n_samples, 3)
+                monkeypatch.setenv("REPRO_JOBS", "1")
+                serial = run_samples(_metered_cell, n_samples, 3)
             with instrumented(registry=reg_par):
-                with repro_jobs(2):
-                    parallel = run_samples(_metered_cell, n_samples, 3)
+                monkeypatch.setenv("REPRO_JOBS", "2")
+                parallel = run_samples(_metered_cell, n_samples, 3)
             assert serial == parallel
             assert reg_serial.n_runs == reg_par.n_runs == n_samples
             assert reg_serial.find("counter", "fs.writes").value > 0
@@ -355,15 +355,15 @@ class TestTelemetryParallel:
                 reg_par.snapshot()
             )
 
-    def test_tracer_and_registry_together(self):
+    def test_tracer_and_registry_together(self, monkeypatch):
         """Both instruments active at once share one run numbering:
         the trace's run indices are exactly the registry's runs, on a
         2-worker sweep as on the serial one."""
         def sweep(jobs):
             with instrumented(tracer=Tracer(),
                               registry=MetricsRegistry()) as session:
-                with repro_jobs(jobs):
-                    results = run_samples(_metered_cell, 3, 5)
+                monkeypatch.setenv("REPRO_JOBS", str(jobs))
+                results = run_samples(_metered_cell, 3, 5)
             return results, session.tracer, session.registry
 
         serial, t_serial, reg_serial = sweep(1)

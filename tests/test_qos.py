@@ -29,7 +29,6 @@ from repro.qos import (
     jain_index,
     run_tenants,
 )
-from tests.sweepenv import repro_jobs
 
 
 # -- token buckets -------------------------------------------------------
@@ -254,7 +253,7 @@ def test_jain_index_bounds():
 
 # -- parallel == serial --------------------------------------------------
 
-def test_tenant_sweep_parallel_serial_bit_identical():
+def test_tenant_sweep_parallel_serial_bit_identical(monkeypatch):
     from repro.harness.parallel import run_samples
     from repro.harness.figures.qos import _one_cell
 
@@ -269,10 +268,10 @@ def test_tenant_sweep_parallel_serial_bit_identical():
         aggressor_mb=24.0,
         fault_check=True,
     )
-    with repro_jobs(1):
-        serial = run_samples(cell, 2, base_seed=3, label="qos-serial")
-    with repro_jobs(2):
-        fanned = run_samples(cell, 2, base_seed=3, label="qos-fanned")
+    monkeypatch.setenv("REPRO_JOBS", "1")
+    serial = run_samples(cell, 2, base_seed=3, label="qos-serial")
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    fanned = run_samples(cell, 2, base_seed=3, label="qos-fanned")
     assert serial == fanned, (
         "tenant sweep must be bit-identical serial vs parallel"
     )

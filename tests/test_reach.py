@@ -1,8 +1,12 @@
 """The reachability audit (``python -m tests.reach``) on toy packages,
 and DESIGN's kept tables against ``src/``."""
 
+import dis
 import sys
 import textwrap
+from types import SimpleNamespace
+
+import pytest
 
 from tests import reach
 
@@ -215,6 +219,44 @@ def test_value_collector_on_a_toy_package(tmp_path):
     assert reach.value_summary(options, {"toy.opts:left(width)"}) == (
         "9 settable values; one value in use 5 (1 kept); two or more 3; "
         "none in use 1")
+
+
+def test_generator_entry_without_resume():
+    """Python 3.10's generator code has no ``RESUME``: it starts with
+    ``GEN_START``, and its first entry shows ``f_lasti`` -1."""
+    code_310 = [SimpleNamespace(opname=op, offset=2 * i) for i, op in
+                enumerate(("GEN_START", "LOAD_FAST", "YIELD_VALUE",
+                           "POP_TOP", "LOAD_CONST", "RETURN_VALUE"))]
+    assert reach.entry_offset(code_310) == -1
+    assert reach.entry_offset([]) == -1
+
+
+@pytest.mark.skipif(hasattr(sys, "monitoring"),
+                    reason="the hook uses sys.monitoring, which reports "
+                    "a generator's start and its resumes apart")
+def test_generator_entry_offset_under_settrace():
+    """Under ``sys.settrace`` a generator's first entry, and only that
+    one, shows the offset ``entry_offset`` finds in its code."""
+    def gen(n):
+        yield n
+        yield n
+
+    entries = []
+
+    def tracer(frame, event, arg):
+        if event == "call" and frame.f_code is gen.__code__:
+            entries.append(frame.f_lasti)
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        list(gen(1))
+    finally:
+        sys.settrace(old)
+    first = reach.entry_offset(dis.get_instructions(gen.__code__))
+    assert len(entries) == 3  # the start and two resumes
+    assert entries[0] == first
+    assert first not in entries[1:]
 
 
 def test_option_table_names_existing_settings():

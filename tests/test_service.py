@@ -45,7 +45,6 @@ from repro.service.journal import (
     replay,
     summarize,
 )
-from tests.sweepenv import repro_jobs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -573,17 +572,17 @@ class TestJournalCli:
 
 
 class TestRunSamplesJournalEnv:
-    def test_env_journal_checkpoints_and_resumes(self, tmp_path):
+    def test_env_journal_checkpoints_and_resumes(self, tmp_path, monkeypatch):
         from repro.harness.parallel import run_samples
 
         state = str(tmp_path / "state")
         os.environ["REPRO_JOURNAL"] = state
         fn = partial(_record_and_double, out_dir=str(tmp_path))
-        with repro_jobs(1):
-            first = run_samples(fn, 3, base_seed=1, label="envcell")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        first = run_samples(fn, 3, base_seed=1, label="envcell")
         executions = len(os.listdir(tmp_path)) - 1
         assert executions == 3
-        with repro_jobs(1):
-            second = run_samples(fn, 3, base_seed=1, label="envcell")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        second = run_samples(fn, 3, base_seed=1, label="envcell")
         assert second == first
         assert len(os.listdir(tmp_path)) - 1 == 3  # restored, not rerun
